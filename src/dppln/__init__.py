@@ -17,8 +17,6 @@ from .dispersion import (
     Material,
     Polarization,
     SellmeierModel,
-    bulk_index,
-    surface_increment,
 )
 from .design_search import (
     DesignRequest,
@@ -52,7 +50,6 @@ from .mode_solver import (
     ModeSolution,
     WaveguideGeometry,
     field_overlap,
-    make_profile,
     rayleigh_quotient,
     solve_mode,
 )

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: index, design, sweep, spectrum, poling.  Every command reads a
-YAML config (see `config`), writes either a human-readable report (text) or
-machine-readable JSON (records), and is fully deterministic: the same config
-produces byte-identical output.  Exit codes: 0 success, 2 configuration
-error, 3 physics error.
+YAML config (see `config`) and builds a payload; `main` writes it either as a
+human-readable report (text) or as machine-readable JSON (records).  Output
+is fully deterministic: the same config produces byte-identical output.
+Exit codes: 0 success, 2 configuration error, 3 physics error.
 """
 
 from __future__ import annotations
@@ -14,20 +14,28 @@ import json
 import sys
 
 from .config import RunConfig, load_config
-from .design_search import EffectiveIndexSolver, design, sweep
-from .errors import ConfigurationError, PhysicsError, ToolkitError
+from .design_search import ROLES, EffectiveIndexSolver, design, sweep
+from .errors import ConfigurationError, PhysicsError
 from .spdc import spectrum_scan, synthesize_poling
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 
-_ROLES = ("pump", "signal_1", "idler_1", "signal_2", "idler_2")
+
+class _Fixed(float):
+    """A value already rounded for output; records formatting keeps it."""
 
 
 def _machine(value):
-    """9-significant-digit machine formatting."""
-    return float(format(value, ".9g"))
+    """Records formatting: every float to 9 significant digits, recursively."""
+    if isinstance(value, dict):
+        return {k: _machine(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_machine(v) for v in value]
+    if isinstance(value, float) and not isinstance(value, _Fixed):
+        return float(format(value, ".9g"))
+    return value
 
 
 def _report(value):
@@ -35,24 +43,10 @@ def _report(value):
     return format(value, ".4g")
 
 
-def _write(content: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-    else:
-        sys.stdout.write(content)
-
-
-def _resolve_output(config: RunConfig, args):
-    fmt = args.format or config.output.format
-    path = args.out or config.output.path
-    return fmt, path
-
-
-def cmd_index(config: RunConfig, args) -> str:
+def cmd_index(config: RunConfig, args) -> dict:
     result = design(config.request(), config.material)
     rows = []
-    for role in _ROLES:
+    for role in ROLES:
         mode = result.modes[role]
         profile = mode.profile
         rows.append(
@@ -65,15 +59,12 @@ def cmd_index(config: RunConfig, args) -> str:
                 n_eff=mode.n_eff,
             )
         )
-    fmt, _ = _resolve_output(config, args)
-    if fmt == "records":
-        payload = [
-            {k: (_machine(v) if isinstance(v, float) else v) for k, v in row.items()}
-            for row in rows
-        ]
-        return json.dumps({"waves": payload}, indent=2) + "\n"
+    return {"waves": rows}
+
+
+def text_index(payload) -> str:
     lines = [f"{'wave':>9} {'lambda_nm':>10} {'pol':>13} {'n_bulk':>8} {'delta_n':>9} {'n_eff':>8}"]
-    for row in rows:
+    for row in payload["waves"]:
         lines.append(
             f"{row['wave']:>9} {row['wavelength_nm']:>10.2f} {row['polarization']:>13} "
             f"{row['n_bulk']:>8.4f} {row['delta_n']:>9.4f} {row['n_eff']:>8.4f}"
@@ -81,7 +72,8 @@ def cmd_index(config: RunConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _design_payload(result):
+def cmd_design(config: RunConfig, args) -> dict:
+    result = design(config.request(), config.material)
     return dict(
         scheme=result.request.scheme.value,
         width_um=result.request.geometry.width_um,
@@ -102,15 +94,7 @@ def _design_payload(result):
     )
 
 
-def cmd_design(config: RunConfig, args) -> str:
-    result = design(config.request(), config.material)
-    payload = _design_payload(result)
-    fmt, _ = _resolve_output(config, args)
-    if fmt == "records":
-        machine = {
-            k: (_machine(v) if isinstance(v, float) else v) for k, v in payload.items()
-        }
-        return json.dumps(machine, indent=2) + "\n"
+def text_design(payload) -> str:
     lines = [
         f"scheme            {payload['scheme']}",
         f"geometry          w = {_report(payload['width_um'])} um, "
@@ -131,7 +115,7 @@ def cmd_design(config: RunConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(config: RunConfig, args) -> str:
+def cmd_sweep(config: RunConfig, args) -> dict:
     template = config.request()
     block = config.require_sweep()
     depths = args.depths or block.depths_um
@@ -144,35 +128,35 @@ def cmd_sweep(config: RunConfig, args) -> str:
         pairing=block.pairing,
         max_workers=args.parallel,
     )
-    fmt, _ = _resolve_output(config, args)
-    if fmt == "records":
-        rows = []
-        for row in result.rows:
-            rows.append(
-                dict(
-                    depth_um=_machine(row.depth_um),
-                    width_um=_machine(row.width_um),
-                    gamma=None if row.gamma is None else _machine(row.gamma),
-                    period1_um=None if row.period1_um is None else _machine(row.period1_um),
-                    period2_um=None if row.period2_um is None else _machine(row.period2_um),
-                    status="ok" if row.error is None else row.error,
-                )
-            )
-        return json.dumps({"scheme": result.scheme.value, "rows": rows}, indent=2) + "\n"
+    rows = [
+        dict(
+            depth_um=row.depth_um,
+            width_um=row.width_um,
+            gamma=row.gamma,
+            period1_um=row.period1_um,
+            period2_um=row.period2_um,
+            status="ok" if row.error is None else row.error,
+        )
+        for row in result.rows
+    ]
+    return {"scheme": result.scheme.value, "rows": rows}
+
+
+def text_sweep(payload) -> str:
     lines = ["depth_um,width_um,gamma,period1_um,period2_um,status"]
-    for row in result.rows:
-        if row.error is None:
+    for row in payload["rows"]:
+        if row["status"] == "ok":
             lines.append(
-                f"{row.depth_um:g},{row.width_um:g},{row.gamma:.4f},"
-                f"{row.period1_um:.4f},{row.period2_um:.4f},ok"
+                f"{row['depth_um']:g},{row['width_um']:g},{row['gamma']:.4f},"
+                f"{row['period1_um']:.4f},{row['period2_um']:.4f},ok"
             )
         else:
-            message = row.error.replace(",", ";")
-            lines.append(f"{row.depth_um:g},{row.width_um:g},,,,{message}")
+            message = row["status"].replace(",", ";")
+            lines.append(f"{row['depth_um']:g},{row['width_um']:g},,,,{message}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_spectrum(config: RunConfig, args) -> str:
+def cmd_spectrum(config: RunConfig, args) -> dict:
     result = design(config.request(), config.material)
     scan = config.require_scan()
     process = result.process_1 if scan.axis.endswith("_1") else result.process_2
@@ -189,49 +173,51 @@ def cmd_spectrum(config: RunConfig, args) -> str:
         index_provider=provider,
         index_model=scan.index_model,
     )
-    fmt, _ = _resolve_output(config, args)
-    if fmt == "records":
-        payload = dict(
-            axis=scan.axis,
-            center_nm=_machine(spectrum.center_nm),
-            fwhm_nm=_machine(spectrum.fwhm_nm),
-            wavelength_nm=[_machine(v) for v in spectrum.wavelengths_nm],
-            gain=[_machine(v) for v in spectrum.gain],
-        )
-        return json.dumps(payload, indent=2) + "\n"
+    return dict(
+        axis=scan.axis,
+        center_nm=spectrum.center_nm,
+        fwhm_nm=spectrum.fwhm_nm,
+        wavelength_nm=spectrum.wavelengths_nm.tolist(),
+        gain=spectrum.gain.tolist(),
+    )
+
+
+def text_spectrum(payload) -> str:
     lines = [
-        f"# axis = {scan.axis}",
-        f"# center_nm = {format(spectrum.center_nm, '.9g')}",
-        f"# fwhm_nm = {format(spectrum.fwhm_nm, '.9g')}",
+        f"# axis = {payload['axis']}",
+        f"# center_nm = {format(payload['center_nm'], '.9g')}",
+        f"# fwhm_nm = {format(payload['fwhm_nm'], '.9g')}",
         "# wavelength_nm gain",
     ]
-    for lam, g in zip(spectrum.wavelengths_nm, spectrum.gain):
+    for lam, g in zip(payload["wavelength_nm"], payload["gain"]):
         lines.append(f"{lam:.6f} {g:.9e}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_poling(config: RunConfig, args) -> str:
+def cmd_poling(config: RunConfig, args) -> dict:
     result = design(config.request(), config.material)
     pattern = synthesize_poling(
         result.period1_um, result.period2_um, config.request().geometry.length_cm
     )
-    fmt, _ = _resolve_output(config, args)
-    if fmt == "records":
-        payload = dict(
-            length_um=_machine(pattern.length_um),
-            first_sign=pattern.first_sign,
-            boundaries_um=[float(format(b, ".6f")) for b in pattern.boundaries_um],
-        )
-        return json.dumps(payload, indent=2) + "\n"
-    return "\n".join(f"{b:.6f}" for b in pattern.boundaries_um) + "\n"
+    # boundaries are reported on a 1 pm grid in both formats
+    return dict(
+        length_um=pattern.length_um,
+        first_sign=pattern.first_sign,
+        boundaries_um=[_Fixed(format(b, ".6f")) for b in pattern.boundaries_um],
+    )
 
 
+def text_poling(payload) -> str:
+    return "\n".join(f"{b:.6f}" for b in payload["boundaries_um"]) + "\n"
+
+
+# command -> (payload builder, text renderer of that payload)
 _COMMANDS = {
-    "index": cmd_index,
-    "design": cmd_design,
-    "sweep": cmd_sweep,
-    "spectrum": cmd_spectrum,
-    "poling": cmd_poling,
+    "index": (cmd_index, text_index),
+    "design": (cmd_design, text_design),
+    "sweep": (cmd_sweep, text_sweep),
+    "spectrum": (cmd_spectrum, text_spectrum),
+    "poling": (cmd_poling, text_poling),
 }
 
 
@@ -273,19 +259,29 @@ def _float_csv(text):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    build, render = _COMMANDS[args.command]
     try:
         config = load_config(args.config)
-        content = _COMMANDS[args.command](config, args)
-        _, out_path = _resolve_output(config, args)
-        _write(content, out_path)
+        fmt = args.format or config.output.format
+        out_path = args.out or config.output.path
+        payload = build(config, args)
+        if fmt == "records":
+            content = json.dumps(_machine(payload), indent=2) + "\n"
+        else:
+            content = render(payload)
+        if out_path:
+            try:
+                with open(out_path, "w", encoding="utf-8") as handle:
+                    handle.write(content)
+            except OSError as error:
+                raise ConfigurationError(f"cannot write output file: {error}")
+        else:
+            sys.stdout.write(content)
     except ConfigurationError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicsError as error:
         print(f"physics error: {error}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except ToolkitError as error:
-        print(f"error: {error}", file=sys.stderr)
         return EXIT_PHYSICS
     return EXIT_OK
 

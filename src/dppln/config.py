@@ -8,6 +8,7 @@ blocks are reported by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -97,11 +98,24 @@ def _number(block, mapping, key, minimum=None):
     if key not in mapping:
         raise ConfigurationError(f"{block}: missing required field '{key}'")
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{block}.{key}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{block}.{key}: expected a finite number, got {value!r}")
     if minimum is not None and value <= minimum:
         raise ConfigurationError(f"{block}.{key}: must be greater than {minimum}")
     return float(value)
+
+
+def _pairs(field, rows, layout):
+    """A list of two-number rows as a tuple of finite float pairs; `layout`
+    names the expected row shape in the error."""
+    try:
+        if isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2 for r in rows):
+            pairs = tuple((float(a), float(b)) for a, b in rows)
+            if all(math.isfinite(v) for pair in pairs for v in pair):
+                return pairs
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(f"{field}: expected {layout}")
 
 
 def _increment_table(data) -> IndexIncrementTable:
@@ -110,14 +124,8 @@ def _increment_table(data) -> IndexIncrementTable:
                      ("ordinary", Polarization.ORDINARY)):
         if key not in data:
             continue
-        rows = data[key]
-        if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == 2 for r in rows
-        ):
-            raise ConfigurationError(
-                f"material.index_increments.{key}: expected [[wavelength_nm, delta_n], ...]"
-            )
-        entries[pol] = tuple((float(a), float(b)) for a, b in rows)
+        entries[pol] = _pairs(f"material.index_increments.{key}", data[key],
+                              "[[wavelength_nm, delta_n], ...]")
     if not entries:
         raise ConfigurationError("material.index_increments: no polarization tables given")
     return IndexIncrementTable(entries)
@@ -143,7 +151,7 @@ def _sellmeier(data, temperature) -> SellmeierModel:
                      ("extraordinary", Polarization.EXTRAORDINARY)):
         if key not in mapping:
             raise ConfigurationError(f"material.sellmeier: missing '{key}' terms")
-        terms[pol] = tuple((float(b), float(c)) for b, c in mapping[key])
+        terms[pol] = _pairs(f"material.sellmeier.{key}", mapping[key], "[[B, C_um2], ...]")
     lo, hi = mapping.get("valid_range_nm", (400.0, 5000.0))
     return SellmeierModel(
         name=str(mapping.get("name", "custom")),
@@ -161,12 +169,16 @@ def _material(data) -> Material:
     if "index_increments" in data:
         increments = _increment_table(_expect_mapping(data["index_increments"],
                                                       "material.index_increments"))
-    profile = _expect_mapping(data.get("profile", {}), "material.profile")
+    profile = {
+        "lateral_scale": DEFAULT_MATERIAL.lateral_scale,
+        "depth_scale": DEFAULT_MATERIAL.depth_scale,
+        **_expect_mapping(data.get("profile", {}), "material.profile"),
+    }
     return Material(
         sellmeier=sellmeier,
         increments=increments,
-        lateral_scale=float(profile.get("lateral_scale", DEFAULT_MATERIAL.lateral_scale)),
-        depth_scale=float(profile.get("depth_scale", DEFAULT_MATERIAL.depth_scale)),
+        lateral_scale=_number("material.profile", profile, "lateral_scale", minimum=0.0),
+        depth_scale=_number("material.profile", profile, "depth_scale", minimum=0.0),
     )
 
 

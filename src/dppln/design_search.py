@@ -7,13 +7,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError
-from .mode_solver import ModeSolution, WaveguideGeometry, field_overlap, make_profile, solve_mode
+from .mode_solver import IndexProfile, ModeSolution, WaveguideGeometry, field_overlap, solve_mode
 from .spdc import (
     CouplingAmplitude,
     Spectrum,
@@ -78,10 +79,10 @@ class EffectiveIndexSolver:
     def solve(self, wavelength_nm: float, pol: Polarization) -> ModeSolution:
         key = (round(float(wavelength_nm), 9), pol)
         if key not in self._cache:
-            profile = make_profile(
+            profile = IndexProfile(
                 self.geometry,
-                self.material.bulk_index(pol, wavelength_nm),
-                self.material.increment(pol, wavelength_nm),
+                self.material.sellmeier.index(pol, wavelength_nm),
+                self.material.increments.increment(pol, wavelength_nm),
                 self.material.lateral_scale,
                 self.material.depth_scale,
             )
@@ -118,7 +119,10 @@ class DualPolingDesign:
         return self.process_2.qpm_period_um
 
 
-_ROLE_ORDER = ("pump", "signal_1", "idler_1", "signal_2", "idler_2")
+ROLES = ("pump", "signal_1", "idler_1", "signal_2", "idler_2")
+# Design spectra: samples per scan and span in units of the estimated FWHM.
+SPECTRUM_SAMPLES = 801
+SPECTRUM_SPAN_FACTOR = 8.0
 
 
 def _tagged(error: PhysicsError, role: str, wavelength_nm: float) -> PhysicsError:
@@ -127,14 +131,13 @@ def _tagged(error: PhysicsError, role: str, wavelength_nm: float) -> PhysicsErro
     return tagged
 
 
-def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL, *,
-           spectrum_samples: int = 801, spectrum_span_factor: float = 8.0,
-           index_model: str = "design-point") -> DualPolingDesign:
+def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
     """Solve the five modes and assemble periods, amplitudes, gamma and spectra.
 
     Mode and phase-matching failures are re-raised with the offending wave
-    identified.  Spectra follow the `index_model` convention of
-    `spdc.spectrum_scan`.
+    identified.  Spectra use the design-point convention of
+    `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
+    `EffectiveIndexSolver(material, geometry).index` as the provider.
     """
     pols = request.scheme.polarizations()
     wavelengths = {
@@ -146,7 +149,7 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL, *,
     }
     solver = EffectiveIndexSolver(material, request.geometry)
     modes = {}
-    for role in _ROLE_ORDER:
+    for role in ROLES:
         try:
             modes[role] = solver.solve(wavelengths[role], pols[role])
         except PhysicsError as error:
@@ -178,18 +181,14 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL, *,
     gamma = degree_of_entanglement(amplitude_1, amplitude_2)
     weights, entropy = state_weights_and_entropy(amplitude_1, amplitude_2)
 
-    provider = solver.index if index_model == "dispersive" else None
     spectra = {}
     for tag, axis, key in (("process_1", "signal", "signal_1"),
                            ("process_1", "idler", "idler_1"),
                            ("process_2", "signal", "signal_2"),
                            ("process_2", "idler", "idler_2")):
         process = processes[tag]
-        span = spectrum_span_factor * estimate_fwhm_nm(process, axis, length_cm)
-        spectra[key] = spectrum_scan(
-            process, axis, span, spectrum_samples, length_cm,
-            index_provider=provider, index_model=index_model,
-        )
+        span = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, length_cm)
+        spectra[key] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
 
     return DualPolingDesign(
         request=request,
@@ -225,8 +224,7 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _sweep_row(args):
-    template, material, depth, width = args
+def _sweep_row(template, material, depth, width):
     geometry = replace(template.geometry, width_um=width, depth_um=depth)
     request = replace(template, geometry=geometry)
     try:
@@ -258,12 +256,13 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     else:
         raise ConfigurationError(f"unknown pairing '{pairing}'")
 
-    tasks = [(template, material, d, w) for d, w in pairs]
+    row_at = partial(_sweep_row, template, material)
+    row_depths, row_widths = zip(*pairs)
     if max_workers is not None and max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = tuple(pool.map(_sweep_row, tasks))
+            rows = tuple(pool.map(row_at, row_depths, row_widths))
     else:
-        rows = tuple(_sweep_row(task) for task in tasks)
+        rows = tuple(map(row_at, row_depths, row_widths))
     return SweepResult(scheme=template.scheme, rows=rows)
 
 
@@ -306,7 +305,7 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
     def score(depth, width):
         key = (round(depth, 6), round(width, 6))
         if key not in cache:
-            row = _sweep_row((template, material, key[0], key[1]))
+            row = _sweep_row(template, material, key[0], key[1])
             cache[key] = -np.inf if row.error is not None else row.gamma
         return cache[key]
 

@@ -81,11 +81,6 @@ ZELMON_1997 = SellmeierModel(
 SELLMEIER_MODELS = {ZELMON_1997.name: ZELMON_1997}
 
 
-def bulk_index(model: SellmeierModel, pol: Polarization, wavelength_nm: float) -> float:
-    """Bulk refractive index n(lam) from the configured Sellmeier expansion."""
-    return model.index(pol, wavelength_nm)
-
-
 @dataclass(frozen=True)
 class IndexIncrementTable:
     """Surface index increment vs wavelength, piecewise linear with end clamping.
@@ -149,11 +144,6 @@ DEFAULT_INCREMENTS = IndexIncrementTable(
 )
 
 
-def surface_increment(table: IndexIncrementTable, pol: Polarization, wavelength_nm: float) -> float:
-    """Titanium-indiffusion surface index increment, interpolated with clamping."""
-    return table.increment(pol, wavelength_nm)
-
-
 @dataclass(frozen=True)
 class Material:
     """Sellmeier model plus increment tables: everything dispersion provides."""
@@ -165,12 +155,6 @@ class Material:
     # depth_scale * depth.
     lateral_scale: float = 0.5
     depth_scale: float = 2.0
-
-    def bulk_index(self, pol: Polarization, wavelength_nm: float) -> float:
-        return self.sellmeier.index(pol, wavelength_nm)
-
-    def increment(self, pol: Polarization, wavelength_nm: float) -> float:
-        return self.increments.increment(pol, wavelength_nm)
 
 
 DEFAULT_MATERIAL = Material()

@@ -106,19 +106,6 @@ class IndexProfile:
         return np.where(z < 0.0, COVER_INDEX, np.sqrt(n2))
 
 
-def make_profile(
-    geometry: WaveguideGeometry,
-    bulk: float,
-    increment: float,
-    lateral_scale: float = 0.5,
-    depth_scale: float = 2.0,
-) -> IndexProfile:
-    """Assemble an IndexProfile; the increment must be positive."""
-    if increment <= 0.0:
-        raise ConfigurationError(f"index increment must be positive, got {increment:g}")
-    return IndexProfile(geometry, bulk, increment, lateral_scale, depth_scale)
-
-
 def _y_edges(geometry):
     w = geometry.width_um
     return (-5.0 * w, -w, 0.0, w, 5.0 * w)
@@ -178,18 +165,14 @@ def _rq_scalar(profile, k0, alpha_y, alpha_z, order):
     )
 
 
-def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z, order=None):
+def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     """Scalar-wave variational estimate of n_eff^2 for one trial field.
 
-    With `order` unset the quadrature order doubles until the estimate
-    stabilises; a fixed per-panel order can be supplied for repeated
-    evaluations on a common node set.
+    The quadrature order doubles until the estimate stabilises.
     """
     if alpha_y <= 0 or alpha_z <= 0:
         raise ConfigurationError("trial parameters must be positive")
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
-    if order is not None:
-        return _rq_scalar(profile, k0, alpha_y, alpha_z, order)
     value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, alpha_y, alpha_z, n))
     return value
 

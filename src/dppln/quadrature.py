@@ -40,22 +40,22 @@ def panel_nodes(edges, order):
     return x, w
 
 
-def refine_scalar(evaluate, rtol=1e-12, atol=0.0, start_order=START_ORDER, max_order=MAX_ORDER):
-    """Double the Gauss order until `evaluate(order)` stabilises.
+def refine_scalar(evaluate, rtol=1e-12, atol=0.0):
+    """Double the Gauss order from START_ORDER until `evaluate(order)` stabilises.
 
     `evaluate` maps a per-panel order to a scalar estimate.  Convergence is
     declared when two successive estimates agree to `rtol` relative (plus
     `atol` absolute, so values collapsing to zero still converge).  Returns
     (value, converged_order).
     """
-    order = start_order
+    order = START_ORDER
     previous = evaluate(order)
-    while order <= max_order // 2:
+    while order <= MAX_ORDER // 2:
         order *= 2
         current = evaluate(order)
         if abs(current - previous) <= rtol * abs(current) + atol:
             return current, order
         previous = current
     raise QuadratureConvergenceError(
-        f"quadrature did not converge to rtol={rtol:g} within order {max_order}"
+        f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}"
     )

@@ -192,3 +192,39 @@ def test_records_format_from_config_block(tmp_path, capsys):
     assert [w["wave"] for w in payload["waves"]] == [
         "pump", "signal_1", "idler_1", "signal_2", "idler_2"
     ]
+
+
+PROCESS = BASE_CONFIG["process"]
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"material": {"sellmeier": {"ordinary": [[1, 2, 3]],
+                                     "extraordinary": [[2.98, 0.02]]}}},
+         "material.sellmeier.ordinary"),
+        ({"material": {"index_increments": {"extraordinary": [["a", 0.003]]}}},
+         "material.index_increments.extraordinary"),
+        ({"material": {"profile": {"lateral_scale": "abc"}}}, "material.profile.lateral_scale"),
+        ({"material": {"profile": {"lateral_scale": 0}}}, "material.profile.lateral_scale"),
+        ({"material": {"profile": {"lateral_scale": -0.5}}}, "material.profile.lateral_scale"),
+        ({"process": {**PROCESS, "signal1_nm": float("nan")}}, "process.signal1_nm"),
+    ],
+    ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
+         "lateral-scale-zero", "lateral-scale-negative", "signal-nan"],
+)
+def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, **overrides)
+    code, _, err = run(["design", "--config", config], capsys)
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "missing" / "x.txt"
+    code, _, err = run(["design", "--config", config, "--out", str(out)], capsys)
+    assert code == 2
+    assert str(out) in err
+    assert "Traceback" not in err

@@ -10,7 +10,6 @@ from dppln import (
     Polarization,
     WaveguideGeometry,
     field_overlap,
-    make_profile,
     rayleigh_quotient,
     solve_mode,
 )
@@ -65,9 +64,9 @@ def random_profiles(count, seed=20240811):
             length_cm=1.0,
         )
         profiles.append(
-            make_profile(
+            IndexProfile(
                 geometry,
-                bulk=float(rng.uniform(2.10, 2.30)),
+                bulk_index=float(rng.uniform(2.10, 2.30)),
                 increment=float(rng.uniform(0.0015, 0.006)),
             )
         )
@@ -78,7 +77,7 @@ class GaussianStubMode:
     """Separable unit-norm Gaussian field standing in for a ModeSolution."""
 
     def __init__(self, geometry, sigma, y_center=0.0, z_center=None):
-        self.profile = make_profile(geometry, 2.2, 0.003)
+        self.profile = IndexProfile(geometry, 2.2, 0.003)
         self.sigma = sigma
         self.y_center = y_center
         self.z_center = 4.0 * geometry.depth_um if z_center is None else z_center
@@ -97,7 +96,7 @@ class GaussianStubMode:
 
 @pytest.fixture(scope="module")
 def solved_idler_10():
-    profile = make_profile(WaveguideGeometry(10.0, 10.0, 1.0), 2.137530, 0.0025)
+    profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.137530, 0.0025)
     return solve_mode(profile, 1551.03, E)
 
 
@@ -111,16 +110,19 @@ def test_geometry_validation():
 
 
 def test_make_profile_rejects_nonpositive_increment():
+    # IndexProfile is built directly; a non-positive increment is refused
+    # when a mode is asked of it (outside input is range-checked earlier,
+    # by IndexIncrementTable)
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        make_profile(geometry, 2.2, 0.0)
-    with pytest.raises(ConfigurationError):
-        make_profile(geometry, 2.2, -0.001)
+    with pytest.raises(NoGuidedModeError):
+        solve_mode(IndexProfile(geometry, 2.2, 0.0), 1551.03, E)
+    with pytest.raises(NoGuidedModeError):
+        solve_mode(IndexProfile(geometry, 2.2, -0.001), 1551.03, E)
 
 
 def test_profile_limits():
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    profile = make_profile(geometry, 2.1778, 0.0030)
+    profile = IndexProfile(geometry, 2.1778, 0.0030)
     # far outside the channel the index falls back to the bulk value
     assert profile.index(500.0, 5.0) == pytest.approx(2.1778, abs=1e-12)
     # the cover is air
@@ -143,7 +145,7 @@ def test_rayleigh_quotient_homogeneous_limit():
 
 
 def test_rayleigh_quotient_bounded_by_peak_index():
-    profile = make_profile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 0.004)
+    profile = IndexProfile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 0.004)
     bound = (2.2 + 0.004) ** 2
     for ay in (0.3, 1.0, 3.0):
         for az in (0.3, 1.0, 3.0):
@@ -162,7 +164,7 @@ def test_rayleigh_quotient_matches_dense_grid_oracle():
 
 
 def test_rayleigh_quotient_rejects_bad_alphas():
-    profile = make_profile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 0.003)
+    profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 0.003)
     with pytest.raises(ConfigurationError):
         rayleigh_quotient(profile, 900.0, -1.0, 1.0)
 
@@ -175,14 +177,14 @@ def test_solve_mode_guidance_bracket(solved_idler_10):
 
 def test_solve_mode_monotone_in_increment():
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    weak = solve_mode(make_profile(geometry, 2.1778, 0.0015), 780.0, E)
-    strong = solve_mode(make_profile(geometry, 2.1778, 0.0030), 780.0, E)
+    weak = solve_mode(IndexProfile(geometry, 2.1778, 0.0015), 780.0, E)
+    strong = solve_mode(IndexProfile(geometry, 2.1778, 0.0030), 780.0, E)
     assert strong.n_eff > weak.n_eff
 
 
 def test_solve_mode_monotone_in_size(solved_idler_10):
     bigger = solve_mode(
-        make_profile(WaveguideGeometry(12.0, 12.0, 1.0), 2.137530, 0.0025), 1551.03, E
+        IndexProfile(WaveguideGeometry(12.0, 12.0, 1.0), 2.137530, 0.0025), 1551.03, E
     )
     assert bigger.n_eff >= solved_idler_10.n_eff
     # cross-check both optima against the dense-grid oracle
@@ -202,7 +204,7 @@ def test_solve_mode_variational_optimality(solved_idler_10):
 
 
 def test_solve_mode_deterministic():
-    profile = make_profile(WaveguideGeometry(9.0, 7.0, 1.0), 2.18, 0.0028)
+    profile = IndexProfile(WaveguideGeometry(9.0, 7.0, 1.0), 2.18, 0.0028)
     first = solve_mode(profile, 800.0, E)
     second = solve_mode(profile, 800.0, E)
     assert first.n_eff == second.n_eff
@@ -231,7 +233,7 @@ def test_solve_mode_tiny_increment_is_no_guided_mode():
 def test_solve_mode_unguided_geometry_hits_search_boundary():
     # a 1 um channel cannot confine 1551 nm light at this increment; the
     # optimiser runs to the edge of the trusted trial-parameter box
-    profile = make_profile(WaveguideGeometry(1.0, 1.0, 1.0), 2.137530, 0.0025)
+    profile = IndexProfile(WaveguideGeometry(1.0, 1.0, 1.0), 2.137530, 0.0025)
     with pytest.raises((BoundaryOptimumError, NoGuidedModeError)):
         solve_mode(profile, 1551.03, E)
 
