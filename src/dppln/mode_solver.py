@@ -22,16 +22,20 @@ doubled until successive estimates agree (see `quadrature`).  All mode
 normalisations and overlaps use the same truncated domain.
 
 The optimiser is deterministic: a 16x16 logarithmic scan of
-(a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement from the best
-grid point with a fixed initial simplex.
+(a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead,
+Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
+simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
+that repeats its floating-point trajectory.  The quadrature nodes and the
+profile samples, which do not depend on (a_y, a_z), are built once per solve
+and Gauss order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import erf
 
 from .dispersion import Polarization
@@ -116,31 +120,49 @@ def _z_edges(geometry):
     return (0.0, h, 3.0 * h, 8.0 * h)
 
 
-def _y_integrals(profile, alphas_y, order):
-    """(A_y, G_y, D_y) = (int Y^2, int g Y^2, int Y'^2) for each alpha_y."""
-    w = profile.geometry.width_um
-    y, wt = panel_nodes(_y_edges(profile.geometry), order)
-    a = np.atleast_1d(np.asarray(alphas_y, dtype=float))[:, None]
-    Y2 = np.exp(-2.0 * a**2 * y**2 / w**2)
-    g = profile.lateral_shape(y)
-    A = Y2 @ wt
-    G = (Y2 * g) @ wt
-    D = (Y2 * (2.0 * a**2 * y / w**2) ** 2) @ wt
-    return A, G, D
+class _Quadrature:
+    """Panel nodes, weights and the alpha-independent samples of one profile at
+    one per-panel Gauss order, shared by every trial field of a solve."""
+
+    def __init__(self, profile, order):
+        geometry = profile.geometry
+        self.w = geometry.width_um
+        self.h = geometry.depth_um
+        self.y, self.wy = panel_nodes(_y_edges(geometry), order)
+        self.y2 = self.y**2
+        self.g = profile.lateral_shape(self.y)
+        self.z, self.wz = panel_nodes(_z_edges(geometry), order)
+        self.z2 = self.z**2
+        self.zh2 = (self.z / self.h) ** 2
+        self.f = profile.depth_shape(self.z)
+
+    def y_integrals(self, alphas_y):
+        """(A_y, G_y, D_y) = (int Y^2, int g Y^2, int Y'^2) for each alpha_y."""
+        w = self.w
+        a = np.atleast_1d(np.asarray(alphas_y, dtype=float))[:, None]
+        Y2 = np.exp(-2.0 * a**2 * self.y2 / w**2)
+        A = Y2 @ self.wy
+        G = (Y2 * self.g) @ self.wy
+        D = (Y2 * (2.0 * a**2 * self.y / w**2) ** 2) @ self.wy
+        return A, G, D
+
+    def z_integrals(self, alphas_z):
+        """(A_z, F_z, D_z) = (int Z^2, int f Z^2, int Z'^2) for each alpha_z."""
+        h = self.h
+        a = np.atleast_1d(np.asarray(alphas_z, dtype=float))[:, None]
+        # exact negation, so exp(-t) is bit-identical to exp(-2 a^2 z^2 / h^2)
+        t = 2.0 * a**2 * self.z2 / h**2
+        envelope = np.exp(-t)
+        Z2 = self.zh2 * envelope
+        A = Z2 @ self.wz
+        F = (Z2 * self.f) @ self.wz
+        D = (envelope * (1.0 - t) ** 2 / h**2) @ self.wz
+        return A, F, D
 
 
-def _z_integrals(profile, alphas_z, order):
-    """(A_z, F_z, D_z) = (int Z^2, int f Z^2, int Z'^2) for each alpha_z."""
-    h = profile.geometry.depth_um
-    z, wt = panel_nodes(_z_edges(profile.geometry), order)
-    a = np.atleast_1d(np.asarray(alphas_z, dtype=float))[:, None]
-    envelope = np.exp(-2.0 * a**2 * z**2 / h**2)
-    Z2 = (z / h) ** 2 * envelope
-    f = profile.depth_shape(z)
-    A = Z2 @ wt
-    F = (Z2 * f) @ wt
-    D = (envelope * (1.0 - 2.0 * a**2 * z**2 / h**2) ** 2 / h**2) @ wt
-    return A, F, D
+def _quadratures(profile):
+    """Order -> _Quadrature for `profile`, each built on first use."""
+    return cache(partial(_Quadrature, profile))
 
 
 def _assemble_rq(profile, k0, y_ints, z_ints):
@@ -154,14 +176,9 @@ def _assemble_rq(profile, k0, y_ints, z_ints):
     )
 
 
-def _rq_scalar(profile, k0, alpha_y, alpha_z, order):
+def _rq_scalar(profile, k0, quad, alpha_y, alpha_z):
     return float(
-        _assemble_rq(
-            profile,
-            k0,
-            _y_integrals(profile, alpha_y, order),
-            _z_integrals(profile, alpha_z, order),
-        )[0, 0]
+        _assemble_rq(profile, k0, quad.y_integrals(alpha_y), quad.z_integrals(alpha_z))[0, 0]
     )
 
 
@@ -173,8 +190,101 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     if alpha_y <= 0 or alpha_z <= 0:
         raise ConfigurationError("trial parameters must be positive")
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
-    value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, alpha_y, alpha_z, n))
+    quad = _quadratures(profile)
+    value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), alpha_y, alpha_z))
     return value
+
+
+@dataclass(frozen=True)
+class NelderMeadResult:
+    """Best vertex, objective evaluations and iterations of one `minimize`."""
+
+    x: np.ndarray
+    nfev: int
+    nit: int
+
+
+class _Exhausted(Exception):
+    """Raised by the counting objective once `maxfev` evaluations are spent."""
+
+
+def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
+    """Nelder-Mead minimisation of `fun` from the initial `simplex` (N+1 rows).
+
+    Step for step the arithmetic of scipy.optimize.minimize(method=
+    "Nelder-Mead", adaptive=False) with this `initial_simplex`: coefficients
+    rho=1, chi=2, psi=0.5, sigma=0.5 in the same expressions and order, the
+    same argsort of the vertices, the convergence test before each step,
+    `nit` counted from 1 and `nfev` including the initial vertices.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return fun(x)
+
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _Exhausted:
+        pass
+    # sorted twice, as scipy does, so that tied values order the same way
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _Exhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return NelderMeadResult(x=sim[0], nfev=nfev, nit=nit)
 
 
 @dataclass(frozen=True)
@@ -222,38 +332,25 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
         )
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
     alphas = np.geomspace(ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
+    quad = _quadratures(profile)
 
-    grid = _assemble_rq(
-        profile,
-        k0,
-        _y_integrals(profile, alphas, GRID_ORDER),
-        _z_integrals(profile, alphas, GRID_ORDER),
-    )
+    coarse = quad(GRID_ORDER)
+    grid = _assemble_rq(profile, k0, coarse.y_integrals(alphas), coarse.z_integrals(alphas))
     iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
     x0 = np.array([alphas[iy], alphas[iz]])
 
     # Lock the quadrature order for the local refinement so the objective is
     # smooth, then re-evaluate adaptively at the optimum.
-    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, x0[0], x0[1], n))
+    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), x0[0], x0[1]))
+    locked = quad(order)
 
     def negative_rq(x):
         if x[0] <= 0.05 or x[1] <= 0.05:
             return 1e6
-        return -_rq_scalar(profile, k0, x[0], x[1], order)
+        return -_rq_scalar(profile, k0, locked, x[0], x[1])
 
     simplex = np.array([x0, x0 * [1.02, 1.0], x0 * [1.0, 1.02]])
-    result = minimize(
-        negative_rq,
-        x0,
-        method="Nelder-Mead",
-        options=dict(
-            initial_simplex=simplex,
-            xatol=1e-7,
-            fatol=1e-13,
-            maxiter=1000,
-            maxfev=2000,
-        ),
-    )
+    result = minimize(negative_rq, simplex, xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
     ay, az = result.x
     lo = ALPHA_MIN * (1.0 + _EDGE_MARGIN)
     hi = ALPHA_MAX * (1.0 - _EDGE_MARGIN)
@@ -263,15 +360,15 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
             f"boundary [{ALPHA_MIN}, {ALPHA_MAX}]^2; geometry outside the trusted regime"
         )
 
-    n_eff_sq, order = refine_scalar(lambda n: _rq_scalar(profile, k0, ay, az, n))
+    n_eff_sq, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), ay, az))
     if n_eff_sq <= profile.bulk_index**2:
         raise NoGuidedModeError(
             f"no confined mode at {wavelength_nm:g} nm: variational n_eff^2 "
             f"{n_eff_sq:.9f} does not exceed the bulk value"
         )
 
-    Ay, _, _ = _y_integrals(profile, ay, order)
-    Az, _, _ = _z_integrals(profile, az, order)
+    Ay, _, _ = quad(order).y_integrals(ay)
+    Az, _, _ = quad(order).z_integrals(az)
     return ModeSolution(
         n_eff=float(np.sqrt(n_eff_sq)),
         alpha_y=float(ay),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
+from dppln import mode_solver
 from dppln import (
     BoundaryOptimumError,
     ConfigurationError,
@@ -272,3 +274,88 @@ def test_field_overlap_matches_dense_grid_oracle(design_type0_10):
     modes = design_type0_10.modes
     trio = (modes["pump"], modes["signal_1"], modes["idler_1"])
     assert field_overlap(*trio) == pytest.approx(dense_overlap_oracle(*trio), rel=1e-6)
+
+
+def rosenbrock(x):
+    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+
+def assert_same_nelder_mead(fun, simplex, **options):
+    """mode_solver.minimize and scipy's Nelder-Mead evaluate the same points
+    in the same order and return the same x, nfev and nit."""
+    ours_points, scipy_points = [], []
+
+    def logged(points):
+        def f(x):
+            points.append(tuple(x))
+            return fun(x)
+        return f
+
+    ours = mode_solver.minimize(logged(ours_points), simplex, **options)
+    theirs = scipy_minimize(logged(scipy_points), simplex[0], method="Nelder-Mead",
+                            options=dict(initial_simplex=simplex, **options))
+    assert ours_points == scipy_points
+    assert tuple(ours.x) == tuple(theirs.x)
+    assert (ours.nfev, ours.nit) == (theirs.nfev, theirs.nit)
+    return theirs
+
+
+def scipy_step_kinds(fun, simplex, **options):
+    """Per scipy iteration: 'reflect' (1 evaluation), 'expand' (2, new best),
+    'contract' (2, best kept) or 'shrink' (2 + N evaluations)."""
+    count, kinds, state = [0], [], {"calls": len(simplex), "best": None}
+
+    def f(x):
+        count[0] += 1
+        return fun(x)
+
+    def step(intermediate_result):
+        best = intermediate_result.fun
+        calls = count[0] - state["calls"]
+        improved = state["best"] is not None and best < state["best"]
+        if calls == 1:
+            kinds.append("reflect")
+        elif calls == 2:
+            kinds.append("expand" if improved else "contract")
+        else:
+            kinds.append("shrink")
+        state.update(calls=count[0], best=best)
+
+    scipy_minimize(f, simplex[0], method="Nelder-Mead", callback=step,
+                   options=dict(initial_simplex=simplex, **options))
+    return set(kinds[1:])
+
+
+NM_OPTIONS = dict(xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
+
+
+def test_minimize_matches_scipy_on_negative_rayleigh_quotient():
+    rng = np.random.default_rng(11)
+    for profile in random_profiles(3):
+        lam = float(rng.uniform(600.0, 1600.0))
+        x0 = np.array([float(rng.uniform(0.6, 2.0)), float(rng.uniform(0.6, 2.0))])
+        simplex = np.array([x0, x0 * [1.02, 1.0], x0 * [1.0, 1.02]])
+        result = assert_same_nelder_mead(
+            lambda x: -rayleigh_quotient(profile, lam, x[0], x[1]), simplex, **NM_OPTIONS
+        )
+        assert result.nit > 10
+
+
+def test_minimize_matches_scipy_on_rosenbrock_through_every_step():
+    x0 = np.array([-1.2, 1.0])
+    simplex = np.array([x0, x0 + [2.0, 0.0], x0 + [0.0, 2.0]])
+    options = dict(xatol=1e-10, fatol=1e-14, maxiter=1000, maxfev=2000)
+    assert scipy_step_kinds(rosenbrock, simplex, **options) == {
+        "reflect", "expand", "contract", "shrink"
+    }
+    result = assert_same_nelder_mead(rosenbrock, simplex, **options)
+    assert result.x == pytest.approx([1.0, 1.0], abs=1e-6)
+
+
+@pytest.mark.parametrize("maxiter,maxfev", [(1000, 57), (1000, 58), (1, 2000), (30, 2000)])
+def test_minimize_matches_scipy_at_its_limits(maxiter, maxfev):
+    x0 = np.array([-1.2, 1.0])
+    simplex = np.array([x0, x0 + [2.0, 0.0], x0 + [0.0, 2.0]])
+    result = assert_same_nelder_mead(rosenbrock, simplex, xatol=1e-10, fatol=1e-14,
+                                     maxiter=maxiter, maxfev=maxfev)
+    assert result.nfev <= maxfev and result.nit <= maxiter
