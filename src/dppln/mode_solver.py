@@ -32,11 +32,11 @@ and Gauss order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.special import erf
 
 from .dispersion import Polarization
 from .errors import (
@@ -57,6 +57,9 @@ _EDGE_MARGIN = 0.015
 MIN_GUIDING_INCREMENT = 1e-5
 
 COVER_INDEX = 1.0
+
+# math.erf elementwise; returns float arrays (and a 0-d array for a scalar)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class IndexProfile:
         """g(y) in [0, 1], even, unity deep inside the channel."""
         w = self.geometry.width_um
         wd = self.lateral_scale * w
-        return 0.5 * (erf((w / 2 + y) / wd) + erf((w / 2 - y) / wd))
+        return 0.5 * (_erf((w / 2 + y) / wd) + _erf((w / 2 - y) / wd))
 
     def depth_shape(self, z):
         """f(z) in [0, 1] for z >= 0, zero in the cover."""

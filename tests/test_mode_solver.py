@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
+from scipy.special import erf as scipy_erf
 
 from dppln import mode_solver
 from dppln import (
@@ -133,6 +137,20 @@ def test_profile_limits():
     # the squared-index profile model
     g0 = profile.lateral_shape(0.0)
     assert profile.index(0.0, 0.0) == pytest.approx(2.1778 + 0.0030 * g0 * 1.0, abs=3e-6)
+
+
+def test_lateral_shape_matches_scipy_erf():
+    # g(y) is built on math.erf; scipy's erf is the oracle, to 4 ulp of
+    # g's unit scale (the two erf terms cancel in the tails)
+    for width, scale in ((10.0, 0.5), (3.0, 0.2), (40.0, 1.3)):
+        profile = IndexProfile(WaveguideGeometry(width, 10.0, 1.0), 2.2, 0.003, scale)
+        y = np.linspace(-6.0 * width, 6.0 * width, 20001)
+        wd = scale * width
+        oracle = 0.5 * (scipy_erf((width / 2 + y) / wd) + scipy_erf((width / 2 - y) / wd))
+        g = profile.lateral_shape(y)
+        assert g.dtype == float and g.shape == y.shape
+        assert np.max(np.abs(g - oracle)) <= 4 * np.spacing(1.0)
+    assert np.ndim(profile.lateral_shape(0.0)) == 0
 
 
 def test_rayleigh_quotient_homogeneous_limit():
@@ -359,3 +377,16 @@ def test_minimize_matches_scipy_at_its_limits(maxiter, maxfev):
     result = assert_same_nelder_mead(rosenbrock, simplex, xatol=1e-10, fatol=1e-14,
                                      maxiter=maxiter, maxfev=maxfev)
     assert result.nfev <= maxfev and result.nit <= maxiter
+
+
+def test_runtime_modules_import_no_scipy():
+    package = Path(mode_solver.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
