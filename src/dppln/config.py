@@ -94,11 +94,21 @@ def _expect_mapping(value, block):
     return value
 
 
+def _known_keys(block, mapping, known, noun="field"):
+    for key in mapping:
+        if key not in known:
+            raise ConfigurationError(f"{block}: unknown {noun} '{key}'")
+
+
+def _finite(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _number(block, mapping, key, minimum=None):
     if key not in mapping:
         raise ConfigurationError(f"{block}: missing required field '{key}'")
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _finite(value):
         raise ConfigurationError(f"{block}.{key}: expected a finite number, got {value!r}")
     if minimum is not None and value <= minimum:
         raise ConfigurationError(f"{block}.{key}: must be greater than {minimum}")
@@ -119,6 +129,7 @@ def _pairs(field, rows, layout):
 
 
 def _increment_table(data) -> IndexIncrementTable:
+    _known_keys("material.index_increments", data, ("extraordinary", "ordinary"))
     entries = {}
     for key, pol in (("extraordinary", Polarization.EXTRAORDINARY),
                      ("ordinary", Polarization.ORDINARY)):
@@ -146,33 +157,44 @@ def _sellmeier(data, temperature) -> SellmeierModel:
             )
         return model
     mapping = _expect_mapping(data, "material.sellmeier")
+    _known_keys("material.sellmeier", mapping,
+                ("name", "ordinary", "extraordinary", "valid_range_nm"))
     terms = {}
     for key, pol in (("ordinary", Polarization.ORDINARY),
                      ("extraordinary", Polarization.EXTRAORDINARY)):
         if key not in mapping:
             raise ConfigurationError(f"material.sellmeier: missing '{key}' terms")
         terms[pol] = _pairs(f"material.sellmeier.{key}", mapping[key], "[[B, C_um2], ...]")
-    lo, hi = mapping.get("valid_range_nm", (400.0, 5000.0))
+    valid = mapping.get("valid_range_nm", [400.0, 5000.0])
+    if not (isinstance(valid, list) and len(valid) == 2 and all(map(_finite, valid))
+            and valid[0] < valid[1]):
+        raise ConfigurationError(
+            f"material.sellmeier.valid_range_nm: expected [low_nm, high_nm] with "
+            f"low < high, got {valid!r}"
+        )
     return SellmeierModel(
         name=str(mapping.get("name", "custom")),
         temperature_c=float(temperature if temperature is not None else 25.0),
-        valid_range_nm=(float(lo), float(hi)),
+        valid_range_nm=(float(valid[0]), float(valid[1])),
         terms=terms,
     )
 
 
 def _material(data) -> Material:
     data = _expect_mapping(data, "material")
+    _known_keys("material", data, ("sellmeier", "temperature_c", "index_increments", "profile"))
     temperature = data.get("temperature_c")
     sellmeier = _sellmeier(data.get("sellmeier", "zelmon1997"), temperature)
     increments = DEFAULT_INCREMENTS
     if "index_increments" in data:
         increments = _increment_table(_expect_mapping(data["index_increments"],
                                                       "material.index_increments"))
+    profile = _expect_mapping(data.get("profile", {}), "material.profile")
+    _known_keys("material.profile", profile, ("lateral_scale", "depth_scale"))
     profile = {
         "lateral_scale": DEFAULT_MATERIAL.lateral_scale,
         "depth_scale": DEFAULT_MATERIAL.depth_scale,
-        **_expect_mapping(data.get("profile", {}), "material.profile"),
+        **profile,
     }
     return Material(
         sellmeier=sellmeier,
@@ -184,6 +206,7 @@ def _material(data) -> Material:
 
 def _geometry(data) -> WaveguideGeometry:
     data = _expect_mapping(data, "geometry")
+    _known_keys("geometry", data, ("width_um", "depth_um", "length_cm"))
     return WaveguideGeometry(
         width_um=_number("geometry", data, "width_um", minimum=0.0),
         depth_um=_number("geometry", data, "depth_um", minimum=0.0),
@@ -193,6 +216,7 @@ def _geometry(data) -> WaveguideGeometry:
 
 def _scan(data) -> ScanConfig:
     data = _expect_mapping(data, "scan")
+    _known_keys("scan", data, ("axis", "span_nm", "samples", "index_model"))
     axis = data.get("axis")
     if axis not in _SCAN_AXES:
         raise ConfigurationError(f"scan.axis: expected one of {_SCAN_AXES}, got {axis!r}")
@@ -221,6 +245,7 @@ def _float_list(block, key, value):
 
 def _sweep(data) -> SweepConfig:
     data = _expect_mapping(data, "sweep")
+    _known_keys("sweep", data, ("depths_um", "widths_um", "pairing"))
     for key in ("depths_um", "widths_um"):
         if key not in data:
             raise ConfigurationError(f"sweep: missing required field '{key}'")
@@ -236,6 +261,7 @@ def _sweep(data) -> SweepConfig:
 
 def _output(data) -> OutputConfig:
     data = _expect_mapping(data, "output")
+    _known_keys("output", data, ("format", "path"))
     fmt = data.get("format", "text")
     if fmt not in _FORMATS:
         raise ConfigurationError(f"output.format: expected one of {_FORMATS}, got {fmt!r}")
@@ -248,10 +274,8 @@ def _output(data) -> OutputConfig:
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed YAML mapping into a RunConfig."""
     data = _expect_mapping(data, "config")
-    known = {"material", "geometry", "process", "scan", "sweep", "output"}
-    for key in data:
-        if key not in known:
-            raise ConfigurationError(f"config: unknown block '{key}'")
+    _known_keys("config", data, ("material", "geometry", "process", "scan", "sweep", "output"),
+                noun="block")
 
     material = _material(data["material"]) if "material" in data else DEFAULT_MATERIAL
     geometry = _geometry(data["geometry"]) if "geometry" in data else None
@@ -259,6 +283,7 @@ def parse_config(data: dict) -> RunConfig:
     scheme = pump = s1 = s2 = None
     if "process" in data:
         block = _expect_mapping(data["process"], "process")
+        _known_keys("process", block, ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
         name = block.get("scheme")
         try:
             scheme = Scheme(name)

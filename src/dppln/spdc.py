@@ -45,11 +45,14 @@ def angular_frequency(wavelength_nm):
     return 2.0 * np.pi * C_UM_PER_FS / (wavelength_nm * 1e-3)
 
 
-def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
-    """Idler wavelength from energy conservation, 1/lp = 1/ls + 1/li."""
-    if signal_nm <= pump_nm:
+def idler_wavelength(pump_nm: float, signal_nm):
+    """Idler wavelength from energy conservation, 1/lp = 1/ls + 1/li.
+
+    `signal_nm` may be an array; the idlers are then computed elementwise.
+    """
+    if np.any(np.asarray(signal_nm) <= pump_nm):
         raise DownConversionError(
-            f"signal {signal_nm:g} nm must exceed the pump {pump_nm:g} nm"
+            f"signal {np.min(signal_nm):g} nm must exceed the pump {pump_nm:g} nm"
         )
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
@@ -138,8 +141,9 @@ def phase_mismatch(process: SpdcProcess, signal_nm: float, index_provider) -> fl
     return _mismatch_rad_per_m(process, signal_nm, n_s, n_i)
 
 
-def design_point_mismatch(process: SpdcProcess, signal_nm: float) -> float:
-    """Phase mismatch in rad/m with both indices frozen at their design values."""
+def design_point_mismatch(process: SpdcProcess, signal_nm):
+    """Phase mismatch in rad/m with both indices frozen at their design values;
+    elementwise over an array of signal wavelengths."""
     return _mismatch_rad_per_m(process, signal_nm, process.n_signal, process.n_idler)
 
 
@@ -263,7 +267,8 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
     from energy conservation with a monochromatic pump.  `index_model`
     "design-point" freezes both indices at their solved values (this is what
     the reference tables and bandwidths correspond to); "dispersive"
-    re-evaluates them per grid point through `index_provider`.
+    re-evaluates them per grid point through `index_provider`.  A span that
+    reaches the pump wavelength is a configuration error.
     """
     if axis not in ("signal", "idler"):
         raise ConfigurationError(f"unknown scan axis '{axis}'")
@@ -276,13 +281,16 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
 
     center = process.signal_nm if axis == "signal" else process.idler_nm
     grid = np.linspace(center - span_nm / 2.0, center + span_nm / 2.0, samples)
-    if axis == "signal":
-        signal_grid = grid
-    else:
-        signal_grid = np.array([idler_wavelength(process.pump_nm, lam) for lam in grid])
+    if grid[0] <= process.pump_nm:
+        raise ConfigurationError(
+            f"span_nm {span_nm:g} nm reaches the pump at {process.pump_nm:g} nm; spans "
+            f"around the {axis} centre {center:.6g} nm must stay below "
+            f"{2.0 * (center - process.pump_nm):.6g} nm"
+        )
+    signal_grid = grid if axis == "signal" else idler_wavelength(process.pump_nm, grid)
 
     if index_model == "design-point":
-        dk = np.array([design_point_mismatch(process, lam) for lam in signal_grid])
+        dk = design_point_mismatch(process, signal_grid)
     else:
         dk = np.array([phase_mismatch(process, lam, index_provider) for lam in signal_grid])
 

@@ -173,6 +173,22 @@ def test_spectrum_narrow_span_is_physics_error(tmp_path, capsys):
     assert "span" in err
 
 
+def test_spectrum_span_reaching_the_pump_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, scan={"axis": "signal_1", "span_nm": 2000.0, "samples": 201})
+    code, _, err = run(["spectrum", "--config", config], capsys)
+    assert code == 2
+    assert "span_nm" in err and "522" in err
+    assert "Traceback" not in err
+
+
+def test_custom_sellmeier_mapping_with_valid_range_runs(tmp_path, capsys):
+    sellmeier = {**CUSTOM_SELLMEIER, "name": "zelmon-copy", "valid_range_nm": [400, 5000]}
+    config = write_config(tmp_path, material={"sellmeier": sellmeier, "temperature_c": 25.0})
+    code, out, _ = run(["index", "--config", config, "--format", "records"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["waves"]) == 5
+
+
 def test_poling_boundary_list_format(tmp_path, capsys):
     config = write_config(tmp_path)
     code, out, _ = run(["poling", "--config", config], capsys)
@@ -195,6 +211,11 @@ def test_records_format_from_config_block(tmp_path, capsys):
 
 
 PROCESS = BASE_CONFIG["process"]
+# Zelmon 1997 terms written out as a custom Sellmeier mapping
+CUSTOM_SELLMEIER = {
+    "ordinary": [[2.6734, 0.01764], [1.2290, 0.05914], [12.614, 474.60]],
+    "extraordinary": [[2.9804, 0.02047], [0.5981, 0.0666], [8.9543, 416.08]],
+}
 
 
 @pytest.mark.parametrize(
@@ -209,9 +230,22 @@ PROCESS = BASE_CONFIG["process"]
         ({"material": {"profile": {"lateral_scale": 0}}}, "material.profile.lateral_scale"),
         ({"material": {"profile": {"lateral_scale": -0.5}}}, "material.profile.lateral_scale"),
         ({"process": {**PROCESS, "signal1_nm": float("nan")}}, "process.signal1_nm"),
+        ({"material": {"sellmeier": {**CUSTOM_SELLMEIER, "valid_range_nm": [400]}}},
+         "material.sellmeier.valid_range_nm"),
+        ({"material": {"sellmeier": {**CUSTOM_SELLMEIER, "valid_range_nm": [400, "x"]}}},
+         "material.sellmeier.valid_range_nm"),
+        ({"material": {"sellmeier": {**CUSTOM_SELLMEIER, "valid_rang_nm": [400, 5000]}}},
+         "material.sellmeier: unknown field 'valid_rang_nm'"),
+        ({"material": {"temprature_c": 30}}, "material: unknown field 'temprature_c'"),
+        ({"material": {"profile": {"lateral_scal": 0.1}}},
+         "material.profile: unknown field 'lateral_scal'"),
+        ({"scan": {"axis": "signal_1", "span_nm": 8.0, "sample": 801}},
+         "scan: unknown field 'sample'"),
     ],
     ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
-         "lateral-scale-zero", "lateral-scale-negative", "signal-nan"],
+         "lateral-scale-zero", "lateral-scale-negative", "signal-nan",
+         "valid-range-one-number", "valid-range-text", "sellmeier-unknown-key",
+         "material-unknown-key", "profile-unknown-key", "scan-unknown-key"],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)

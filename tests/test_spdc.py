@@ -74,6 +74,14 @@ def test_idler_wavelength_rejects_non_downconversion():
         idler_wavelength(519.0, 400.0)
 
 
+def test_idler_wavelength_elementwise_over_arrays():
+    signals = np.array([700.0, 780.0, 1038.0, 2000.0])
+    idlers = idler_wavelength(519.0, signals)
+    assert idlers.tolist() == [idler_wavelength(519.0, float(s)) for s in signals]
+    with pytest.raises(DownConversionError, match="signal 519 nm"):
+        idler_wavelength(519.0, np.array([780.0, 519.0, 800.0]))
+
+
 @given(
     pump=st.floats(min_value=300.0, max_value=1000.0),
     ratio=st.floats(min_value=1.0001, max_value=20.0),
@@ -254,6 +262,26 @@ def test_spectrum_span_too_narrow(design_type0_10):
     with pytest.raises(SpanTooNarrowError) as info:
         spectrum_scan(process, "signal", 0.2, 101, 1.0)
     assert info.value.suggested_span_nm > 0.2
+
+
+def test_spectrum_design_point_gain_equals_per_sample_loop(design_type0_10):
+    # the vectorised scan does the per-sample arithmetic elementwise, so it
+    # reproduces the scalar loop exactly
+    for process in (design_type0_10.process_1, design_type0_10.process_2):
+        for axis, center in (("signal", process.signal_nm), ("idler", process.idler_nm)):
+            spectrum = spectrum_scan(process, axis, 12.0, 401, 1.0)
+            grid = np.linspace(center - 6.0, center + 6.0, 401)
+            signals = grid if axis == "signal" else [
+                idler_wavelength(process.pump_nm, float(lam)) for lam in grid]
+            dk = np.array([design_point_mismatch(process, float(lam)) for lam in signals])
+            assert np.array_equal(spectrum.gain, sinc(0.5 * dk * 1e-2) ** 2)
+
+
+def test_spectrum_span_reaching_the_pump_is_config_error(design_type0_10):
+    process = design_type0_10.process_1
+    for axis, limit in (("signal", "522"), ("idler", "2064.07")):
+        with pytest.raises(ConfigurationError, match=f"span_nm .* below {limit} nm"):
+            spectrum_scan(process, axis, 2100.0, 101, 1.0)
 
 
 def test_spectrum_requires_minimum_samples(design_type0_10):
