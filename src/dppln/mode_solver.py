@@ -134,10 +134,10 @@ class _Quadrature:
         self.y, self.wy = panel_nodes(_y_edges(geometry), order)
         self.y2 = self.y**2
         self.g = profile.lateral_shape(self.y)
-        self.z, self.wz = panel_nodes(_z_edges(geometry), order)
-        self.z2 = self.z**2
-        self.zh2 = (self.z / self.h) ** 2
-        self.f = profile.depth_shape(self.z)
+        z, self.wz = panel_nodes(_z_edges(geometry), order)
+        self.z2 = z**2
+        self.zh2 = (z / self.h) ** 2
+        self.f = profile.depth_shape(z)
 
     def y_integrals(self, alphas_y):
         """(A_y, G_y, D_y) = (int Y^2, int g Y^2, int Y'^2) for each alpha_y."""
@@ -161,11 +161,6 @@ class _Quadrature:
         F = (Z2 * self.f) @ self.wz
         D = (envelope * (1.0 - t) ** 2 / h**2) @ self.wz
         return A, F, D
-
-
-def _quadratures(profile):
-    """Order -> _Quadrature for `profile`, each built on first use."""
-    return cache(partial(_Quadrature, profile))
 
 
 def _assemble_rq(profile, k0, y_ints, z_ints):
@@ -193,7 +188,7 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     if alpha_y <= 0 or alpha_z <= 0:
         raise ConfigurationError("trial parameters must be positive")
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
-    quad = _quadratures(profile)
+    quad = cache(partial(_Quadrature, profile))
     value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), alpha_y, alpha_z))
     return value
 
@@ -335,7 +330,8 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
         )
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
     alphas = np.geomspace(ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
-    quad = _quadratures(profile)
+    # order -> _Quadrature, each built on first use
+    quad = cache(partial(_Quadrature, profile))
 
     coarse = quad(GRID_ORDER)
     grid = _assemble_rq(profile, k0, coarse.y_integrals(alphas), coarse.z_integrals(alphas))
