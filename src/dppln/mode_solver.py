@@ -33,6 +33,7 @@ and Gauss order.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -193,13 +194,8 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     return value
 
 
-@dataclass(frozen=True)
-class NelderMeadResult:
-    """Best vertex, objective evaluations and iterations of one `minimize`."""
-
-    x: np.ndarray
-    nfev: int
-    nit: int
+# Best vertex, objective evaluations and iterations of one `minimize`.
+NelderMeadResult = namedtuple("NelderMeadResult", "x nfev nit")
 
 
 class _Exhausted(Exception):
@@ -258,21 +254,17 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                if fxr < fsim[-1]:
-                    # outside contraction
+                if fxr < fsim[-1]:  # outside contraction
                     xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
                     fxc = f(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:
-                    # inside contraction
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = f(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
                     for j in range(1, N + 1):
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                         fsim[j] = f(sim[j])
