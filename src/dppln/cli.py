@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, csv_numbers, integer, load_config
 from .design_search import ROLES, EffectiveIndexSolver, design, sweep
 from .errors import ConfigurationError, PhysicsError
 from .spdc import spectrum_scan, synthesize_poling
@@ -118,15 +118,15 @@ def text_design(payload) -> str:
 def cmd_sweep(config: RunConfig, args) -> dict:
     template = config.request()
     block = config.require_sweep()
-    depths = args.depths or block.depths_um
-    widths = args.widths or block.widths_um
+    depths = block.depths_um if args.depths is None else csv_numbers("--depths", args.depths)
+    widths = block.widths_um if args.widths is None else csv_numbers("--widths", args.widths)
     result = sweep(
         template,
         depths,
         widths,
         material=config.material,
         pairing=block.pairing,
-        max_workers=args.parallel,
+        max_workers=None if args.parallel is None else integer("--parallel", args.parallel, 1),
     )
     rows = [
         dict(
@@ -211,13 +211,13 @@ def text_poling(payload) -> str:
     return "\n".join(f"{b:.6f}" for b in payload["boundaries_um"]) + "\n"
 
 
-# command -> (payload builder, text renderer of that payload)
+# command -> (payload builder, text renderer of that payload, help text)
 _COMMANDS = {
-    "index": (cmd_index, text_index),
-    "design": (cmd_design, text_design),
-    "sweep": (cmd_sweep, text_sweep),
-    "spectrum": (cmd_spectrum, text_spectrum),
-    "poling": (cmd_poling, text_poling),
+    "index": (cmd_index, text_index, "bulk and effective indices of the five interacting waves"),
+    "design": (cmd_design, text_design, "periods, degree of entanglement, weights and bandwidths"),
+    "sweep": (cmd_sweep, text_sweep, "one design row per geometry"),
+    "spectrum": (cmd_spectrum, text_spectrum, "two-column sinc^2 gain spectrum with FWHM summary"),
+    "poling": (cmd_poling, text_poling, "dual-period domain-boundary list"),
 }
 
 
@@ -227,39 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual-period quasi-phase-matched waveguide design toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("index", "bulk and effective indices of the five interacting waves"),
-        ("design", "periods, degree of entanglement, weights and bandwidths"),
-        ("sweep", "one design row per geometry"),
-        ("spectrum", "two-column sinc^2 gain spectrum with FWHM summary"),
-        ("poling", "dual-period domain-boundary list"),
-    ):
+    for name, (_, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the YAML run config")
         cmd.add_argument("--out", default=None, help="write output to this file")
         cmd.add_argument("--format", choices=("text", "records"), default=None,
                          help="override the output block's format")
         if name == "sweep":
-            cmd.add_argument("--depths", type=_float_csv, default=None,
+            cmd.add_argument("--depths", default=None,
                              help="comma-separated depths in um (overrides config)")
-            cmd.add_argument("--widths", type=_float_csv, default=None,
+            cmd.add_argument("--widths", default=None,
                              help="comma-separated widths in um (overrides config)")
             cmd.add_argument("--parallel", type=int, default=None,
                              help="number of worker processes")
     return parser
 
 
-def _float_csv(text):
-    try:
-        return tuple(float(part) for part in text.split(",") if part)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    build, render = _COMMANDS[args.command]
+    build, render, _ = _COMMANDS[args.command]
     try:
         config = load_config(args.config)
         fmt = args.format or config.output.format

@@ -28,6 +28,7 @@ from .mode_solver import WaveguideGeometry
 
 _SCAN_AXES = ("signal_1", "idler_1", "signal_2", "idler_2")
 _FORMATS = ("text", "records")
+_SELLMEIER_SETS = tuple(sorted(SELLMEIER_MODELS))
 
 
 @dataclass(frozen=True)
@@ -88,25 +89,27 @@ class RunConfig:
         return self.sweep
 
 
-def _expect_mapping(value, block):
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{block}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _known_keys(block, mapping, known, noun="field"):
-    for key in mapping:
+def _block(data, name, known):
+    """A mapping whose keys are all in `known`."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name}: expected a mapping, got {type(data).__name__}")
+    for key in data:
         if key not in known:
-            raise ConfigurationError(f"{block}: unknown {noun} '{key}'")
+            raise ConfigurationError(f"{name}: unknown field '{key}'")
+    return data
 
 
 def _finite(value):
     return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def _number(block, mapping, key, minimum=None):
+def _number(block, mapping, key, minimum=None, default=None):
+    """A finite number, greater than `minimum` when given; a missing field
+    takes `default`, or is an error when there is none."""
     if key not in mapping:
-        raise ConfigurationError(f"{block}: missing required field '{key}'")
+        if default is None:
+            raise ConfigurationError(f"{block}: missing required field '{key}'")
+        return default
     value = mapping[key]
     if not _finite(value):
         raise ConfigurationError(f"{block}.{key}: expected a finite number, got {value!r}")
@@ -115,21 +118,51 @@ def _number(block, mapping, key, minimum=None):
     return float(value)
 
 
-def _pairs(field, rows, layout):
-    """A list of two-number rows as a tuple of finite float pairs; `layout`
-    names the expected row shape in the error."""
+def _numbers(field, values):
+    """A non-empty list of finite numbers as a tuple of floats."""
+    if not (isinstance(values, list) and values and all(map(_finite, values))):
+        raise ConfigurationError(
+            f"{field}: expected a non-empty list of finite numbers, got {values!r}"
+        )
+    return tuple(float(v) for v in values)
+
+
+def _choice(block, mapping, key, allowed, default):
+    value = mapping.get(key, default)
+    if value not in allowed:
+        raise ConfigurationError(f"{block}.{key}: expected one of {allowed}, got {value!r}")
+    return value
+
+
+def integer(field, value, low, high=None):
+    """An integer in [low, high], or at least `low` when `high` is None."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigurationError(f"{field}: expected an integer {bounds}, got {value!r}")
+    return value
+
+
+def csv_numbers(flag, text):
+    """A comma-separated list from the command line, read like a config list."""
     try:
-        if isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2 for r in rows):
-            pairs = tuple((float(a), float(b)) for a, b in rows)
-            if all(math.isfinite(v) for pair in pairs for v in pair):
-                return pairs
-    except (TypeError, ValueError):
-        pass
-    raise ConfigurationError(f"{field}: expected {layout}")
+        values = [float(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ConfigurationError(f"{flag}: expected comma-separated numbers, got {text!r}")
+    return _numbers(flag, values)
+
+
+def _pairs(field, rows, layout):
+    """A list of two-number rows as a tuple of float pairs; `layout` names the
+    expected row shape in the error."""
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == 2 and all(map(_finite, r)) for r in rows)):
+        raise ConfigurationError(f"{field}: expected {layout}")
+    return tuple((float(a), float(b)) for a, b in rows)
 
 
 def _increment_table(data) -> IndexIncrementTable:
-    _known_keys("material.index_increments", data, ("extraordinary", "ordinary"))
+    data = _block(data, "material.index_increments", ("extraordinary", "ordinary"))
     entries = {}
     for key, pol in (("extraordinary", Polarization.EXTRAORDINARY),
                      ("ordinary", Polarization.ORDINARY)):
@@ -142,71 +175,61 @@ def _increment_table(data) -> IndexIncrementTable:
     return IndexIncrementTable(entries)
 
 
-def _sellmeier(data, temperature) -> SellmeierModel:
-    if isinstance(data, str):
-        if data not in SELLMEIER_MODELS:
-            known = ", ".join(sorted(SELLMEIER_MODELS))
-            raise ConfigurationError(
-                f"material.sellmeier: unknown set '{data}' (available: {known})"
-            )
-        model = SELLMEIER_MODELS[data]
-        if temperature is not None and temperature != model.temperature_c:
+def _sellmeier(material) -> SellmeierModel:
+    """The named or custom Sellmeier set of the material block, at its
+    temperature."""
+    if not isinstance(material.get("sellmeier"), dict):
+        model = SELLMEIER_MODELS[
+            _choice("material", material, "sellmeier", _SELLMEIER_SETS, "zelmon1997")
+        ]
+        temperature = _number("material", material, "temperature_c", default=model.temperature_c)
+        if temperature != model.temperature_c:
             raise ConfigurationError(
                 f"material.temperature_c: set '{model.name}' is tabulated at "
                 f"{model.temperature_c:g} C, not {temperature:g} C"
             )
         return model
-    mapping = _expect_mapping(data, "material.sellmeier")
-    _known_keys("material.sellmeier", mapping,
-                ("name", "ordinary", "extraordinary", "valid_range_nm"))
+    mapping = _block(material["sellmeier"], "material.sellmeier",
+                     ("name", "ordinary", "extraordinary", "valid_range_nm"))
     terms = {}
     for key, pol in (("ordinary", Polarization.ORDINARY),
                      ("extraordinary", Polarization.EXTRAORDINARY)):
         if key not in mapping:
             raise ConfigurationError(f"material.sellmeier: missing '{key}' terms")
         terms[pol] = _pairs(f"material.sellmeier.{key}", mapping[key], "[[B, C_um2], ...]")
-    valid = mapping.get("valid_range_nm", [400.0, 5000.0])
-    if not (isinstance(valid, list) and len(valid) == 2 and all(map(_finite, valid))
-            and valid[0] < valid[1]):
+    valid = _numbers("material.sellmeier.valid_range_nm",
+                     mapping.get("valid_range_nm", [400.0, 5000.0]))
+    if len(valid) != 2 or valid[0] >= valid[1]:
         raise ConfigurationError(
             f"material.sellmeier.valid_range_nm: expected [low_nm, high_nm] with "
             f"low < high, got {valid!r}"
         )
     return SellmeierModel(
         name=str(mapping.get("name", "custom")),
-        temperature_c=float(temperature if temperature is not None else 25.0),
-        valid_range_nm=(float(valid[0]), float(valid[1])),
+        temperature_c=_number("material", material, "temperature_c", default=25.0),
+        valid_range_nm=valid,
         terms=terms,
     )
 
 
 def _material(data) -> Material:
-    data = _expect_mapping(data, "material")
-    _known_keys("material", data, ("sellmeier", "temperature_c", "index_increments", "profile"))
-    temperature = data.get("temperature_c")
-    sellmeier = _sellmeier(data.get("sellmeier", "zelmon1997"), temperature)
+    data = _block(data, "material", ("sellmeier", "temperature_c", "index_increments", "profile"))
     increments = DEFAULT_INCREMENTS
     if "index_increments" in data:
-        increments = _increment_table(_expect_mapping(data["index_increments"],
-                                                      "material.index_increments"))
-    profile = _expect_mapping(data.get("profile", {}), "material.profile")
-    _known_keys("material.profile", profile, ("lateral_scale", "depth_scale"))
-    profile = {
-        "lateral_scale": DEFAULT_MATERIAL.lateral_scale,
-        "depth_scale": DEFAULT_MATERIAL.depth_scale,
-        **profile,
-    }
+        increments = _increment_table(data["index_increments"])
+    profile = _block(data.get("profile", {}), "material.profile", ("lateral_scale", "depth_scale"))
     return Material(
-        sellmeier=sellmeier,
+        sellmeier=_sellmeier(data),
         increments=increments,
-        lateral_scale=_number("material.profile", profile, "lateral_scale", minimum=0.0),
-        depth_scale=_number("material.profile", profile, "depth_scale", minimum=0.0),
+        lateral_scale=_number("material.profile", profile, "lateral_scale", minimum=0.0,
+                              default=DEFAULT_MATERIAL.lateral_scale),
+        depth_scale=_number("material.profile", profile, "depth_scale", minimum=0.0,
+                            default=DEFAULT_MATERIAL.depth_scale),
     )
 
 
 def _geometry(data) -> WaveguideGeometry:
-    data = _expect_mapping(data, "geometry")
-    _known_keys("geometry", data, ("width_um", "depth_um", "length_cm"))
+    data = _block(data, "geometry", ("width_um", "depth_um", "length_cm"))
     return WaveguideGeometry(
         width_um=_number("geometry", data, "width_um", minimum=0.0),
         depth_um=_number("geometry", data, "depth_um", minimum=0.0),
@@ -215,81 +238,48 @@ def _geometry(data) -> WaveguideGeometry:
 
 
 def _scan(data) -> ScanConfig:
-    data = _expect_mapping(data, "scan")
-    _known_keys("scan", data, ("axis", "span_nm", "samples", "index_model"))
-    axis = data.get("axis")
-    if axis not in _SCAN_AXES:
-        raise ConfigurationError(f"scan.axis: expected one of {_SCAN_AXES}, got {axis!r}")
-    samples = data.get("samples", 1001)
-    if not isinstance(samples, int) or isinstance(samples, bool):
-        raise ConfigurationError(f"scan.samples: expected an integer, got {samples!r}")
-    model = data.get("index_model", "design-point")
-    if model not in ("design-point", "dispersive"):
-        raise ConfigurationError(f"scan.index_model: unknown model {model!r}")
+    data = _block(data, "scan", ("axis", "span_nm", "samples", "index_model"))
     return ScanConfig(
-        axis=axis,
+        axis=_choice("scan", data, "axis", _SCAN_AXES, None),
         span_nm=_number("scan", data, "span_nm", minimum=0.0),
-        samples=samples,
-        index_model=model,
+        samples=integer("scan.samples", data.get("samples", 1001), 101, 1_000_000),
+        index_model=_choice("scan", data, "index_model", ("design-point", "dispersive"),
+                            "design-point"),
     )
 
 
-def _float_list(block, key, value):
-    if not isinstance(value, list) or not value:
-        raise ConfigurationError(f"{block}.{key}: expected a non-empty list of numbers")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{block}.{key}: expected a non-empty list of numbers")
-
-
 def _sweep(data) -> SweepConfig:
-    data = _expect_mapping(data, "sweep")
-    _known_keys("sweep", data, ("depths_um", "widths_um", "pairing"))
+    data = _block(data, "sweep", ("depths_um", "widths_um", "pairing"))
     for key in ("depths_um", "widths_um"):
         if key not in data:
             raise ConfigurationError(f"sweep: missing required field '{key}'")
-    pairing = data.get("pairing", "product")
-    if pairing not in ("product", "zip"):
-        raise ConfigurationError(f"sweep.pairing: expected 'product' or 'zip', got {pairing!r}")
     return SweepConfig(
-        depths_um=_float_list("sweep", "depths_um", data["depths_um"]),
-        widths_um=_float_list("sweep", "widths_um", data["widths_um"]),
-        pairing=pairing,
+        depths_um=_numbers("sweep.depths_um", data["depths_um"]),
+        widths_um=_numbers("sweep.widths_um", data["widths_um"]),
+        pairing=_choice("sweep", data, "pairing", ("product", "zip"), "product"),
     )
 
 
 def _output(data) -> OutputConfig:
-    data = _expect_mapping(data, "output")
-    _known_keys("output", data, ("format", "path"))
-    fmt = data.get("format", "text")
-    if fmt not in _FORMATS:
-        raise ConfigurationError(f"output.format: expected one of {_FORMATS}, got {fmt!r}")
+    data = _block(data, "output", ("format", "path"))
     path = data.get("path")
     if path is not None and not isinstance(path, str):
         raise ConfigurationError(f"output.path: expected a string, got {path!r}")
-    return OutputConfig(format=fmt, path=path)
+    return OutputConfig(format=_choice("output", data, "format", _FORMATS, "text"), path=path)
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed YAML mapping into a RunConfig."""
-    data = _expect_mapping(data, "config")
-    _known_keys("config", data, ("material", "geometry", "process", "scan", "sweep", "output"),
-                noun="block")
+    data = _block(data, "config", ("material", "geometry", "process", "scan", "sweep", "output"))
 
     material = _material(data["material"]) if "material" in data else DEFAULT_MATERIAL
     geometry = _geometry(data["geometry"]) if "geometry" in data else None
 
     scheme = pump = s1 = s2 = None
     if "process" in data:
-        block = _expect_mapping(data["process"], "process")
-        _known_keys("process", block, ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
-        name = block.get("scheme")
-        try:
-            scheme = Scheme(name)
-        except ValueError:
-            allowed = ", ".join(s.value for s in Scheme)
-            raise ConfigurationError(f"process.scheme: expected one of [{allowed}], got {name!r}")
+        block = _block(data["process"], "process",
+                       ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
+        scheme = Scheme(_choice("process", block, "scheme", tuple(s.value for s in Scheme), None))
         pump = _number("process", block, "pump_nm", minimum=0.0)
         s1 = _number("process", block, "signal1_nm", minimum=0.0)
         s2 = _number("process", block, "signal2_nm", minimum=0.0)

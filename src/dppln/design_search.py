@@ -4,7 +4,7 @@ periods, form the entanglement figures, and sweep or optimise the geometry.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -67,27 +67,23 @@ class DesignRequest:
 
 
 class EffectiveIndexSolver:
-    """Mode-solution cache for one (material, geometry); the `index` method
-    has the (wavelength_nm, polarization) -> n_eff provider signature used
-    by dispersive spectrum scans."""
+    """Mode solver for one (material, geometry); the `index` method has the
+    (wavelength_nm, polarization) -> n_eff provider signature used by
+    dispersive spectrum scans."""
 
     def __init__(self, material: Material, geometry: WaveguideGeometry):
         self.material = material
         self.geometry = geometry
-        self._cache = {}
 
     def solve(self, wavelength_nm: float, pol: Polarization) -> ModeSolution:
-        key = (round(float(wavelength_nm), 9), pol)
-        if key not in self._cache:
-            profile = IndexProfile(
-                self.geometry,
-                self.material.sellmeier.index(pol, wavelength_nm),
-                self.material.increments.increment(pol, wavelength_nm),
-                self.material.lateral_scale,
-                self.material.depth_scale,
-            )
-            self._cache[key] = solve_mode(profile, wavelength_nm, pol)
-        return self._cache[key]
+        profile = IndexProfile(
+            self.geometry,
+            self.material.sellmeier.index(pol, wavelength_nm),
+            self.material.increments.increment(pol, wavelength_nm),
+            self.material.lateral_scale,
+            self.material.depth_scale,
+        )
+        return solve_mode(profile, wavelength_nm, pol)
 
     def index(self, wavelength_nm: float, pol: Polarization) -> float:
         return self.solve(wavelength_nm, pol).n_eff
@@ -241,7 +237,8 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
 
     `pairing` "product" crosses the two lists (row-major: depth outer);
     "zip" pairs them element-wise.  Rows are returned in input order; with
-    `max_workers` > 1 they are computed in parallel processes.
+    `max_workers` > 1 they are computed in parallel processes, at most one
+    per row and per CPU.
     """
     depths = list(depths_um)
     widths = list(widths_um)
@@ -258,8 +255,12 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
 
     row_at = partial(_sweep_row, template, material)
     row_depths, row_widths = zip(*pairs)
-    if max_workers is not None and max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    # the pool starts all its processes at once, so never more than can be used
+    workers = min(max_workers or 1, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(row_at, row_depths, row_widths))
     else:
         rows = tuple(map(row_at, row_depths, row_widths))

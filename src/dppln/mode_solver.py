@@ -72,8 +72,10 @@ class WaveguideGeometry:
     length_cm: float
 
     def __post_init__(self):
-        if self.length_cm <= 0:
-            raise ConfigurationError("interaction length must be positive")
+        if not (0.0 < self.length_cm <= 10.0):
+            raise ConfigurationError(
+                f"length {self.length_cm:g} cm outside the supported range (0, 10] cm"
+            )
         for name, v in (("width", self.width_um), ("depth", self.depth_um)):
             if not (1.0 <= v <= 50.0):
                 raise ConfigurationError(

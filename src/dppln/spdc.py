@@ -225,16 +225,15 @@ class Spectrum:
 
 
 def estimate_fwhm_nm(process: SpdcProcess, axis: str, length_cm: float) -> float:
-    """Closed-form FWHM estimate from the design-point mismatch slope."""
+    """Closed-form FWHM estimate from the design-point mismatch slope.
+
+    With both indices frozen and the idler fixed by energy conservation, the
+    slope is d(dk)/d(lam_s) = 2 pi (n_i - n_s) / lam_s^2 on the signal axis
+    and 2 pi (n_s - n_i) / lam_i^2 on the idler axis.
+    """
     center = process.signal_nm if axis == "signal" else process.idler_nm
-    signal_of = (lambda lam: lam) if axis == "signal" else (
-        lambda lam: idler_wavelength(process.pump_nm, lam)
-    )
-    delta = 0.01
-    slope = (
-        design_point_mismatch(process, signal_of(center + delta))
-        - design_point_mismatch(process, signal_of(center - delta))
-    ) / (2.0 * delta)
+    # rad/m per nm, with the wavelength in um
+    slope = 2.0 * np.pi * (process.n_idler - process.n_signal) / (center * 1e-3) ** 2 * 1e3
     if slope == 0.0:
         raise PhaseMatchingError("flat mismatch: cannot estimate a bandwidth")
     # full width: the half-maximum offsets sit at dk = +-2*HALF_MAX_ARG/L

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dppln.cli import main
 
@@ -241,11 +247,29 @@ CUSTOM_SELLMEIER = {
          "material.profile: unknown field 'lateral_scal'"),
         ({"scan": {"axis": "signal_1", "span_nm": 8.0, "sample": 801}},
          "scan: unknown field 'sample'"),
+        ({"material": {"sellmeier": "zelmon1997", "temperature_c": "abc"}},
+         "material.temperature_c"),
+        ({"material": {"sellmeier": "zelmon1997", "temperature_c": [1]}},
+         "material.temperature_c"),
+        ({"material": {"sellmeier": CUSTOM_SELLMEIER, "temperature_c": "abc"}},
+         "material.temperature_c"),
+        ({"material": {"sellmeier": CUSTOM_SELLMEIER, "temperature_c": [1]}},
+         "material.temperature_c"),
+        ({"sweep": {"depths_um": [True], "widths_um": [10.0]}}, "sweep.depths_um"),
+        ({"sweep": {"depths_um": ["8"], "widths_um": [10.0]}}, "sweep.depths_um"),
+        ({"scan": {"axis": "signal_1", "span_nm": 8.0, "samples": 50}}, "scan.samples"),
+        ({"scan": {"axis": "signal_1", "span_nm": 8.0, "samples": 10**7}}, "scan.samples"),
+        ({"material": {"index_increments": {"extraordinary": [[True, 0.003]]}}},
+         "material.index_increments.extraordinary"),
     ],
     ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
          "lateral-scale-zero", "lateral-scale-negative", "signal-nan",
          "valid-range-one-number", "valid-range-text", "sellmeier-unknown-key",
-         "material-unknown-key", "profile-unknown-key", "scan-unknown-key"],
+         "material-unknown-key", "profile-unknown-key", "scan-unknown-key",
+         "named-set-temperature-text", "named-set-temperature-list",
+         "custom-set-temperature-text", "custom-set-temperature-list",
+         "depth-bool", "depth-text", "samples-too-few", "samples-too-many",
+         "increment-wavelength-bool"],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
@@ -262,3 +286,83 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
     assert code == 2
     assert str(out) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,flag",
+    [
+        (["--depths", ","], "--depths"),
+        (["--widths", ""], "--widths"),
+        (["--depths", "8,nan"], "--depths"),
+        (["--widths", "8,abc"], "--widths"),
+        (["--parallel", "0"], "--parallel"),
+        (["--parallel", "-3"], "--parallel"),
+    ],
+    ids=["depths-empty", "widths-empty", "depths-nan", "widths-text", "parallel-zero",
+         "parallel-negative"],
+)
+def test_malformed_sweep_flag_is_config_error(tmp_path, capsys, flags, flag):
+    config = write_config(tmp_path)
+    code, out, err = run(["sweep", "--config", config, *flags], capsys)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
+
+
+def _field_paths(node, path=()):
+    """Every block, field and list element of a parsed config, as key paths."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _field_paths(child, path + (key,))
+
+
+SHIPPED_FIELDS = [
+    (config.name, path)
+    for config in SHIPPED_CONFIGS
+    for path in _field_paths(yaml.safe_load(config.read_text()))
+]
+UNKNOWN_KEY = object()
+# one of each malformed kind: wrong type, non-finite, bool, string, empty list,
+# zero, negative, and an unknown key beside the field
+BAD_VALUES = [{"nested": 1.0}, [1.0, 2.0], float("nan"), float("inf"), -float("inf"),
+              True, False, "abc", [], 0, -1.5, UNKNOWN_KEY]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(field=st.sampled_from(SHIPPED_FIELDS), value=st.sampled_from(BAD_VALUES))
+@example(field=("type0_w10.yaml", ("material", "temperature_c")), value="abc")
+@example(field=("type0_w10.yaml", ("material", "temperature_c")), value=[1])
+def test_mutated_shipped_config_keeps_the_exit_code_contract(field, value):
+    name, path = field
+    data = yaml.safe_load((SHIPPED_CONFIGS[0].parent / name).read_text())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is UNKNOWN_KEY:
+        if not isinstance(parent, dict):
+            return
+        parent["unknown_key"] = 1.0
+    else:
+        parent[path[-1]] = value
+    # the shipped scans are design-point with at most 10 000 samples; no mutation
+    # makes them dispersive or larger
+    command = {"scan": "spectrum", "sweep": "sweep"}.get(path[0], "design")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / name
+        config.write_text(yaml.safe_dump(data))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()

@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import os
 
 import pytest
 
@@ -12,6 +14,8 @@ from dppln import (
     find_best_geometry,
     sweep,
 )
+from dppln import design_search
+from dppln.design_search import SweepRow
 from conftest import request_for
 
 E = Polarization.EXTRAORDINARY
@@ -107,6 +111,43 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(template, [8.0, 10.0], [8.0, 10.0], pairing="zip", max_workers=2)
     assert [dataclasses.astuple(r) for r in serial.rows] == [
         dataclasses.astuple(r) for r in parallel.rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "max_workers,cpus,pools",
+    [(100_000, 64, [4]), (100_000, 2, [2]), (3, 64, [3]), (1, 64, []), (None, 64, [])],
+)
+def test_sweep_pool_size_is_capped_by_rows_and_cpus(monkeypatch, max_workers, cpus, pools):
+    sizes = []
+
+    class RecordingPool:
+        """Stand-in pool: records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # also replaced on the module, should it hold its own reference: this test
+    # must start no process
+    monkeypatch.setattr(design_search, "ProcessPoolExecutor", RecordingPool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(design_search, "_sweep_row",
+                        lambda template, material, d, w: SweepRow(d, w, 1.0, 2.0, 3.0))
+    template = request_for(Scheme.TYPE0_EEE, 10.0)
+    result = sweep(template, [8.0, 10.0], [8.0, 10.0], max_workers=max_workers)
+    assert sizes == pools
+    assert [(r.depth_um, r.width_um) for r in result.rows] == [
+        (8.0, 8.0), (8.0, 10.0), (10.0, 8.0), (10.0, 10.0)
     ]
 
 

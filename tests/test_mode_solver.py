@@ -113,6 +113,11 @@ def test_geometry_validation():
         WaveguideGeometry(10.0, 60.0, 1.0)
     with pytest.raises(ConfigurationError):
         WaveguideGeometry(10.0, 10.0, 0.0)
+    with pytest.raises(ConfigurationError, match=r"length 10.5 cm outside .*\(0, 10\] cm"):
+        WaveguideGeometry(10.0, 10.0, 10.5)
+    with pytest.raises(ConfigurationError):
+        WaveguideGeometry(10.0, 10.0, float("nan"))
+    assert WaveguideGeometry(10.0, 10.0, 10.0).length_cm == 10.0
 
 
 def test_make_profile_rejects_nonpositive_increment():

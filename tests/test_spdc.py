@@ -26,6 +26,7 @@ from dppln import (
     state_weights_and_entropy,
 )
 from dppln.dispersion import DEFAULT_MATERIAL
+from dppln.spdc import HALF_MAX_ARG
 
 E = Polarization.EXTRAORDINARY
 
@@ -242,6 +243,22 @@ def test_spectrum_fwhm_against_slope_estimate(design_type0_10):
     process = design_type0_10.process_1
     spectrum = spectrum_scan(process, "signal", 6.0, 2001, 1.0)
     assert spectrum.fwhm_nm == pytest.approx(estimate_fwhm_nm(process, "signal", 1.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("fixture", ["design_type0_10", "design_type2_65"])
+@pytest.mark.parametrize("axis", ["signal", "idler"])
+def test_fwhm_estimate_slope_matches_finite_difference(request, fixture, axis):
+    # 5-point central difference of the frozen-index mismatch, h = 0.5 nm
+    h = 0.5
+    result = request.getfixturevalue(fixture)
+    for process in (result.process_1, result.process_2):
+        center = process.signal_nm if axis == "signal" else process.idler_nm
+        lams = center + h * np.array([-2.0, -1.0, 1.0, 2.0])
+        signals = lams if axis == "signal" else idler_wavelength(process.pump_nm, lams)
+        dk = design_point_mismatch(process, signals)
+        slope = (dk[0] - 8.0 * dk[1] + 8.0 * dk[2] - dk[3]) / (12.0 * h)
+        expected = 4.0 * HALF_MAX_ARG / (1e-2 * abs(slope))
+        assert estimate_fwhm_nm(process, axis, 1.0) == pytest.approx(expected, rel=1e-9)
 
 
 def test_spectrum_first_null_placement(design_type0_10):
