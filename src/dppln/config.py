@@ -161,6 +161,15 @@ def _pairs(field, rows, layout):
     return tuple((float(a), float(b)) for a, b in rows)
 
 
+def _field_error(prefix, build, **values):
+    """`build(**values)`, its ConfigurationError prefixed by `prefix` and the
+    field the error names."""
+    try:
+        return build(**values)
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{prefix}.{error.field}: {error}") from None
+
+
 def _increment_table(data) -> IndexIncrementTable:
     data = _block(data, "material.index_increments", ("extraordinary", "ordinary"))
     entries = {}
@@ -172,7 +181,7 @@ def _increment_table(data) -> IndexIncrementTable:
                               "[[wavelength_nm, delta_n], ...]")
     if not entries:
         raise ConfigurationError("material.index_increments: no polarization tables given")
-    return IndexIncrementTable(entries)
+    return _field_error("material.index_increments", IndexIncrementTable, entries=entries)
 
 
 def _sellmeier(material) -> SellmeierModel:
@@ -205,7 +214,7 @@ def _sellmeier(material) -> SellmeierModel:
             f"low < high, got {valid!r}"
         )
     return SellmeierModel(
-        name=str(mapping.get("name", "custom")),
+        name=str(mapping.get("name", "material.sellmeier")),
         temperature_c=_number("material", material, "temperature_c", default=25.0),
         valid_range_nm=valid,
         terms=terms,
@@ -230,7 +239,8 @@ def _material(data) -> Material:
 
 def _geometry(data) -> WaveguideGeometry:
     data = _block(data, "geometry", ("width_um", "depth_um", "length_cm"))
-    return WaveguideGeometry(
+    return _field_error(
+        "geometry", WaveguideGeometry,
         width_um=_number("geometry", data, "width_um", minimum=0.0),
         depth_um=_number("geometry", data, "depth_um", minimum=0.0),
         length_cm=_number("geometry", data, "length_cm", minimum=0.0),

@@ -23,6 +23,7 @@ values are available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -63,8 +64,16 @@ class SellmeierModel:
             )
         lam2 = (wavelength_nm * 1e-3) ** 2
         n2 = 1.0
-        for B, C in self.terms[pol]:
-            n2 += B * lam2 / (lam2 - C)
+        try:
+            for B, C in self.terms[pol]:
+                n2 += B * lam2 / (lam2 - C)
+        except ZeroDivisionError:  # a pole at this very wavelength
+            n2 = math.inf
+        if not 0.0 < n2 < math.inf:
+            raise ConfigurationError(
+                f"Sellmeier set '{self.name}' gives n^2 = {n2:g} for {pol} polarization "
+                f"at {wavelength_nm:g} nm; expected a finite positive value"
+            )
         return float(np.sqrt(n2))
 
 
@@ -96,12 +105,12 @@ class IndexIncrementTable:
             lams = [lam for lam, _ in table]
             if any(b <= a for a, b in zip(lams, lams[1:])):
                 raise ConfigurationError(
-                    f"{pol} increment table must be strictly ascending in wavelength"
+                    f"{pol} increment table must be strictly ascending in wavelength", pol.value
                 )
             for lam, dn in table:
                 if not (0.0 < dn < 0.01):
                     raise ConfigurationError(
-                        f"{pol} increment {dn:g} at {lam:g} nm outside (0, 0.01)"
+                        f"{pol} increment {dn:g} at {lam:g} nm outside (0, 0.01)", pol.value
                     )
 
     def increment(self, pol: Polarization, wavelength_nm: float) -> float:

@@ -12,7 +12,12 @@ class ToolkitError(Exception):
 
 
 class ConfigurationError(ToolkitError):
-    """Invalid configuration: missing blocks/fields, malformed tables, bad units."""
+    """Invalid configuration: missing blocks/fields, malformed tables, bad units.
+    `field` names the attribute or table at fault, when the raiser knows it."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class PhysicsError(ToolkitError):

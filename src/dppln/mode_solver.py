@@ -25,17 +25,18 @@ The optimiser is deterministic: a 16x16 logarithmic scan of
 (a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead,
 Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
 simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
-that repeats its floating-point trajectory.  The quadrature nodes and the
-profile samples, which do not depend on (a_y, a_z), are built once per solve
-and Gauss order.
+that repeats its floating-point trajectory.  The quadrature nodes, profile
+samples and grid-scan integrals depend on the geometry, diffusion scales and
+Gauss order only, so they are built once per profile shape and order.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache, partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -52,6 +53,8 @@ ALPHA_MIN = 0.2
 ALPHA_MAX = 5.0
 GRID_POINTS = 16
 GRID_ORDER = 96
+GRID_ALPHAS = np.geomspace(ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
+GRID_ALPHAS.flags.writeable = False
 # Optima this close to the box edge are treated as untrusted geometry.
 _EDGE_MARGIN = 0.015
 # Increments below this cannot produce a trustworthy bound mode.
@@ -74,12 +77,13 @@ class WaveguideGeometry:
     def __post_init__(self):
         if not (0.0 < self.length_cm <= 10.0):
             raise ConfigurationError(
-                f"length {self.length_cm:g} cm outside the supported range (0, 10] cm"
+                f"length {self.length_cm:g} cm outside the supported range (0, 10] cm",
+                "length_cm",
             )
         for name, v in (("width", self.width_um), ("depth", self.depth_um)):
             if not (1.0 <= v <= 50.0):
                 raise ConfigurationError(
-                    f"{name} {v:g} um outside the supported range [1, 50] um"
+                    f"{name} {v:g} um outside the supported range [1, 50] um", f"{name}_um"
                 )
 
 
@@ -127,20 +131,30 @@ def _z_edges(geometry):
 
 
 class _Quadrature:
-    """Panel nodes, weights and the alpha-independent samples of one profile at
-    one per-panel Gauss order, shared by every trial field of a solve."""
+    """Panel nodes, weights and the alpha-independent samples of one profile
+    shape at one per-panel Gauss order, shared read-only via `_quadrature`."""
 
-    def __init__(self, profile, order):
-        geometry = profile.geometry
+    def __init__(self, shape, order):
+        geometry = shape.geometry
         self.w = geometry.width_um
         self.h = geometry.depth_um
         self.y, self.wy = panel_nodes(_y_edges(geometry), order)
         self.y2 = self.y**2
-        self.g = profile.lateral_shape(self.y)
+        self.g = shape.lateral_shape(self.y)
         z, self.wz = panel_nodes(_z_edges(geometry), order)
         self.z2 = z**2
         self.zh2 = (z / self.h) ** 2
-        self.f = profile.depth_shape(z)
+        self.f = shape.depth_shape(z)
+        for array in (self.y2, self.g, self.z2, self.zh2, self.f):
+            array.flags.writeable = False
+
+    @cached_property
+    def grid_integrals(self):
+        """y and z integrals at GRID_ALPHAS, for the grid scan."""
+        integrals = self.y_integrals(GRID_ALPHAS), self.z_integrals(GRID_ALPHAS)
+        for array in (*integrals[0], *integrals[1]):
+            array.flags.writeable = False
+        return integrals
 
     def y_integrals(self, alphas_y):
         """(A_y, G_y, D_y) = (int Y^2, int g Y^2, int Y'^2) for each alpha_y."""
@@ -177,10 +191,35 @@ def _assemble_rq(profile, k0, y_ints, z_ints):
     )
 
 
+# (shape, order) -> _Quadrature; a solve uses two to four orders
+_quadrature = lru_cache(maxsize=8)(_Quadrature)
+
+
+def _quadratures(profile):
+    """order -> the shared _Quadrature of `profile` with its indices zeroed."""
+    return partial(_quadrature, replace(profile, bulk_index=0.0, increment=0.0))
+
+
 def _rq_scalar(profile, k0, quad, alpha_y, alpha_z):
-    return float(
-        _assemble_rq(profile, k0, quad.y_integrals(alpha_y), quad.z_integrals(alpha_z))[0, 0]
-    )
+    """`_assemble_rq` of one trial field on floats and 1-D arrays: the IEEE
+    operations of `y_integrals`, `z_integrals` and `_assemble_rq` in their
+    order (numpy's a**2 is a*a; a 1-row gemv is a dot product), so
+    bit-identical, as the tests check, at half the numpy calls."""
+    w2, h2 = quad.w**2, quad.h**2
+    a2 = alpha_y * alpha_y
+    Y2 = np.exp(-2.0 * a2 * quad.y2 / w2)
+    Ay = Y2 @ quad.wy
+    Gy = (Y2 * quad.g) @ quad.wy
+    Dy = (Y2 * (2.0 * a2 * quad.y / w2) ** 2) @ quad.wy
+    a2 = alpha_z * alpha_z
+    t = 2.0 * a2 * quad.z2 / h2
+    envelope = np.exp(-t)
+    Z2 = quad.zh2 * envelope
+    Az = Z2 @ quad.wz
+    Fz = (Z2 * quad.f) @ quad.wz
+    Dz = (envelope * (1.0 - t) ** 2 / h2) @ quad.wz
+    nb, dn = profile.bulk_index, profile.increment
+    return float(nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2)
 
 
 def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
@@ -191,7 +230,7 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     if alpha_y <= 0 or alpha_z <= 0:
         raise ConfigurationError("trial parameters must be positive")
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
-    quad = cache(partial(_Quadrature, profile))
+    quad = _quadratures(profile)
     value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), alpha_y, alpha_z))
     return value
 
@@ -204,6 +243,14 @@ class _Exhausted(Exception):
     """Raised by the counting objective once `maxfev` evaluations are spent."""
 
 
+def _sorted(sim, fsim):
+    """`sim` and `fsim` in np.argsort(fsim) order.  Distinct values have one
+    order, which Python's sort gives; ties and NaN take numpy's."""
+    tied = len(set(fsim)) < len(fsim) or any(v != v for v in fsim)
+    order = np.argsort(fsim).tolist() if tied else sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
 def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
     """Nelder-Mead minimisation of `fun` from the initial `simplex` (N+1 rows).
 
@@ -211,11 +258,12 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
     "Nelder-Mead", adaptive=False) with this `initial_simplex`: coefficients
     rho=1, chi=2, psi=0.5, sigma=0.5 in the same expressions and order, the
     same argsort of the vertices, the convergence test before each step,
-    `nit` counted from 1 and `nfev` including the initial vertices.
+    `nit` counted from 1 and `nfev` including the initial vertices.  `fun`
+    receives each vertex as a list of floats, which it must not modify.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.array(simplex, dtype=float)
-    N = sim.shape[1]
+    sim = np.array(simplex, dtype=float).tolist()
+    N = len(sim[0])
     nfev = 0
 
     def f(x):
@@ -223,31 +271,29 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
         if nfev >= maxfev:
             raise _Exhausted
         nfev += 1
-        return fun(x)
+        return float(fun(x))
 
-    fsim = np.full(N + 1, np.inf)
+    fsim = [math.inf] * (N + 1)
     try:
         for k in range(N + 1):
             fsim[k] = f(sim[k])
     except _Exhausted:
         pass
     # sorted twice, as scipy does, so that tied values order the same way
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+    sim, fsim = _sorted(*_sorted(sim, fsim))
 
     nit = 1
     while nfev < maxfev and nit < maxiter:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, sim[0]))
+                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            # a left fold is numpy's add.reduce over the rows
+            xbar = [reduce(add, column) / N for column in zip(*sim[:-1])]
+            xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, sim[-1])]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, sim[-1])]
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -257,26 +303,24 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, sim[-1])]
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
-                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    xc = [(1 - psi) * m + psi * v for m, v in zip(xbar, sim[-1])]
                     fxc = f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = [b + sigma * (v - b) for b, v in zip(sim[0], sim[j])]
                         fsim[j] = f(sim[j])
             nit += 1
         except _Exhausted:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return NelderMeadResult(x=sim[0], nfev=nfev, nit=nit)
+        sim, fsim = _sorted(sim, fsim)
+    return NelderMeadResult(x=np.array(sim[0]), nfev=nfev, nit=nit)
 
 
 @dataclass(frozen=True)
@@ -323,18 +367,15 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
             f"{MIN_GUIDING_INCREMENT:g}"
         )
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
-    alphas = np.geomspace(ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
-    # order -> _Quadrature, each built on first use
-    quad = cache(partial(_Quadrature, profile))
+    quad = _quadratures(profile)
 
-    coarse = quad(GRID_ORDER)
-    grid = _assemble_rq(profile, k0, coarse.y_integrals(alphas), coarse.z_integrals(alphas))
+    grid = _assemble_rq(profile, k0, *quad(GRID_ORDER).grid_integrals)
     iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    x0 = np.array([alphas[iy], alphas[iz]])
+    ay, az = float(GRID_ALPHAS[iy]), float(GRID_ALPHAS[iz])
 
     # Lock the quadrature order for the local refinement so the objective is
     # smooth, then re-evaluate adaptively at the optimum.
-    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), x0[0], x0[1]))
+    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), ay, az))
     locked = quad(order)
 
     def negative_rq(x):
@@ -342,9 +383,9 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
             return 1e6
         return -_rq_scalar(profile, k0, locked, x[0], x[1])
 
-    simplex = np.array([x0, x0 * [1.02, 1.0], x0 * [1.0, 1.02]])
+    simplex = [[ay, az], [ay * 1.02, az], [ay, az * 1.02]]
     result = minimize(negative_rq, simplex, xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-    ay, az = result.x
+    ay, az = result.x.tolist()
     lo = ALPHA_MIN * (1.0 + _EDGE_MARGIN)
     hi = ALPHA_MAX * (1.0 - _EDGE_MARGIN)
     if not (lo <= ay <= hi and lo <= az <= hi):

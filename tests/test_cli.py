@@ -261,6 +261,16 @@ CUSTOM_SELLMEIER = {
         ({"scan": {"axis": "signal_1", "span_nm": 8.0, "samples": 10**7}}, "scan.samples"),
         ({"material": {"index_increments": {"extraordinary": [[True, 0.003]]}}},
          "material.index_increments.extraordinary"),
+        ({"material": {"sellmeier": {**CUSTOM_SELLMEIER, "extraordinary": [[-5.0, 0.01]]}}},
+         "material.sellmeier"),
+        ({"geometry": {"width_um": 60.0, "depth_um": 10.0, "length_cm": 1.0}},
+         "geometry.width_um"),
+        ({"geometry": {"width_um": 10.0, "depth_um": 0.5, "length_cm": 1.0}},
+         "geometry.depth_um"),
+        ({"geometry": {"width_um": 10.0, "depth_um": 10.0, "length_cm": 12.0}},
+         "geometry.length_cm"),
+        ({"material": {"index_increments": {"extraordinary": [[519.0, 0.02]]}}},
+         "material.index_increments.extraordinary: extraordinary increment 0.02"),
     ],
     ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
          "lateral-scale-zero", "lateral-scale-negative", "signal-nan",
@@ -269,7 +279,8 @@ CUSTOM_SELLMEIER = {
          "named-set-temperature-text", "named-set-temperature-list",
          "custom-set-temperature-text", "custom-set-temperature-list",
          "depth-bool", "depth-text", "samples-too-few", "samples-too-many",
-         "increment-wavelength-bool"],
+         "increment-wavelength-bool", "sellmeier-negative-square", "width-out-of-range",
+         "depth-out-of-range", "length-out-of-range", "increment-out-of-range"],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)

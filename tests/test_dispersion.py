@@ -6,6 +6,7 @@ from dppln import (
     DEFAULT_INCREMENTS,
     IndexIncrementTable,
     Polarization,
+    SellmeierModel,
     WavelengthRangeError,
     ZELMON_1997,
 )
@@ -22,6 +23,22 @@ N_O_1550 = 2.2111110086535738
 def test_sellmeier_matches_independent_evaluation():
     assert ZELMON_1997.index(E, 1550.0) == pytest.approx(N_E_1550, rel=1e-9)
     assert ZELMON_1997.index(O, 1550.0) == pytest.approx(N_O_1550, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "terms,wavelength_nm,shown",
+    [(((-5.0, 0.01),), 519.0, "n^2 = -4.19"),  # n^2 below zero
+     (((0.5, 1.0),), 1000.0, "n^2 = inf"),  # a pole at exactly 1 um
+     (((1e308, 0.01), (1e308, 0.02)), 519.0, "n^2 = inf")],  # overflow
+    ids=["negative", "pole", "overflow"],
+)
+def test_sellmeier_rejects_nonpositive_or_infinite_square(terms, wavelength_nm, shown):
+    model = SellmeierModel("bad", 25.0, (400.0, 5000.0), {E: terms})
+    with pytest.raises(ConfigurationError) as caught:
+        model.index(E, wavelength_nm)
+    message = str(caught.value)
+    for part in ("'bad'", "extraordinary", f"{wavelength_nm:g} nm", shown):
+        assert part in message
 
 
 def test_negative_uniaxial_ordering():
@@ -80,3 +97,6 @@ def test_increment_table_validation():
         IndexIncrementTable({E: ((519.0, 0.0),)})
     with pytest.raises(ConfigurationError, match="outside"):
         IndexIncrementTable({E: ((519.0, -0.001),)})
+    with pytest.raises(ConfigurationError) as caught:
+        IndexIncrementTable({O: ((519.0, 0.003), (780.0, 0.02))})
+    assert caught.value.field == "ordinary"

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,12 @@ def test_geometry_validation():
     with pytest.raises(ConfigurationError):
         WaveguideGeometry(10.0, 10.0, float("nan"))
     assert WaveguideGeometry(10.0, 10.0, 10.0).length_cm == 10.0
+    # each range error names the attribute at fault, for config to report
+    for sizes, field in (((60.0, 10.0, 1.0), "width_um"), ((10.0, 0.5, 1.0), "depth_um"),
+                         ((10.0, 10.0, 11.0), "length_cm")):
+        with pytest.raises(ConfigurationError) as caught:
+            WaveguideGeometry(*sizes)
+        assert caught.value.field == field
 
 
 def test_make_profile_rejects_nonpositive_increment():
@@ -375,13 +382,95 @@ def test_minimize_matches_scipy_on_rosenbrock_through_every_step():
     assert result.x == pytest.approx([1.0, 1.0], abs=1e-6)
 
 
-@pytest.mark.parametrize("maxiter,maxfev", [(1000, 57), (1000, 58), (1, 2000), (30, 2000)])
+# maxfev 1 and 2 leave vertices at inf, so the initial sorts see ties
+@pytest.mark.parametrize("maxiter,maxfev",
+                         [(1000, 57), (1000, 58), (1, 2000), (30, 2000), (1000, 1), (1000, 2)])
 def test_minimize_matches_scipy_at_its_limits(maxiter, maxfev):
     x0 = np.array([-1.2, 1.0])
     simplex = np.array([x0, x0 + [2.0, 0.0], x0 + [0.0, 2.0]])
     result = assert_same_nelder_mead(rosenbrock, simplex, xatol=1e-10, fatol=1e-14,
                                      maxiter=maxiter, maxfev=maxfev)
     assert result.nfev <= maxfev and result.nit <= maxiter
+
+
+def bowl(x, cx, cy):
+    u, v = x[0] - cx, x[1] - cy
+    return u * u + 2.0 * v * v
+
+
+def plateau(x):
+    """A staircase of flat terraces: vertices tie all the time."""
+    return float(math.floor(4.0 * bowl(x, 0.3, -0.2)))
+
+
+def penalty_wall(x):
+    """negative_rq's 1e6 wall, here at x = 0.6, with the minimum behind it;
+    two of the initial vertices tie on the wall."""
+    if x[0] <= 0.6 or x[1] <= 0.05:
+        return 1e6
+    return bowl(x, 0.55, 0.4)
+
+
+def nan_half_plane(x):
+    """NaN below x = 0.6, next to the minimum; two initial vertices are NaN."""
+    return math.nan if x[0] < 0.6 else bowl(x, 0.65, 0.5)
+
+
+@pytest.mark.parametrize("fun", [plateau, penalty_wall, nan_half_plane])
+def test_minimize_matches_scipy_on_ties_and_nan(fun):
+    # minimize orders distinct values itself and leaves ties and NaN to
+    # np.argsort; scipy's oracle pins both orders
+    values = []
+
+    def recorded(x):
+        values.append(fun(x))
+        return values[-1]
+
+    x0 = np.array([0.5, 0.5])
+    simplex = np.array([x0, x0 + [0.25, 0.0], x0 + [0.0, 0.25]])
+    assert_same_nelder_mead(recorded, simplex, xatol=1e-9, fatol=1e-12, maxiter=1000,
+                            maxfev=2000)
+    if fun is nan_half_plane:
+        assert any(math.isnan(v) for v in values)
+    else:
+        assert len(set(values)) < len(values) / 2
+
+
+@pytest.mark.parametrize("order", [48, 96, 192])
+def test_scalar_rayleigh_quotient_is_bit_identical_to_array_path(order):
+    # the grid scan's array path is the oracle of the Nelder-Mead objective
+    rng = np.random.default_rng(4242 + order)
+    lo, hi = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX
+    corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
+    for profile in random_profiles(3):
+        k0 = 2.0 * np.pi / (float(rng.uniform(600.0, 1600.0)) * 1e-3)
+        quad = mode_solver._quadratures(profile)(order)
+        for ay, az in corners + rng.uniform(lo, hi, size=(100, 2)).tolist():
+            array = mode_solver._assemble_rq(
+                profile, k0, quad.y_integrals([ay]), quad.z_integrals([az]))[0, 0]
+            assert mode_solver._rq_scalar(profile, k0, quad, ay, az) == array, (ay, az)
+
+
+def test_quadrature_is_shared_per_shape_read_only_and_bounded():
+    geometry = WaveguideGeometry(10.0, 10.0, 1.0)
+    cached = mode_solver._quadrature
+    cached.cache_clear()
+    solve_mode(IndexProfile(geometry, 2.1778, 0.0030), 780.0, E)
+    built = cached.cache_info().misses
+    solve_mode(IndexProfile(geometry, 2.2111, 0.0024), 1551.03, Polarization.ORDINARY)
+    assert cached.cache_info().misses == built  # other indices, same quadratures
+
+    quad = mode_solver._quadratures(IndexProfile(geometry, 2.0, 0.001))(mode_solver.GRID_ORDER)
+    y_ints, z_ints = quad.grid_integrals
+    for array in (quad.y, quad.wy, quad.y2, quad.g, quad.wz, quad.z2, quad.zh2, quad.f,
+                  *y_ints, *z_ints):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+    for size in (7.0, 8.0, 9.0, 11.0, 12.0):
+        solve_mode(IndexProfile(WaveguideGeometry(size, size, 1.0), 2.1778, 0.003), 780.0, E)
+    info = cached.cache_info()
+    assert info.maxsize <= 8 and info.currsize <= info.maxsize
 
 
 def test_runtime_modules_import_no_scipy():
