@@ -70,7 +70,8 @@ class RunConfig:
             raise ConfigurationError("geometry: missing required block")
         if self.scheme is None:
             raise ConfigurationError("process: missing required block")
-        return DesignRequest(
+        return _field_error(
+            "process", DesignRequest,
             scheme=self.scheme,
             pump_nm=self.pump_nm,
             signal1_nm=self.signal1_nm,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError
-from .mode_solver import IndexProfile, ModeSolution, WaveguideGeometry, field_overlap, solve_mode
+from .mode_solver import (IndexProfile, ModeSolution, WaveguideGeometry, effective_index,
+                          field_overlap, solve_mode)
 from .spdc import (
     CouplingAmplitude,
     Spectrum,
@@ -57,13 +58,14 @@ class DesignRequest:
 
     def __post_init__(self):
         if self.signal1_nm == self.signal2_nm:
-            raise ConfigurationError("the two signal wavelengths must differ")
-        for name, lam in (("signal_1", self.signal1_nm), ("signal_2", self.signal2_nm)):
-            if lam <= self.pump_nm:
+            raise ConfigurationError("the two signal wavelengths must differ", "signal2_nm")
+        for name, field, lam in (("signal_1", "signal1_nm", self.signal1_nm),
+                                 ("signal_2", "signal2_nm", self.signal2_nm)):
+            if not self.pump_nm < lam < 2.0 * self.pump_nm:
                 raise ConfigurationError(
-                    f"{name} at {lam:g} nm does not down-convert from a "
-                    f"{self.pump_nm:g} nm pump"
-                )
+                    f"{name} at {lam:g} nm does not down-convert from a {self.pump_nm:g} nm pump "
+                    f"as the shorter wavelength of its pair, in ({self.pump_nm:g}, "
+                    f"{2.0 * self.pump_nm:g}) nm", field)
 
 
 class EffectiveIndexSolver:
@@ -75,18 +77,21 @@ class EffectiveIndexSolver:
         self.material = material
         self.geometry = geometry
 
-    def solve(self, wavelength_nm: float, pol: Polarization) -> ModeSolution:
-        profile = IndexProfile(
+    def profile(self, wavelength_nm: float, pol: Polarization) -> IndexProfile:
+        return IndexProfile(
             self.geometry,
             self.material.sellmeier.index(pol, wavelength_nm),
             self.material.increments.increment(pol, wavelength_nm),
             self.material.lateral_scale,
             self.material.depth_scale,
         )
-        return solve_mode(profile, wavelength_nm, pol)
+
+    def solve(self, wavelength_nm: float, pol: Polarization) -> ModeSolution:
+        return solve_mode(self.profile(wavelength_nm, pol), wavelength_nm, pol)
 
     def index(self, wavelength_nm: float, pol: Polarization) -> float:
-        return self.solve(wavelength_nm, pol).n_eff
+        """`solve(...).n_eff` to rounding, at a fraction of its cost."""
+        return effective_index(self.profile(wavelength_nm, pol), wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     Mode and phase-matching failures are re-raised with the offending wave
     identified.  Spectra use the design-point convention of
     `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
-    `EffectiveIndexSolver(material, geometry).index` as the provider.
+    `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
     """
     pols = request.scheme.polarizations()
     wavelengths = {

@@ -25,9 +25,11 @@ The optimiser is deterministic: a 16x16 logarithmic scan of
 (a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead,
 Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
 simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
-that repeats its floating-point trajectory.  The quadrature nodes, profile
-samples and grid-scan integrals depend on the geometry, diffusion scales and
-Gauss order only, so they are built once per profile shape and order.
+that repeats its floating-point trajectory.  `effective_index` needs n_eff
+only, which is stationary at the optimum, so it refines by safeguarded
+Newton steps (Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature
+nodes, profile samples and moment rows depend on the geometry, diffusion
+scales and Gauss order only, so they are built once per shape and order.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ GRID_ALPHAS = np.geomspace(ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
 GRID_ALPHAS.flags.writeable = False
 # Optima this close to the box edge are treated as untrusted geometry.
 _EDGE_MARGIN = 0.015
+# Local refinements stop below this alpha: the mode has left the trusted box.
+_ALPHA_FLOOR = 0.05
 # Increments below this cannot produce a trustworthy bound mode.
 MIN_GUIDING_INCREMENT = 1e-5
 
@@ -156,6 +160,20 @@ class _Quadrature:
             array.flags.writeable = False
         return integrals
 
+    @cached_property
+    def moment_rows(self):
+        """Newton moment rows: with u = (y/w)^2 and v2 = (z/h)^2, `y_rows @ Y^2`
+        is int u^k Y^2 (k <= 3), int g u^k Y^2 (k <= 2), and `z_rows @ e` with
+        e = exp(-2 a_z^2 v2) is int v2^k e (k <= 4), int f v2^k e (k = 1..3)."""
+        u, v2 = self.y2 / self.w**2, self.zh2
+        y_rows = np.array([self.wy * u**k for k in range(4)]
+                          + [self.wy * self.g * u**k for k in range(3)])
+        z_rows = np.array([self.wz * v2**k for k in range(5)]
+                          + [self.wz * self.f * v2**k for k in range(1, 4)])
+        for array in (u, y_rows, z_rows):
+            array.flags.writeable = False
+        return u, y_rows, v2, z_rows
+
     def y_integrals(self, alphas_y):
         """(A_y, G_y, D_y) = (int Y^2, int g Y^2, int Y'^2) for each alpha_y."""
         w = self.w
@@ -220,6 +238,71 @@ def _rq_scalar(profile, k0, quad, alpha_y, alpha_z):
     Dz = (envelope * (1.0 - t) ** 2 / h2) @ quad.wz
     nb, dn = profile.bulk_index, profile.increment
     return float(nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2)
+
+
+def _ratio(num, den):
+    """N/D with its first and second derivatives, from those of N and D."""
+    f = num[0] / den[0]
+    f1 = (num[1] - f * den[1]) / den[0]
+    return f, f1, (num[2] - 2.0 * f1 * den[1] - f * den[2]) / den[0]
+
+
+def _rq_taylor(profile, k0, quad, x):
+    """`_rq_scalar` at x = (ln a_y, ln a_z) with its gradient and Hessian in x.
+    With s = a^2, d/ds int w exp(-2 s u) = -2 int w u exp(-2 s u): each
+    derivative of a moment is the next row of `_Quadrature.moment_rows`."""
+    u, y_rows, v2, z_rows = quad.moment_rows
+    sy, sz = math.exp(2.0 * x[0]), math.exp(2.0 * x[1])
+    M0, M1, M2, M3, G0, G1, G2 = (y_rows @ np.exp(-2.0 * sy * u)).tolist()
+    E0, E1, E2, E3, E4, H1, H2, H3 = (z_rows @ np.exp(-2.0 * sz * v2)).tolist()
+    Ay, Az = (M0, -2.0 * M1, 4.0 * M2), (E1, -2.0 * E2, 4.0 * E3)
+    P = _ratio((G0, -2.0 * G1, 4.0 * G2), Ay)
+    Q = _ratio((H1, -2.0 * H2, 4.0 * H3), Az)
+    # w^2 Dy/Ay and h^2 Dz/Az: w^2 Dy = 4 s^2 M1, h^2 Dz = E0 - 4 s E1 + 4 s^2 E2
+    r = _ratio((4.0 * sy * sy * M1, 8.0 * sy * (M1 - sy * M2),
+                8.0 * M1 - 32.0 * sy * M2 + 16.0 * sy * sy * M3), Ay)
+    t = _ratio((E0 - 4.0 * sz * E1 + 4.0 * sz * sz * E2,
+                -6.0 * E1 + 16.0 * sz * E2 - 8.0 * sz * sz * E3,
+                28.0 * E2 - 48.0 * sz * E3 + 16.0 * sz * sz * E4), Az)
+    nb, dn = profile.bulk_index, profile.increment
+    c, ky, kz = 2.0 * nb * dn, 1.0 / (k0 * quad.w) ** 2, 1.0 / (k0 * quad.h) ** 2
+    value = nb**2 + c * P[0] * Q[0] - ky * r[0] - kz * t[0]
+    # d/dx = 2 s d/ds, so d2/dx2 = 4 s d/ds + 4 s^2 d2/ds2
+    gy = 2.0 * sy * (c * P[1] * Q[0] - ky * r[1])
+    gz = 2.0 * sz * (c * P[0] * Q[1] - kz * t[1])
+    hyy = 2.0 * gy + 4.0 * sy * sy * (c * P[2] * Q[0] - ky * r[2])
+    hzz = 2.0 * gz + 4.0 * sz * sz * (c * P[0] * Q[2] - kz * t[2])
+    return value, gy, gz, hyy, 4.0 * sy * sz * c * P[1] * Q[1], hzz
+
+
+def _newton(profile, k0, quad, ay, az):
+    """Maximise the quotient from (ay, az) in ln(alpha): a Newton step where
+    the Hessian is negative definite, else a gradient step, capped at 0.5 and
+    halved while the quotient falls by more than rounding.  Stops at a step
+    of 1e-10 or below `_ALPHA_FLOOR`; the iteration cap is only a bound."""
+    x = (math.log(ay), math.log(az))
+    now = _rq_taylor(profile, k0, quad, x)
+    for _ in range(100):
+        value, gy, gz, hyy, hyz, hzz = now
+        det = hyy * hzz - hyz * hyz
+        concave = hyy < 0.0 and det > 0.0
+        d = ((hyz * gz - hzz * gy) / det, (hyz * gy - hyy * gz) / det) if concave else (gy, gz)
+        size = max(abs(d[0]), abs(d[1]))
+        if size <= 1e-10:
+            break
+        t = min(1.0, 0.5 / size) if concave else 0.5 / size
+        while t * size > 1e-10:
+            trial_x = (x[0] + t * d[0], x[1] + t * d[1])
+            trial = _rq_taylor(profile, k0, quad, trial_x)
+            if trial[0] >= value - 4.0 * math.ulp(value):  # a few ulp of fall is rounding
+                break
+            t *= 0.5
+        else:
+            break
+        x, now = trial_x, trial
+        if min(x) < math.log(_ALPHA_FLOOR):
+            break
+    return math.exp(x[0]), math.exp(x[1])
 
 
 def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
@@ -355,12 +438,9 @@ class ModeSolution:
         return self.y_factor(y) * self.z_factor(z)
 
 
-def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polarization) -> ModeSolution:
-    """Maximise the Rayleigh quotient over the trial parameters.
-
-    Raises NoGuidedModeError when the profile cannot confine a mode and
-    BoundaryOptimumError when the optimum sticks to the search-box edge.
-    """
+def _optimum(profile, wavelength_nm, refine):
+    """Grid start, `refine(profile, k0, locked quadrature, a_y, a_z)`, edge test
+    and adaptive n_eff^2: (n_eff^2, its order, order -> _Quadrature, a_y, a_z)."""
     if profile.increment < MIN_GUIDING_INCREMENT:
         raise NoGuidedModeError(
             f"increment {profile.increment:g} below the guiding threshold "
@@ -376,23 +456,15 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
     # Lock the quadrature order for the local refinement so the objective is
     # smooth, then re-evaluate adaptively at the optimum.
     _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), ay, az))
-    locked = quad(order)
-
-    def negative_rq(x):
-        if x[0] <= 0.05 or x[1] <= 0.05:
-            return 1e6
-        return -_rq_scalar(profile, k0, locked, x[0], x[1])
-
-    simplex = [[ay, az], [ay * 1.02, az], [ay, az * 1.02]]
-    result = minimize(negative_rq, simplex, xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-    ay, az = result.x.tolist()
+    ay, az = refine(profile, k0, quad(order), ay, az)
     lo = ALPHA_MIN * (1.0 + _EDGE_MARGIN)
     hi = ALPHA_MAX * (1.0 - _EDGE_MARGIN)
-    if not (lo <= ay <= hi and lo <= az <= hi):
-        raise BoundaryOptimumError(
-            f"trial-parameter optimum ({ay:.3f}, {az:.3f}) at the search-box "
-            f"boundary [{ALPHA_MIN}, {ALPHA_MAX}]^2; geometry outside the trusted regime"
-        )
+    for name, alpha in (("alpha_y", ay), ("alpha_z", az)):
+        if not lo <= alpha <= hi:
+            edge = ("upper edge", "narrower than the channel scale") if alpha > hi else (
+                "lower edge", "wider than the trusted domain (near cutoff)")
+            raise BoundaryOptimumError(f"{name} optimum at the {edge[0]} of the trusted box "
+                                       f"[{ALPHA_MIN}, {ALPHA_MAX}]: the mode is {edge[1]}")
 
     n_eff_sq, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), ay, az))
     if n_eff_sq <= profile.bulk_index**2:
@@ -400,7 +472,33 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
             f"no confined mode at {wavelength_nm:g} nm: variational n_eff^2 "
             f"{n_eff_sq:.9f} does not exceed the bulk value"
         )
+    return n_eff_sq, order, quad, ay, az
 
+
+def _nelder_mead(profile, k0, locked, ay, az):
+    def negative_rq(x):
+        if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR:
+            return 1e6
+        return -_rq_scalar(profile, k0, locked, x[0], x[1])
+
+    simplex = [[ay, az], [ay * 1.02, az], [ay, az * 1.02]]
+    result = minimize(negative_rq, simplex, xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
+    return result.x.tolist()
+
+
+def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
+    """`solve_mode(...).n_eff` to rounding, with the same checks and errors,
+    refined by `_newton`: n_eff is stationary in the trial parameters."""
+    return math.sqrt(_optimum(profile, wavelength_nm, _newton)[0])
+
+
+def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polarization) -> ModeSolution:
+    """Maximise the Rayleigh quotient over the trial parameters.
+
+    Raises NoGuidedModeError when the profile cannot confine a mode and
+    BoundaryOptimumError when the optimum sticks to the search-box edge.
+    """
+    n_eff_sq, order, quad, ay, az = _optimum(profile, wavelength_nm, _nelder_mead)
     Ay, _, _ = quad(order).y_integrals(ay)
     Az, _, _ = quad(order).z_integrals(az)
     return ModeSolution(

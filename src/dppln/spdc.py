@@ -266,8 +266,8 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
     from energy conservation with a monochromatic pump.  `index_model`
     "design-point" freezes both indices at their solved values (this is what
     the reference tables and bandwidths correspond to); "dispersive"
-    re-evaluates them per grid point through `index_provider`.  A span that
-    reaches the pump wavelength is a configuration error.
+    re-evaluates both per sample through `index_provider`, such as
+    `EffectiveIndexSolver.index`.  A span reaching the pump is a configuration error.
     """
     if axis not in ("signal", "idler"):
         raise ConfigurationError(f"unknown scan axis '{axis}'")

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from dppln import DesignRequest, Scheme, WaveguideGeometry, design
+
+# Every run draws the same examples and writes no example database.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 TABLE_SIZES = (6.5, 8.0, 10.0, 12.0)
 PUMP_NM = 519.0

@@ -236,6 +236,7 @@ CUSTOM_SELLMEIER = {
         ({"material": {"profile": {"lateral_scale": 0}}}, "material.profile.lateral_scale"),
         ({"material": {"profile": {"lateral_scale": -0.5}}}, "material.profile.lateral_scale"),
         ({"process": {**PROCESS, "signal1_nm": float("nan")}}, "process.signal1_nm"),
+        ({"process": {**PROCESS, "signal1_nm": 1200.0}}, "process.signal1_nm"),
         ({"material": {"sellmeier": {**CUSTOM_SELLMEIER, "valid_range_nm": [400]}}},
          "material.sellmeier.valid_range_nm"),
         ({"material": {"sellmeier": {**CUSTOM_SELLMEIER, "valid_range_nm": [400, "x"]}}},
@@ -273,7 +274,7 @@ CUSTOM_SELLMEIER = {
          "material.index_increments.extraordinary: extraordinary increment 0.02"),
     ],
     ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
-         "lateral-scale-zero", "lateral-scale-negative", "signal-nan",
+         "lateral-scale-zero", "lateral-scale-negative", "signal-nan", "signal-beyond-twice-pump",
          "valid-range-one-number", "valid-range-text", "sellmeier-unknown-key",
          "material-unknown-key", "profile-unknown-key", "scan-unknown-key",
          "named-set-temperature-text", "named-set-temperature-list",
@@ -350,7 +351,7 @@ BAD_VALUES = [{"nested": 1.0}, [1.0, 2.0], float("nan"), float("inf"), -float("i
               True, False, "abc", [], 0, -1.5, UNKNOWN_KEY]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(field=st.sampled_from(SHIPPED_FIELDS), value=st.sampled_from(BAD_VALUES))
 @example(field=("type0_w10.yaml", ("material", "temperature_c")), value="abc")
 @example(field=("type0_w10.yaml", ("material", "temperature_c")), value=[1])

@@ -33,10 +33,17 @@ def test_scheme_polarization_assignments():
 
 def test_request_validation():
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    with pytest.raises(ConfigurationError, match="differ"):
+    with pytest.raises(ConfigurationError, match="differ") as raised:
         DesignRequest(Scheme.TYPE0_EEE, 519.0, 780.0, 780.0, geometry)
-    with pytest.raises(ConfigurationError, match="down-convert"):
+    assert raised.value.field == "signal2_nm"
+    with pytest.raises(ConfigurationError, match="down-convert") as raised:
         DesignRequest(Scheme.TYPE0_EEE, 519.0, 500.0, 775.0, geometry)
+    assert raised.value.field == "signal1_nm"
+    # at or beyond twice the pump the "signal" is the longer photon of its pair
+    for signal2 in (1038.0, 1200.0):
+        with pytest.raises(ConfigurationError, match="shorter wavelength") as raised:
+            DesignRequest(Scheme.TYPE0_EEE, 519.0, 780.0, signal2, geometry)
+        assert raised.value.field == "signal2_nm"
 
 
 def test_design_intermediates_consistent(design_type0_10):

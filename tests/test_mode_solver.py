@@ -1,5 +1,7 @@
 import ast
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,17 +11,23 @@ from scipy.special import erf as scipy_erf
 
 from dppln import mode_solver
 from dppln import (
+    DEFAULT_MATERIAL,
     BoundaryOptimumError,
     ConfigurationError,
     ConsistencyError,
+    EffectiveIndexSolver,
     IndexProfile,
     NoGuidedModeError,
     Polarization,
+    Scheme,
     WaveguideGeometry,
+    design,
     field_overlap,
+    idler_wavelength,
     rayleigh_quotient,
     solve_mode,
 )
+from conftest import PUMP_NM, SIGNAL1_NM, SIGNAL2_NM, request_for
 
 E = Polarization.EXTRAORDINARY
 
@@ -270,6 +278,21 @@ def test_solve_mode_unguided_geometry_hits_search_boundary():
         solve_mode(profile, 1551.03, E)
 
 
+@pytest.mark.parametrize(
+    "size_um,wave,edge",
+    [((2.0, 10.0), "idler_1 (1551.03 nm)",
+      "alpha_y optimum at the lower edge .*wider than the trusted domain \\(near cutoff\\)"),
+     ((50.0, 10.0), "pump (519.00 nm)",
+      "alpha_y optimum at the upper edge .*narrower than the channel scale")],
+    ids=["small-guide-lower-edge", "wide-guide-upper-edge"],
+)
+def test_boundary_error_names_coordinate_and_edge(size_um, wave, edge):
+    request = replace(request_for(Scheme.TYPE0_EEE, 10.0),
+                      geometry=WaveguideGeometry(*size_um, 1.0))
+    with pytest.raises(BoundaryOptimumError, match=f"^{re.escape(wave)}: {edge}$"):
+        design(request)
+
+
 def test_field_overlap_matches_closed_form_triple_gaussian():
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
     modes = [GaussianStubMode(geometry, TRIPLE_GAUSSIAN_SIGMA) for _ in range(3)]
@@ -463,7 +486,7 @@ def test_quadrature_is_shared_per_shape_read_only_and_bounded():
     quad = mode_solver._quadratures(IndexProfile(geometry, 2.0, 0.001))(mode_solver.GRID_ORDER)
     y_ints, z_ints = quad.grid_integrals
     for array in (quad.y, quad.wy, quad.y2, quad.g, quad.wz, quad.z2, quad.zh2, quad.f,
-                  *y_ints, *z_ints):
+                  *y_ints, *z_ints, *quad.moment_rows):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -484,3 +507,71 @@ def test_runtime_modules_import_no_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
+
+
+def test_newton_derivatives_match_central_differences():
+    # gradient and Hessian in (ln a_y, ln a_z) against central differences of
+    # the Nelder-Mead objective at the order the refinement locks
+    rng = np.random.default_rng(77)
+    for profile in random_profiles(4):
+        start = []
+
+        def keep_start(profile, k0, locked, ay, az):
+            start.extend((k0, locked, ay, az))
+            return ay, az
+
+        mode_solver._optimum(profile, float(rng.uniform(600.0, 1600.0)), keep_start)
+        k0, locked, ay, az = start
+        for x in [(math.log(ay), math.log(az))] + rng.uniform(-1.0, 1.0, size=(3, 2)).tolist():
+            value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(profile, k0, locked, x)
+
+            def rq(dy, dz):
+                return mode_solver._rq_scalar(profile, k0, locked, math.exp(x[0] + dy),
+                                              math.exp(x[1] + dz))
+
+            assert value == pytest.approx(rq(0.0, 0.0), rel=1e-15, abs=0.0)
+            e = 1e-5
+            fd_grad = ((rq(e, 0.0) - rq(-e, 0.0)) / (2 * e), (rq(0.0, e) - rq(0.0, -e)) / (2 * e))
+            assert np.allclose((gy, gz), fd_grad, rtol=1e-6, atol=1e-10), fd_grad
+            e = 1e-3
+            fd_hess = (
+                (rq(e, 0.0) - 2.0 * value + rq(-e, 0.0)) / e**2,
+                (rq(e, e) - rq(e, -e) - rq(-e, e) + rq(-e, -e)) / (4 * e * e),
+                (rq(0.0, e) - 2.0 * value + rq(0.0, -e)) / e**2,
+            )
+            assert np.allclose((hyy, hyz, hzz), fd_hess, rtol=1e-5, atol=1e-8), fd_hess
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (BoundaryOptimumError, NoGuidedModeError) as error:
+        return error
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_effective_index_matches_solve_mode(scheme):
+    # the Newton path against the Nelder-Mead path on a 7x7 grid of every
+    # role: n_eff to rounding, and each failure with the same class and text
+    wavelengths = {"pump": PUMP_NM, "signal_1": SIGNAL1_NM, "signal_2": SIGNAL2_NM,
+                   "idler_1": idler_wavelength(PUMP_NM, SIGNAL1_NM),
+                   "idler_2": idler_wavelength(PUMP_NM, SIGNAL2_NM)}
+    sizes = np.geomspace(2.0, 20.0, 7).tolist()
+    solved = failed = 0
+    for width in sizes:
+        for depth in sizes:
+            solver = EffectiveIndexSolver(DEFAULT_MATERIAL, WaveguideGeometry(width, depth, 1.0))
+            for role, pol in scheme.polarizations().items():
+                profile = solver.profile(wavelengths[role], pol)
+                newton = _outcome(lambda: mode_solver.effective_index(profile, wavelengths[role]))
+                nelder_mead = _outcome(lambda: solve_mode(profile, wavelengths[role], pol).n_eff)
+                where = (width, depth, role)
+                if isinstance(nelder_mead, float):
+                    assert isinstance(newton, float), where
+                    assert abs(newton - nelder_mead) <= 1e-14, where
+                    solved += 1
+                else:
+                    assert type(newton) is type(nelder_mead), where
+                    assert str(newton) == str(nelder_mead), where
+                    failed += 1
+    assert solved > 150 and failed > 20

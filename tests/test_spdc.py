@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dppln import mode_solver
 from dppln import (
     AmplitudeUndefinedError,
     ConfigurationError,
@@ -14,6 +17,7 @@ from dppln import (
     SpanTooNarrowError,
     coupling_amplitude,
     degree_of_entanglement,
+    design,
     design_point_mismatch,
     estimate_fwhm_nm,
     idler_wavelength,
@@ -87,7 +91,7 @@ def test_idler_wavelength_elementwise_over_arrays():
     pump=st.floats(min_value=300.0, max_value=1000.0),
     ratio=st.floats(min_value=1.0001, max_value=20.0),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_idler_energy_conservation_identity(pump, ratio):
     signal = pump * ratio
     idler = idler_wavelength(pump, signal)
@@ -186,7 +190,7 @@ def test_degree_of_entanglement_limits():
     m2=st.floats(min_value=1e-6, max_value=1e3),
     scale=st.floats(min_value=1e-3, max_value=1e3),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_degree_of_entanglement_properties(m1, m2, scale):
     a1, a2 = synthetic_amplitude(m1), synthetic_amplitude(m2)
     gamma = degree_of_entanglement(a1, a2)
@@ -318,6 +322,44 @@ def test_spectrum_dispersive_model_is_narrower(design_type0_10):
                              index_provider=solver.index, index_model="dispersive")
     assert 0.3 < spectrum.fwhm_nm < 0.9
     assert spectrum.fwhm_nm < 0.7 * design_type0_10.spectra["signal_1"].fwhm_nm
+
+
+@pytest.mark.parametrize("fixture", ["design_type0_10", "design_type2_65"])
+@pytest.mark.parametrize("axis", ["signal", "idler"])
+def test_dispersive_spectrum_matches_nelder_mead_provider(request, fixture, axis):
+    # the shipped configs' geometries, each axis, 101 samples: the Newton
+    # n_eff path against per-sample Nelder-Mead mode solves
+    result = request.getfixturevalue(fixture)
+    process, length = result.process_1, result.request.geometry.length_cm
+    solver = EffectiveIndexSolver(DEFAULT_MATERIAL, result.request.geometry)
+    # cached, so the scan and the mismatch check share each mode solve
+    providers = (functools.cache(solver.index),
+                 functools.cache(lambda lam, pol: solver.solve(lam, pol).n_eff))
+    span = 3.0 * estimate_fwhm_nm(process, axis, length)
+    newton, nelder_mead = (spectrum_scan(process, axis, span, 101, length, index_provider=p,
+                                         index_model="dispersive") for p in providers)
+    signals = (newton.wavelengths_nm if axis == "signal"
+               else idler_wavelength(process.pump_nm, newton.wavelengths_nm))
+    dk = np.array([[phase_mismatch(process, lam, p) for lam in signals] for p in providers])
+    assert np.max(np.abs(dk[0] - dk[1])) <= 1e-6
+    assert newton.fwhm_nm == pytest.approx(nelder_mead.fwhm_nm, rel=1e-9, abs=0.0)
+
+
+def test_dispersive_scan_runs_no_nelder_mead(monkeypatch, design_type0_10):
+    calls = []
+    original = mode_solver.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mode_solver, "minimize", counted)
+    solver = EffectiveIndexSolver(DEFAULT_MATERIAL, design_type0_10.request.geometry)
+    spectrum_scan(design_type0_10.process_1, "signal", 3.0, 101, 1.0,
+                  index_provider=solver.index, index_model="dispersive")
+    assert calls == []
+    design(design_type0_10.request)
+    assert len(calls) == 5
 
 
 def test_spectrum_dispersive_requires_provider(design_type0_10):
