@@ -120,14 +120,17 @@ def cmd_sweep(config: RunConfig, args) -> dict:
     block = config.require_sweep()
     depths = block.depths_um if args.depths is None else csv_numbers("--depths", args.depths)
     widths = block.widths_um if args.widths is None else csv_numbers("--widths", args.widths)
-    result = sweep(
-        template,
-        depths,
-        widths,
-        material=config.material,
-        pairing=block.pairing,
-        max_workers=None if args.parallel is None else integer("--parallel", args.parallel, 1),
-    )
+    workers = None if args.parallel is None else integer("--parallel", args.parallel, 1)
+    lists = {"depths_um": "sweep.depths_um" if args.depths is None else "--depths",
+             "widths_um": "sweep.widths_um" if args.widths is None else "--widths"}
+    lists["pairing"] = ", ".join(lists.values())
+    try:
+        result = sweep(template, depths, widths, material=config.material,
+                       pairing=block.pairing, max_workers=workers)
+    except ConfigurationError as error:
+        if error.field not in lists:
+            raise
+        raise ConfigurationError(f"{lists[error.field]}: {error}") from None
     rows = [
         dict(
             depth_um=row.depth_um,

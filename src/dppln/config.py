@@ -311,10 +311,13 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Read and validate a YAML config file; parse errors carry line/column."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+        with open(path, "rb") as handle:
+            data = yaml.safe_load(handle.read().decode("utf-8"))
     except OSError as error:
         raise ConfigurationError(f"cannot read config file: {error}")
+    except UnicodeDecodeError as error:
+        raise ConfigurationError(
+            f"cannot read config file: not UTF-8 ({error.reason} at byte {error.start})")
     except yaml.YAMLError as error:
         mark = getattr(error, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -182,12 +182,25 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     gamma = degree_of_entanglement(amplitude_1, amplitude_2)
     weights, entropy = state_weights_and_entropy(amplitude_1, amplitude_2)
 
-    spectra = {}
+    # Each design spectrum spans 8 x FWHM, which scales as 1/L, and must stay
+    # clear of the pump: shortest[key] is the length in cm where it reaches it.
+    scans, shortest = {}, {}
     for tag, axis, key in (("process_1", "signal", "signal_1"),
                            ("process_1", "idler", "idler_1"),
                            ("process_2", "signal", "signal_2"),
                            ("process_2", "idler", "idler_2")):
         process = processes[tag]
+        scans[key] = process, axis
+        room = (process.signal_nm if axis == "signal" else process.idler_nm) - process.pump_nm
+        shortest[key] = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, 1.0) / (2.0 * room)
+    limit = max(shortest, key=shortest.get)
+    if length_cm <= shortest[limit]:
+        raise ConfigurationError(
+            f"geometry.length_cm {length_cm:g} cm is too short: the {SPECTRUM_SPAN_FACTOR:g} x "
+            f"FWHM design spectrum of {limit} reaches the pump; use more than "
+            f"{shortest[limit]:.6g} cm", "length_cm")
+    spectra = {}
+    for key, (process, axis) in scans.items():
         span = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, length_cm)
         spectra[key] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
 
@@ -241,9 +254,10 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     """One design per geometry; row failures are recorded, not raised.
 
     `pairing` "product" crosses the two lists (row-major: depth outer);
-    "zip" pairs them element-wise.  Rows are returned in input order; with
-    `max_workers` > 1 they are computed in parallel processes, at most one
-    per row and per CPU.
+    "zip" pairs them element-wise.  A list or pairing error names its
+    parameter in `ConfigurationError.field`.  Rows are returned in input
+    order; with `max_workers` > 1 they are computed in parallel processes, at
+    most one per row and per CPU.
     """
     depths = list(depths_um)
     widths = list(widths_um)
@@ -253,10 +267,17 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
         pairs = [(d, w) for d in depths for w in widths]
     elif pairing == "zip":
         if len(depths) != len(widths):
-            raise ConfigurationError("zip pairing needs equally long lists")
+            raise ConfigurationError(f"zip pairing needs equally long lists, got {len(depths)} "
+                                     f"depths and {len(widths)} widths", "pairing")
         pairs = list(zip(depths, widths))
     else:
         raise ConfigurationError(f"unknown pairing '{pairing}'")
+    try:  # every geometry is in range before any row is solved
+        for depth, width in pairs:
+            replace(template.geometry, depth_um=depth, width_um=width)
+    except ConfigurationError as error:
+        field = {"depth_um": "depths_um", "width_um": "widths_um"}[error.field]
+        raise ConfigurationError(str(error), field) from None
 
     row_at = partial(_sweep_row, template, material)
     row_depths, row_widths = zip(*pairs)

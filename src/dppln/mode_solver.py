@@ -25,11 +25,13 @@ The optimiser is deterministic: a 16x16 logarithmic scan of
 (a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead,
 Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
 simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
-that repeats its floating-point trajectory.  `effective_index` needs n_eff
-only, which is stationary at the optimum, so it refines by safeguarded
-Newton steps (Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature
-nodes, profile samples and moment rows depend on the geometry, diffusion
-scales and Gauss order only, so they are built once per shape and order.
+that repeats its floating-point trajectory on the objective `_rq_scalar`.
+The grid scan, the mode norms and `effective_index` read the quotient from
+Gaussian moment rows instead; `effective_index` needs n_eff only, which is
+stationary at the optimum, so it refines by safeguarded Newton steps
+(Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature nodes,
+profile samples and moment rows depend on the geometry, diffusion scales and
+Gauss order only, so they are built once per shape and order.
 """
 
 from __future__ import annotations
@@ -149,64 +151,57 @@ class _Quadrature:
         self.z2 = z**2
         self.zh2 = (z / self.h) ** 2
         self.f = shape.depth_shape(z)
-        for array in (self.y2, self.g, self.z2, self.zh2, self.f):
+        # Moment rows: with u = (y/w)^2 and v2 = (z/h)^2, `y_rows @ Y^2` is
+        # int u^k Y^2 (k <= 3), int g u^k Y^2 (k <= 2), and `z_rows @ e` with
+        # e = exp(-2 a_z^2 v2) is int v2^k e (k <= 4), int f v2^k e (k = 1..3).
+        self.u, v2 = self.y2 / self.w**2, self.zh2
+        self.y_rows = np.array([self.wy * self.u**k for k in range(4)]
+                               + [self.wy * self.g * self.u**k for k in range(3)])
+        self.z_rows = np.array([self.wz * v2**k for k in range(5)]
+                               + [self.wz * self.f * v2**k for k in range(1, 4)])
+        for array in (self.y2, self.g, self.z2, self.zh2, self.f, self.u, self.y_rows,
+                      self.z_rows):
             array.flags.writeable = False
+
+    def moments(self, sy, sz):
+        """The y and z moment rows at s_y = a_y^2 and s_z = a_z^2; a vector
+        of s gives one column per entry."""
+        return (self.y_rows @ np.exp(np.multiply.outer(self.u, -2.0 * sy)),
+                self.z_rows @ np.exp(np.multiply.outer(self.zh2, -2.0 * sz)))
 
     @cached_property
-    def grid_integrals(self):
-        """y and z integrals at GRID_ALPHAS, for the grid scan."""
-        integrals = self.y_integrals(GRID_ALPHAS), self.z_integrals(GRID_ALPHAS)
-        for array in (*integrals[0], *integrals[1]):
-            array.flags.writeable = False
-        return integrals
-
-    @cached_property
-    def moment_rows(self):
-        """Newton moment rows: with u = (y/w)^2 and v2 = (z/h)^2, `y_rows @ Y^2`
-        is int u^k Y^2 (k <= 3), int g u^k Y^2 (k <= 2), and `z_rows @ e` with
-        e = exp(-2 a_z^2 v2) is int v2^k e (k <= 4), int f v2^k e (k = 1..3)."""
-        u, v2 = self.y2 / self.w**2, self.zh2
-        y_rows = np.array([self.wy * u**k for k in range(4)]
-                          + [self.wy * self.g * u**k for k in range(3)])
-        z_rows = np.array([self.wz * v2**k for k in range(5)]
-                          + [self.wz * self.f * v2**k for k in range(1, 4)])
-        for array in (u, y_rows, z_rows):
-            array.flags.writeable = False
-        return u, y_rows, v2, z_rows
-
-    def y_integrals(self, alphas_y):
-        """(A_y, G_y, D_y) = (int Y^2, int g Y^2, int Y'^2) for each alpha_y."""
-        w = self.w
-        a = np.atleast_1d(np.asarray(alphas_y, dtype=float))[:, None]
-        Y2 = np.exp(-2.0 * a**2 * self.y2 / w**2)
-        A = Y2 @ self.wy
-        G = (Y2 * self.g) @ self.wy
-        D = (Y2 * (2.0 * a**2 * self.y / w**2) ** 2) @ self.wy
-        return A, G, D
-
-    def z_integrals(self, alphas_z):
-        """(A_z, F_z, D_z) = (int Z^2, int f Z^2, int Z'^2) for each alpha_z."""
-        h = self.h
-        a = np.atleast_1d(np.asarray(alphas_z, dtype=float))[:, None]
-        # exact negation, so exp(-t) is bit-identical to exp(-2 a^2 z^2 / h^2)
-        t = 2.0 * a**2 * self.z2 / h**2
-        envelope = np.exp(-t)
-        Z2 = self.zh2 * envelope
-        A = Z2 @ self.wz
-        F = (Z2 * self.f) @ self.wz
-        D = (envelope * (1.0 - t) ** 2 / h**2) @ self.wz
-        return A, F, D
+    def grid_ratios(self):
+        """Rows P, r, Q, t of `_ratios` at GRID_ALPHAS, for the grid scan."""
+        s = GRID_ALPHAS**2
+        y_moments, z_moments = self.moments(s, s)
+        ratios = np.array([f[0] for f in _ratios(s, y_moments, s, z_moments)])
+        ratios.flags.writeable = False
+        return ratios
 
 
-def _assemble_rq(profile, k0, y_ints, z_ints):
-    Ay, Gy, Dy = y_ints
-    Az, Fz, Dz = z_ints
-    nb, dn = profile.bulk_index, profile.increment
-    return (
-        nb**2
-        + 2.0 * nb * dn * np.outer(Gy / Ay, Fz / Az)
-        - (np.add.outer(Dy / Ay, Dz / Az)) / k0**2
-    )
+def _ratio(num, den):
+    """N/D with its first and second derivatives, from those of N and D."""
+    f = num[0] / den[0]
+    f1 = (num[1] - f * den[1]) / den[0]
+    return f, f1, (num[2] - 2.0 * f1 * den[1] - f * den[2]) / den[0]
+
+
+def _ratios(sy, y_moments, sz, z_moments):
+    """P = G_y/A_y and r = w^2 D_y/A_y at s_y = a_y^2, Q = F_z/A_z and
+    t = h^2 D_z/A_z at s_z = a_z^2, each with its first two s-derivatives, from
+    `_Quadrature.moments`.  With d/ds int w exp(-2 s u) = -2 int w u
+    exp(-2 s u), each derivative of a moment is the next moment row."""
+    M0, M1, M2, M3, G0, G1, G2 = y_moments
+    E0, E1, E2, E3, E4, H1, H2, H3 = z_moments
+    Ay, Az = (M0, -2.0 * M1, 4.0 * M2), (E1, -2.0 * E2, 4.0 * E3)
+    # w^2 Dy = 4 s^2 M1 and h^2 Dz = E0 - 4 s E1 + 4 s^2 E2
+    return (_ratio((G0, -2.0 * G1, 4.0 * G2), Ay),
+            _ratio((4.0 * sy * sy * M1, 8.0 * sy * (M1 - sy * M2),
+                    8.0 * M1 - 32.0 * sy * M2 + 16.0 * sy * sy * M3), Ay),
+            _ratio((H1, -2.0 * H2, 4.0 * H3), Az),
+            _ratio((E0 - 4.0 * sz * E1 + 4.0 * sz * sz * E2,
+                    -6.0 * E1 + 16.0 * sz * E2 - 8.0 * sz * sz * E3,
+                    28.0 * E2 - 48.0 * sz * E3 + 16.0 * sz * sz * E4), Az))
 
 
 # (shape, order) -> _Quadrature; a solve uses two to four orders
@@ -219,10 +214,9 @@ def _quadratures(profile):
 
 
 def _rq_scalar(profile, k0, quad, alpha_y, alpha_z):
-    """`_assemble_rq` of one trial field on floats and 1-D arrays: the IEEE
-    operations of `y_integrals`, `z_integrals` and `_assemble_rq` in their
-    order (numpy's a**2 is a*a; a 1-row gemv is a dot product), so
-    bit-identical, as the tests check, at half the numpy calls."""
+    """The Nelder-Mead objective, by direct quadrature of the six integrals.
+    It equals the moment form to rounding, as the tests check; its own
+    rounding fixes the Nelder-Mead trajectory and so the design numbers."""
     w2, h2 = quad.w**2, quad.h**2
     a2 = alpha_y * alpha_y
     Y2 = np.exp(-2.0 * a2 * quad.y2 / w2)
@@ -240,30 +234,12 @@ def _rq_scalar(profile, k0, quad, alpha_y, alpha_z):
     return float(nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2)
 
 
-def _ratio(num, den):
-    """N/D with its first and second derivatives, from those of N and D."""
-    f = num[0] / den[0]
-    f1 = (num[1] - f * den[1]) / den[0]
-    return f, f1, (num[2] - 2.0 * f1 * den[1] - f * den[2]) / den[0]
-
-
 def _rq_taylor(profile, k0, quad, x):
-    """`_rq_scalar` at x = (ln a_y, ln a_z) with its gradient and Hessian in x.
-    With s = a^2, d/ds int w exp(-2 s u) = -2 int w u exp(-2 s u): each
-    derivative of a moment is the next row of `_Quadrature.moment_rows`."""
-    u, y_rows, v2, z_rows = quad.moment_rows
+    """The quotient at x = (ln a_y, ln a_z) from the moment rows, with its
+    gradient and Hessian in x."""
     sy, sz = math.exp(2.0 * x[0]), math.exp(2.0 * x[1])
-    M0, M1, M2, M3, G0, G1, G2 = (y_rows @ np.exp(-2.0 * sy * u)).tolist()
-    E0, E1, E2, E3, E4, H1, H2, H3 = (z_rows @ np.exp(-2.0 * sz * v2)).tolist()
-    Ay, Az = (M0, -2.0 * M1, 4.0 * M2), (E1, -2.0 * E2, 4.0 * E3)
-    P = _ratio((G0, -2.0 * G1, 4.0 * G2), Ay)
-    Q = _ratio((H1, -2.0 * H2, 4.0 * H3), Az)
-    # w^2 Dy/Ay and h^2 Dz/Az: w^2 Dy = 4 s^2 M1, h^2 Dz = E0 - 4 s E1 + 4 s^2 E2
-    r = _ratio((4.0 * sy * sy * M1, 8.0 * sy * (M1 - sy * M2),
-                8.0 * M1 - 32.0 * sy * M2 + 16.0 * sy * sy * M3), Ay)
-    t = _ratio((E0 - 4.0 * sz * E1 + 4.0 * sz * sz * E2,
-                -6.0 * E1 + 16.0 * sz * E2 - 8.0 * sz * sz * E3,
-                28.0 * E2 - 48.0 * sz * E3 + 16.0 * sz * sz * E4), Az)
+    y_moments, z_moments = quad.moments(sy, sz)
+    P, r, Q, t = _ratios(sy, y_moments.tolist(), sz, z_moments.tolist())
     nb, dn = profile.bulk_index, profile.increment
     c, ky, kz = 2.0 * nb * dn, 1.0 / (k0 * quad.w) ** 2, 1.0 / (k0 * quad.h) ** 2
     value = nb**2 + c * P[0] * Q[0] - ky * r[0] - kz * t[0]
@@ -449,7 +425,10 @@ def _optimum(profile, wavelength_nm, refine):
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
     quad = _quadratures(profile)
 
-    grid = _assemble_rq(profile, k0, *quad(GRID_ORDER).grid_integrals)
+    nb, dn, geometry = profile.bulk_index, profile.increment, profile.geometry
+    P, r, Q, t = quad(GRID_ORDER).grid_ratios
+    grid = (nb**2 + 2.0 * nb * dn * np.outer(P, Q)
+            - np.add.outer(r / geometry.width_um**2, t / geometry.depth_um**2) / k0**2)
     iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
     ay, az = float(GRID_ALPHAS[iy]), float(GRID_ALPHAS[iz])
 
@@ -499,8 +478,7 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
     BoundaryOptimumError when the optimum sticks to the search-box edge.
     """
     n_eff_sq, order, quad, ay, az = _optimum(profile, wavelength_nm, _nelder_mead)
-    Ay, _, _ = quad(order).y_integrals(ay)
-    Az, _, _ = quad(order).z_integrals(az)
+    y_moments, z_moments = quad(order).moments(ay * ay, az * az)  # int Y^2, int Z^2: rows 0, 1
     return ModeSolution(
         n_eff=float(np.sqrt(n_eff_sq)),
         alpha_y=float(ay),
@@ -508,8 +486,8 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
         wavelength_nm=wavelength_nm,
         polarization=polarization,
         profile=profile,
-        y_norm=float(np.sqrt(Ay[0])),
-        z_norm=float(np.sqrt(Az[0])),
+        y_norm=math.sqrt(y_moments[0]),
+        z_norm=math.sqrt(z_moments[1]),
     )
 
 

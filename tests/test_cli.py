@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dppln.cli import main
@@ -70,6 +71,15 @@ def test_yaml_parse_error_reports_location(tmp_path, capsys):
     code, out, err = run(["design", "--config", str(path)], capsys)
     assert code == 2
     assert "line" in err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(yaml.safe_dump(BASE_CONFIG).encode() + b"# caf\xe9 in Latin-1\n")
+    code, out, err = run(["design", "--config", str(path)], capsys)
+    assert code == 2
+    assert "cannot read config file: not UTF-8" in err
+    assert out == ""
 
 
 def test_unknown_sellmeier_set_is_config_error(tmp_path, capsys):
@@ -272,6 +282,14 @@ CUSTOM_SELLMEIER = {
          "geometry.length_cm"),
         ({"material": {"index_increments": {"extraordinary": [[519.0, 0.02]]}}},
          "material.index_increments.extraordinary: extraordinary increment 0.02"),
+        ({"geometry": {"width_um": 10.0, "depth_um": 10.0, "length_cm": 0.01}},
+         "geometry.length_cm 0.01 cm is too short"),
+        ({"sweep": {"depths_um": [10.0, 60.0], "widths_um": [10.0], "pairing": "product"}},
+         "sweep.depths_um: depth 60 um outside the supported range"),
+        ({"sweep": {"depths_um": [10.0], "widths_um": [0.5], "pairing": "product"}},
+         "sweep.widths_um: width 0.5 um outside the supported range"),
+        ({"sweep": {"depths_um": [8.0], "widths_um": [8.0, 10.0], "pairing": "zip"}},
+         "sweep.depths_um, sweep.widths_um: zip pairing needs equally long lists"),
     ],
     ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
          "lateral-scale-zero", "lateral-scale-negative", "signal-nan", "signal-beyond-twice-pump",
@@ -281,11 +299,14 @@ CUSTOM_SELLMEIER = {
          "custom-set-temperature-text", "custom-set-temperature-list",
          "depth-bool", "depth-text", "samples-too-few", "samples-too-many",
          "increment-wavelength-bool", "sellmeier-negative-square", "width-out-of-range",
-         "depth-out-of-range", "length-out-of-range", "increment-out-of-range"],
+         "depth-out-of-range", "length-out-of-range", "increment-out-of-range",
+         "length-too-short", "sweep-depth-out-of-range", "sweep-width-out-of-range",
+         "sweep-zip-lengths"],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
-    code, _, err = run(["design", "--config", config], capsys)
+    command = "sweep" if "sweep" in overrides else "design"
+    code, _, err = run([command, "--config", config], capsys)
     assert code == 2
     assert field in err
     assert "Traceback" not in err
@@ -309,9 +330,12 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
         (["--widths", "8,abc"], "--widths"),
         (["--parallel", "0"], "--parallel"),
         (["--parallel", "-3"], "--parallel"),
+        (["--depths", "10,60"], "--depths: depth 60 um outside the supported range"),
+        (["--widths", "0.5,10"], "--widths: width 0.5 um outside the supported range"),
+        (["--widths", "8,10,12"], "sweep.depths_um, --widths: zip pairing needs equally long"),
     ],
     ids=["depths-empty", "widths-empty", "depths-nan", "widths-text", "parallel-zero",
-         "parallel-negative"],
+         "parallel-negative", "depths-out-of-range", "widths-out-of-range", "zip-lengths"],
 )
 def test_malformed_sweep_flag_is_config_error(tmp_path, capsys, flags, flag):
     config = write_config(tmp_path)
@@ -378,3 +402,45 @@ def test_mutated_shipped_config_keeps_the_exit_code_contract(field, value):
             code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+
+
+WAVES_AND_PROCESSES = ("pump", "signal_1", "idler_1", "signal_2", "idler_2",
+                       "process_1", "process_2")
+
+
+@settings(max_examples=100)
+@given(scheme=st.sampled_from(["type0_eee", "type2_cross"]),
+       width=st.floats(1.0, 50.0), depth=st.floats(1.0, 50.0),
+       length=st.floats(0.0, 10.0, exclude_min=True), pump=st.floats(400.0, 1000.0),
+       ratio1=st.floats(1.05, 1.95, exclude_min=True, exclude_max=True),
+       ratio2=st.floats(1.05, 1.95, exclude_min=True, exclude_max=True))
+@example(scheme="type2_cross", width=10.0, depth=10.0, length=0.01, pump=519.0,
+         ratio1=780.0 / 519.0, ratio2=775.0 / 519.0)
+def test_valid_request_exits_0_or_3_and_reruns_identically(scheme, width, depth, length, pump,
+                                                            ratio1, ratio2):
+    # a request inside every documented range is a design or a physics error
+    # naming its wave or process; the one configuration error left is an
+    # interaction length below the shortest the design spectra allow
+    assume(ratio1 != ratio2)
+    data = {"geometry": {"width_um": width, "depth_um": depth, "length_cm": length},
+            "process": {"scheme": scheme, "pump_nm": pump, "signal1_nm": ratio1 * pump,
+                        "signal2_nm": ratio2 * pump}}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.yaml"
+        config.write_text(yaml.safe_dump(data))
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["design", "--config", str(config), "--format", "records"])
+            runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    if code == 2:
+        limit = re.search(r"geometry\.length_cm .* use more than (\S+) cm", err)
+        assert limit is not None, err
+        assert length < float(limit.group(1)) * (1.0 + 1e-5)
+    elif code == 3:
+        assert re.match(rf"physics error: ({'|'.join(WAVES_AND_PROCESSES)}) \(", err), err
+    else:
+        assert code == 0 and json.loads(out)["gamma"] > 0.0

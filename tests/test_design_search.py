@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import os
+import re
 
 import pytest
 
@@ -46,6 +47,19 @@ def test_request_validation():
         assert raised.value.field == "signal2_nm"
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_short_length_names_the_field_and_its_limit(scheme):
+    # the 8 x FWHM design spectra widen as 1/L until one reaches the pump
+    with pytest.raises(ConfigurationError, match="geometry.length_cm") as raised:
+        design(request_for(scheme, 10.0, length_cm=0.01))
+    assert raised.value.field == "length_cm"
+    limit = float(re.search(r"use more than (\S+) cm", str(raised.value)).group(1))
+    assert 0.01 < limit < 0.05
+    with pytest.raises(ConfigurationError, match="geometry.length_cm"):
+        design(request_for(scheme, 10.0, length_cm=limit * (1.0 - 1e-5)))
+    design(request_for(scheme, 10.0, length_cm=limit * (1.0 + 1e-5)))
+
+
 def test_design_intermediates_consistent(design_type0_10):
     result = design_type0_10
     assert result.process_1.signal_nm == 780.0
@@ -85,8 +99,15 @@ def test_sweep_zip_and_product_shapes():
     assert [(r.depth_um, r.width_um) for r in crossed.rows] == [
         (8.0, 8.0), (8.0, 10.0), (10.0, 8.0), (10.0, 10.0)
     ]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as raised:
         sweep(template, [8.0], [8.0, 10.0], pairing="zip")
+    assert raised.value.field == "pairing"
+    # a value out of WaveguideGeometry's range fails before any row is solved
+    for depths, widths, field in (([10.0, 60.0], [10.0], "depths_um"),
+                                  ([10.0], [10.0, 0.5], "widths_um")):
+        with pytest.raises(ConfigurationError, match="outside the supported range") as raised:
+            sweep(template, depths, widths)
+        assert raised.value.field == field
     with pytest.raises(ConfigurationError):
         sweep(template, [], [8.0])
     with pytest.raises(ConfigurationError):

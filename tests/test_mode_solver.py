@@ -460,18 +460,56 @@ def test_minimize_matches_scipy_on_ties_and_nan(fun):
 
 
 @pytest.mark.parametrize("order", [48, 96, 192])
-def test_scalar_rayleigh_quotient_is_bit_identical_to_array_path(order):
-    # the grid scan's array path is the oracle of the Nelder-Mead objective
+def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
+    # the Nelder-Mead objective and the grid quotient against the moment-row
+    # quotient, and int Y^2, int Z^2 (the mode norms) against direct quadrature
     rng = np.random.default_rng(4242 + order)
     lo, hi = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX
     corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
     for profile in random_profiles(3):
         k0 = 2.0 * np.pi / (float(rng.uniform(600.0, 1600.0)) * 1e-3)
         quad = mode_solver._quadratures(profile)(order)
+        w, h = profile.geometry.width_um, profile.geometry.depth_um
         for ay, az in corners + rng.uniform(lo, hi, size=(100, 2)).tolist():
-            array = mode_solver._assemble_rq(
-                profile, k0, quad.y_integrals([ay]), quad.z_integrals([az]))[0, 0]
-            assert mode_solver._rq_scalar(profile, k0, quad, ay, az) == array, (ay, az)
+            moment = mode_solver._rq_taylor(profile, k0, quad, (math.log(ay), math.log(az)))[0]
+            scalar = mode_solver._rq_scalar(profile, k0, quad, ay, az)
+            assert scalar == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
+            y_moments, z_moments = quad.moments(ay * ay, az * az)
+            direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
+            direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
+            assert y_moments[0] == pytest.approx(direct_y, rel=1e-14, abs=0.0), ay
+            assert z_moments[1] == pytest.approx(direct_z, rel=1e-14, abs=0.0), az
+
+        nb, dn = profile.bulk_index, profile.increment
+        P, r, Q, t = quad.grid_ratios
+        grid = (nb**2 + 2.0 * nb * dn * np.outer(P, Q)
+                - np.add.outer(r / w**2, t / h**2) / k0**2)
+        logs = np.log(mode_solver.GRID_ALPHAS).tolist()
+        moment = [[mode_solver._rq_taylor(profile, k0, quad, (x, y))[0] for y in logs]
+                  for x in logs]
+        assert np.allclose(grid, moment, rtol=1e-14, atol=0.0)
+
+
+def test_mode_norms_are_the_locked_order_moments():
+    # y_norm and z_norm of solve_mode: int Y^2 and int Z^2 by direct
+    # quadrature at the order the final refinement settles on
+    solved = 0
+    for profile in random_profiles(4):
+        wavelength = 1000.0
+        try:
+            mode = solve_mode(profile, wavelength, E)
+        except (BoundaryOptimumError, NoGuidedModeError):
+            continue
+        solved += 1
+        _, order, quad, ay, az = mode_solver._optimum(profile, wavelength,
+                                                      mode_solver._nelder_mead)
+        locked = quad(order)
+        w, h = profile.geometry.width_um, profile.geometry.depth_um
+        direct_y = np.exp(-2.0 * ay**2 * locked.y2 / w**2) @ locked.wy
+        direct_z = (locked.zh2 * np.exp(-2.0 * az**2 * locked.z2 / h**2)) @ locked.wz
+        assert mode.y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0)
+        assert mode.z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0)
+    assert solved >= 2
 
 
 def test_quadrature_is_shared_per_shape_read_only_and_bounded():
@@ -484,9 +522,8 @@ def test_quadrature_is_shared_per_shape_read_only_and_bounded():
     assert cached.cache_info().misses == built  # other indices, same quadratures
 
     quad = mode_solver._quadratures(IndexProfile(geometry, 2.0, 0.001))(mode_solver.GRID_ORDER)
-    y_ints, z_ints = quad.grid_integrals
     for array in (quad.y, quad.wy, quad.y2, quad.g, quad.wz, quad.z2, quad.zh2, quad.f,
-                  *y_ints, *z_ints, *quad.moment_rows):
+                  quad.u, quad.y_rows, quad.z_rows, *quad.grid_ratios):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

@@ -1,0 +1,166 @@
+"""Compare the design numbers of two dppln source trees.
+
+    python tools/compare_designs.py PARENT_DIR CHANGE_DIR [--tol NAME=VALUE ...]
+
+Each tree runs in one child interpreter with its own `src` on the path.  The
+child designs the 13x13 `geomspace(2, 20)` um grid for both schemes (338
+requests at the paper's 519 -> 780/775 nm, 1 cm) and the four 101-sample
+dispersive scans (the two shipped geometries, process 1, signal and idler
+axes, 3 x the estimated FWHM).  The script prints the largest relative change
+of each quantity, the spectrum gains whose bytes changed, and every request
+whose error class or text changed.  It exits 1 when a change exceeds its
+tolerance (relative, except `scan_gain`, which is absolute), when a gain
+digest changes, or when an outcome changes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# Quantity -> largest allowed change.  Zero means bit-identical.
+TOLERANCES = {
+    "n_eff": 0.0,
+    "alpha_y": 0.0,
+    "alpha_z": 0.0,
+    "period": 0.0,
+    "fwhm": 0.0,
+    "y_norm": 1e-14,
+    "z_norm": 1e-14,
+    "overlap": 1e-14,
+    "gamma": 1e-14,
+    "scan_fwhm": 1e-12,
+    "scan_gain": 1e-11,
+}
+
+CHILD = r"""
+import hashlib, json, sys
+import numpy as np
+from dppln.design_search import (DesignRequest, EffectiveIndexSolver, ROLES, Scheme, design)
+from dppln.dispersion import DEFAULT_MATERIAL
+from dppln.errors import ToolkitError
+from dppln.mode_solver import WaveguideGeometry
+from dppln.spdc import estimate_fwhm_nm, spectrum_scan
+
+def request(scheme, width, depth):
+    return DesignRequest(scheme, 519.0, 780.0, 775.0, WaveguideGeometry(width, depth, 1.0))
+
+designs = {}
+sizes = np.geomspace(2.0, 20.0, 13).tolist()
+for scheme in Scheme:
+    for width in sizes:
+        for depth in sizes:
+            key = f"{scheme.value} w={width:.6g} d={depth:.6g}"
+            try:
+                result = design(request(scheme, width, depth))
+            except ToolkitError as error:
+                designs[key] = {"error": f"{type(error).__name__}: {error}"}
+                continue
+            modes = result.modes
+            designs[key] = {
+                "n_eff": [modes[r].n_eff for r in ROLES],
+                "alpha_y": [modes[r].alpha_y for r in ROLES],
+                "alpha_z": [modes[r].alpha_z for r in ROLES],
+                "y_norm": [modes[r].y_norm for r in ROLES],
+                "z_norm": [modes[r].z_norm for r in ROLES],
+                "period": [result.period1_um, result.period2_um],
+                "overlap": [result.overlap_1, result.overlap_2],
+                "gamma": [result.gamma],
+                "fwhm": [s.fwhm_nm for s in result.spectra.values()],
+                "gain": [hashlib.sha256(s.gain.tobytes()).hexdigest()
+                         for s in result.spectra.values()],
+            }
+
+scans = {}
+for scheme, size in ((Scheme.TYPE0_EEE, 10.0), (Scheme.TYPE2_CROSS, 6.5)):
+    result = design(request(scheme, size, size))
+    solver = EffectiveIndexSolver(DEFAULT_MATERIAL, result.request.geometry)
+    for axis in ("signal", "idler"):
+        process = result.process_1
+        span = 3.0 * estimate_fwhm_nm(process, axis, 1.0)
+        spectrum = spectrum_scan(process, axis, span, 101, 1.0, index_provider=solver.index,
+                                 index_model="dispersive")
+        scans[f"{scheme.value} {axis}"] = {"scan_fwhm": [spectrum.fwhm_nm],
+                                           "scan_gain": spectrum.gain.tolist()}
+json.dump({"designs": designs, "scans": scans}, sys.stdout)
+"""
+
+
+def run_tree(tree: Path) -> dict:
+    """The designs and scans of one source tree, from a child interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, cwd=tree,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{tree}: child interpreter failed\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def change(name, before, after):
+    """Largest change of `after` against `before`: absolute for `scan_gain`,
+    else relative to the `before` value."""
+    if name == "scan_gain":
+        return max(abs(a - b) for a, b in zip(after, before))
+    return max(abs(a - b) / abs(b) if b else abs(a) for a, b in zip(after, before))
+
+
+def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
+    """Print the comparison; True when every change is within tolerance."""
+    ok = True
+    largest = {name: 0.0 for name in tolerances}
+    gains = errors = 0
+    for group in ("designs", "scans"):
+        for key, before in parent[group].items():
+            after = changed[group][key]
+            if "error" in before or "error" in after:
+                errors += 1
+                if before.get("error") != after.get("error"):
+                    ok = False
+                    print(f"changed outcome  {key}\n  before: {before.get('error', 'ok')}"
+                          f"\n  after:  {after.get('error', 'ok')}")
+                continue
+            for name, values in before.items():
+                if name == "gain":
+                    if values != after[name]:
+                        gains += 1
+                        print(f"changed gain bytes  {key}")
+                else:
+                    largest[name] = max(largest[name], change(name, values, after[name]))
+    print(f"{len(parent['designs'])} designs and {len(parent['scans'])} dispersive scans "
+          f"compared; {errors} requests fail")
+    for name, value in largest.items():
+        flag = "" if value <= tolerances[name] else f"  ABOVE {tolerances[name]:g}"
+        ok = ok and not flag
+        kind = "absolute" if name == "scan_gain" else "relative"
+        print(f"{name:<10} largest {kind} change {value:.3g}{flag}")
+    print(f"gain digests changed: {gains}")
+    return ok and gains == 0
+
+
+def tolerance(text):
+    name, _, value = text.partition("=")
+    if name not in TOLERANCES:
+        raise argparse.ArgumentTypeError(f"unknown quantity {name!r}; one of {list(TOLERANCES)}")
+    try:
+        return name, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=NUMBER, got {text!r}") from None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source tree to compare against")
+    parser.add_argument("change", type=Path, help="source tree with the change")
+    parser.add_argument("--tol", type=tolerance, action="append", default=[],
+                        metavar="NAME=VALUE", help="override one quantity's tolerance")
+    args = parser.parse_args(argv)
+    tolerances = {**TOLERANCES, **dict(args.tol)}
+    return 0 if compare(run_tree(args.parent), run_tree(args.change), tolerances) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
