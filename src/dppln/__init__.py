@@ -61,7 +61,6 @@ from .spdc import (
     Spectrum,
     coupling_amplitude,
     degree_of_entanglement,
-    design_point_mismatch,
     estimate_fwhm_nm,
     idler_wavelength,
     make_process,

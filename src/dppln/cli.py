@@ -160,22 +160,20 @@ def text_sweep(payload) -> str:
 
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
-    result = design(config.request(), config.material)
     scan = config.require_scan()
+    result = design(config.request(), config.material)
     process = result.process_1 if scan.axis.endswith("_1") else result.process_2
     axis = "signal" if scan.axis.startswith("signal") else "idler"
-    provider = None
-    if scan.index_model == "dispersive":
-        provider = EffectiveIndexSolver(config.material, config.request().geometry).index
-    spectrum = spectrum_scan(
-        process,
-        axis,
-        scan.span_nm,
-        scan.samples,
-        config.request().geometry.length_cm,
-        index_provider=provider,
-        index_model=scan.index_model,
-    )
+    geometry = result.request.geometry
+    # the scan reads the provider only for the dispersive index model
+    provider = EffectiveIndexSolver(config.material, geometry).index
+    try:
+        spectrum = spectrum_scan(process, axis, scan.span_nm, scan.samples, geometry.length_cm,
+                                 index_provider=provider, index_model=scan.index_model)
+    except ConfigurationError as error:
+        if error.field != "span_nm":
+            raise
+        raise ConfigurationError(f"scan.span_nm: {error}") from None
     return dict(
         axis=scan.axis,
         center_nm=spectrum.center_nm,
@@ -200,7 +198,7 @@ def text_spectrum(payload) -> str:
 def cmd_poling(config: RunConfig, args) -> dict:
     result = design(config.request(), config.material)
     pattern = synthesize_poling(
-        result.period1_um, result.period2_um, config.request().geometry.length_cm
+        result.period1_um, result.period2_um, result.request.geometry.length_cm
     )
     # boundaries are reported on a 1 pm grid in both formats
     return dict(

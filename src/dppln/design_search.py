@@ -121,6 +121,8 @@ class DualPolingDesign:
 
 
 ROLES = ("pump", "signal_1", "idler_1", "signal_2", "idler_2")
+# The two down-conversions of the shared pump: (process, signal role, idler role).
+PAIRS = (("process_1", "signal_1", "idler_1"), ("process_2", "signal_2", "idler_2"))
 # Design spectra: samples per scan and span in units of the estimated FWHM.
 SPECTRUM_SAMPLES = 801
 SPECTRUM_SPAN_FACTOR = 8.0
@@ -141,13 +143,10 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
     """
     pols = request.scheme.polarizations()
-    wavelengths = {
-        "pump": request.pump_nm,
-        "signal_1": request.signal1_nm,
-        "idler_1": idler_wavelength(request.pump_nm, request.signal1_nm),
-        "signal_2": request.signal2_nm,
-        "idler_2": idler_wavelength(request.pump_nm, request.signal2_nm),
-    }
+    wavelengths = {"pump": request.pump_nm, "signal_1": request.signal1_nm,
+                   "signal_2": request.signal2_nm}
+    for _, s_role, i_role in PAIRS:
+        wavelengths[i_role] = idler_wavelength(request.pump_nm, wavelengths[s_role])
     solver = EffectiveIndexSolver(material, request.geometry)
     modes = {}
     for role in ROLES:
@@ -156,43 +155,27 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
         except PhysicsError as error:
             raise _tagged(error, role, wavelengths[role]) from error
 
-    processes = {}
-    for tag, s_role, i_role in (("process_1", "signal_1", "idler_1"),
-                                ("process_2", "signal_2", "idler_2")):
+    length_cm = request.geometry.length_cm
+    processes, overlaps, amplitudes = [], [], []
+    # Each design spectrum spans 8 x FWHM, which scales as 1/L, and must stay
+    # clear of the pump: shortest[role] is the length in cm where it reaches it.
+    scans, shortest = {}, {}
+    for tag, s_role, i_role in PAIRS:
         try:
-            processes[tag] = make_process(
-                request.pump_nm,
-                wavelengths[s_role],
-                pols["pump"],
-                pols[s_role],
-                pols[i_role],
-                modes["pump"].n_eff,
-                modes[s_role].n_eff,
-                modes[i_role].n_eff,
-            )
+            process = make_process(request.pump_nm, wavelengths[s_role], pols["pump"],
+                                   pols[s_role], pols[i_role], modes["pump"].n_eff,
+                                   modes[s_role].n_eff, modes[i_role].n_eff)
         except PhysicsError as error:
             raise _tagged(error, tag, wavelengths[s_role]) from error
-
-    overlap_1 = field_overlap(modes["pump"], modes["signal_1"], modes["idler_1"])
-    overlap_2 = field_overlap(modes["pump"], modes["signal_2"], modes["idler_2"])
-    length_cm = request.geometry.length_cm
-    # Both processes are exactly phase matched at their own design point.
-    amplitude_1 = coupling_amplitude(processes["process_1"], overlap_1, 0.0, length_cm)
-    amplitude_2 = coupling_amplitude(processes["process_2"], overlap_2, 0.0, length_cm)
-    gamma = degree_of_entanglement(amplitude_1, amplitude_2)
-    weights, entropy = state_weights_and_entropy(amplitude_1, amplitude_2)
-
-    # Each design spectrum spans 8 x FWHM, which scales as 1/L, and must stay
-    # clear of the pump: shortest[key] is the length in cm where it reaches it.
-    scans, shortest = {}, {}
-    for tag, axis, key in (("process_1", "signal", "signal_1"),
-                           ("process_1", "idler", "idler_1"),
-                           ("process_2", "signal", "signal_2"),
-                           ("process_2", "idler", "idler_2")):
-        process = processes[tag]
-        scans[key] = process, axis
-        room = (process.signal_nm if axis == "signal" else process.idler_nm) - process.pump_nm
-        shortest[key] = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, 1.0) / (2.0 * room)
+        processes.append(process)
+        overlaps.append(field_overlap(modes["pump"], modes[s_role], modes[i_role]))
+        # Both processes are exactly phase matched at their own design point.
+        amplitudes.append(coupling_amplitude(process, overlaps[-1], 0.0, length_cm))
+        for role, axis in ((s_role, "signal"), (i_role, "idler")):
+            scans[role] = process, axis
+            room = wavelengths[role] - request.pump_nm
+            shortest[role] = (SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, 1.0)
+                              / (2.0 * room))
     limit = max(shortest, key=shortest.get)
     if length_cm <= shortest[limit]:
         raise ConfigurationError(
@@ -200,20 +183,21 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
             f"FWHM design spectrum of {limit} reaches the pump; use more than "
             f"{shortest[limit]:.6g} cm", "length_cm")
     spectra = {}
-    for key, (process, axis) in scans.items():
+    for role, (process, axis) in scans.items():
         span = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, length_cm)
-        spectra[key] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
+        spectra[role] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
 
+    weights, entropy = state_weights_and_entropy(*amplitudes)
     return DualPolingDesign(
         request=request,
         modes=modes,
-        process_1=processes["process_1"],
-        process_2=processes["process_2"],
-        overlap_1=overlap_1,
-        overlap_2=overlap_2,
-        amplitude_1=amplitude_1,
-        amplitude_2=amplitude_2,
-        gamma=gamma,
+        process_1=processes[0],
+        process_2=processes[1],
+        overlap_1=overlaps[0],
+        overlap_2=overlaps[1],
+        amplitude_1=amplitudes[0],
+        amplitude_2=amplitudes[1],
+        gamma=degree_of_entanglement(*amplitudes),
         state_weights=weights,
         entropy_bits=entropy,
         spectra=spectra,
@@ -294,10 +278,12 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+SEARCH_GRID_POINTS = 4
+SEARCH_TOL_UM = 0.05
 
 
 def _golden_section(score, lo, hi, tol):
-    """Deterministic golden-section maximisation of `score` on [lo, hi]."""
+    """Deterministic golden-section maximisation of `score` on [lo, hi]: the argmax."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
@@ -311,55 +297,51 @@ def _golden_section(score, lo, hi, tol):
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = score(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
+    return c if fc >= fd else d
 
 
 def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], *,
-                       material: Material = DEFAULT_MATERIAL, grid_points: int = 4,
-                       tol_um: float = 0.05):
+                       material: Material = DEFAULT_MATERIAL):
     """Maximise gamma over square (width, depth) bounds.
 
     Coarse grid search followed by per-axis golden-section refinement.
-    Returns (geometry, design).  Raises NoFeasibleDesignError when every
-    candidate fails to guide or phase match.
+    Returns (geometry, design) of the first-scored point of highest gamma.
+    Raises NoFeasibleDesignError when every candidate fails to guide or phase match.
     """
     lo, hi = bounds_um
     if lo > hi:
         raise ConfigurationError("bounds must satisfy lo <= hi")
-    cache: dict[tuple[float, float], float] = {}
+    # (depth, width) rounded -> (gamma, design); a failed design scores -inf
+    scored: dict[tuple[float, float], tuple[float, DualPolingDesign | None]] = {}
 
     def score(depth, width):
         key = (round(depth, 6), round(width, 6))
-        if key not in cache:
-            row = _sweep_row(template, material, key[0], key[1])
-            cache[key] = -np.inf if row.error is not None else row.gamma
-        return cache[key]
+        if key not in scored:
+            geometry = replace(template.geometry, width_um=key[1], depth_um=key[0])
+            try:
+                result = design(replace(template, geometry=geometry), material)
+            except PhysicsError:
+                scored[key] = -np.inf, None
+            else:
+                scored[key] = result.gamma, result
+        return scored[key][0]
 
-    if lo == hi:
-        candidates = [lo]
-    else:
-        candidates = list(np.linspace(lo, hi, grid_points))
-    best = None
+    def best():
+        """The design of highest gamma scored so far, the first of equals."""
+        return max(scored.values(), key=lambda entry: entry[0])[1]
+
+    # with lo == hi every candidate, and every golden-section point, is the one geometry
+    candidates = np.linspace(lo, hi, SEARCH_GRID_POINTS)
     for depth in candidates:
         for width in candidates:
-            value = score(depth, width)
-            if best is None or value > best[0]:
-                best = (value, depth, width)
-    value, depth, width = best
-    if not np.isfinite(value):
+            score(depth, width)
+    if best() is None:
         raise NoFeasibleDesignError("no geometry in the search grid produced a design")
-
-    if lo < hi:
-        width, _ = _golden_section(lambda w: score(depth, w), lo, hi, tol_um)
-        depth, _ = _golden_section(lambda d: score(d, width), lo, hi, tol_um)
-        score(depth, width)
-        # the refined point competes against every evaluated candidate, so a
-        # boundary optimum is never lost to the golden-section interior
-        (depth, width), value = max(cache.items(), key=lambda item: item[1])
-        if not np.isfinite(value):
-            raise NoFeasibleDesignError("refined geometry failed to produce a design")
-
-    geometry = replace(template.geometry, width_um=width, depth_um=depth)
-    final = design(replace(template, geometry=geometry), material)
-    return geometry, final
+    depth = best().request.geometry.depth_um
+    width = _golden_section(lambda w: score(depth, w), lo, hi, SEARCH_TOL_UM)
+    depth = _golden_section(lambda d: score(d, width), lo, hi, SEARCH_TOL_UM)
+    score(depth, width)
+    # the refined point competes against every evaluated candidate, so a
+    # boundary optimum is never lost to the golden-section interior
+    result = best()
+    return result.request.geometry, result

@@ -21,7 +21,9 @@ def _leggauss(order):
     return leggauss(order)
 
 
-@lru_cache(maxsize=4096)
+# Two axes for each of the 8 (shape, order) entries of mode_solver._quadrature:
+# the hits are field_overlap re-reading the nodes a solve has just built.
+@lru_cache(maxsize=16)
 def panel_nodes(edges, order):
     """Concatenated Gauss-Legendre nodes/weights for each panel of `edges`.
 

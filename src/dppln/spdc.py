@@ -118,33 +118,29 @@ def make_process(pump_nm, signal_nm, pump_pol, signal_pol, idler_pol, n_pump, n_
     )
 
 
-def _mismatch_rad_per_m(process, signal_nm, n_signal, n_idler):
+def phase_mismatch(process: SpdcProcess, signal_nm, index_provider=None):
+    """Phase mismatch Delta-k in rad/m at detuned signal wavelengths, elementwise.
+
+    The idlers follow from energy conservation.  With no `index_provider`
+    both down-converted indices stay at their design values; otherwise each
+    is re-evaluated through `index_provider(wavelength_nm, pol)`, one call
+    per wavelength.  Zero at the design point by construction of the period.
+    """
+    signal_nm = np.asarray(signal_nm, dtype=float)
     idler_nm = idler_wavelength(process.pump_nm, signal_nm)
+    if index_provider is None:
+        n_signal, n_idler = process.n_signal, process.n_idler
+    else:
+        n_signal, n_idler = (
+            np.reshape([index_provider(lam, pol) for lam in wavelengths.flat], wavelengths.shape)
+            for wavelengths, pol in ((signal_nm, process.signal_pol),
+                                     (idler_nm, process.idler_pol)))
     residual = (
         process.n_pump / (process.pump_nm * 1e-3)
         - n_signal / (signal_nm * 1e-3)
         - n_idler / (idler_nm * 1e-3)
     )
     return 2.0 * np.pi * (1.0 / process.qpm_period_um - residual) * 1e6
-
-
-def phase_mismatch(process: SpdcProcess, signal_nm: float, index_provider) -> float:
-    """Dispersive phase mismatch Delta-k in rad/m at a detuned signal wavelength.
-
-    The idler follows from energy conservation and both down-converted
-    indices are re-evaluated through `index_provider(wavelength_nm, pol)`.
-    Zero at the design point by construction of the period.
-    """
-    idler_nm = idler_wavelength(process.pump_nm, signal_nm)
-    n_s = index_provider(signal_nm, process.signal_pol)
-    n_i = index_provider(idler_nm, process.idler_pol)
-    return _mismatch_rad_per_m(process, signal_nm, n_s, n_i)
-
-
-def design_point_mismatch(process: SpdcProcess, signal_nm):
-    """Phase mismatch in rad/m with both indices frozen at their design values;
-    elementwise over an array of signal wavelengths."""
-    return _mismatch_rad_per_m(process, signal_nm, process.n_signal, process.n_idler)
 
 
 @dataclass(frozen=True)
@@ -284,14 +280,12 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
         raise ConfigurationError(
             f"span_nm {span_nm:g} nm reaches the pump at {process.pump_nm:g} nm; spans "
             f"around the {axis} centre {center:.6g} nm must stay below "
-            f"{2.0 * (center - process.pump_nm):.6g} nm"
+            f"{2.0 * (center - process.pump_nm):.6g} nm", "span_nm"
         )
     signal_grid = grid if axis == "signal" else idler_wavelength(process.pump_nm, grid)
 
-    if index_model == "design-point":
-        dk = design_point_mismatch(process, signal_grid)
-    else:
-        dk = np.array([phase_mismatch(process, lam, index_provider) for lam in signal_grid])
+    dk = phase_mismatch(process, signal_grid,
+                        index_provider if index_model == "dispersive" else None)
 
     gain = sinc(0.5 * dk * length_cm * 1e-2) ** 2
     peak = int(np.argmax(gain))

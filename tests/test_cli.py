@@ -290,6 +290,10 @@ CUSTOM_SELLMEIER = {
          "sweep.widths_um: width 0.5 um outside the supported range"),
         ({"sweep": {"depths_um": [8.0], "widths_um": [8.0, 10.0], "pairing": "zip"}},
          "sweep.depths_um, sweep.widths_um: zip pairing needs equally long lists"),
+        ({"scan": None, "geometry": {"width_um": 1.0, "depth_um": 1.0, "length_cm": 1.0}},
+         "scan: missing required block"),
+        ({"scan": {"axis": "signal_1", "span_nm": 2000.0, "samples": 201}},
+         "scan.span_nm: span_nm 2000 nm reaches the pump"),
     ],
     ids=["sellmeier-row-shape", "increment-not-a-number", "lateral-scale-text",
          "lateral-scale-zero", "lateral-scale-negative", "signal-nan", "signal-beyond-twice-pump",
@@ -301,11 +305,11 @@ CUSTOM_SELLMEIER = {
          "increment-wavelength-bool", "sellmeier-negative-square", "width-out-of-range",
          "depth-out-of-range", "length-out-of-range", "increment-out-of-range",
          "length-too-short", "sweep-depth-out-of-range", "sweep-width-out-of-range",
-         "sweep-zip-lengths"],
+         "sweep-zip-lengths", "scan-missing-before-design", "scan-span-reaches-pump"],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)
-    command = "sweep" if "sweep" in overrides else "design"
+    command = {"sweep": "sweep", "scan": "spectrum"}.get(next(iter(overrides)), "design")
     code, _, err = run([command, "--config", config], capsys)
     assert code == 2
     assert field in err

@@ -185,12 +185,26 @@ def test_find_best_geometry_degenerate_bounds(design_type0_10):
     assert best.gamma == design_type0_10.gamma
 
 
+def test_find_best_geometry_designs_each_point_once(monkeypatch):
+    # the search returns the design it scored, so no geometry is solved twice
+    solved = {}
+
+    def counted(request, material):
+        assert request.geometry not in solved
+        solved[request.geometry] = design(request, material)
+        return solved[request.geometry]
+
+    monkeypatch.setattr(design_search, "design", counted)
+    geometry, best = find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), (9.0, 10.0))
+    assert len(solved) > 16
+    assert best is solved[geometry]
+    assert best.gamma == max(result.gamma for result in solved.values())
+
+
 def test_find_best_geometry_tracks_table_trend(type0_designs):
     # gamma grows with size for the co-polarized scheme, so the optimum sits
     # at or near the top of the box and beats every grid candidate
-    geometry, best = find_best_geometry(
-        request_for(Scheme.TYPE0_EEE, 10.0), (6.5, 12.0), grid_points=3, tol_um=0.25
-    )
+    geometry, best = find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), (6.5, 12.0))
     assert best.gamma >= 0.984
     assert geometry.width_um > 10.0 and geometry.depth_um > 10.0
     assert best.gamma >= max(d.gamma for d in type0_designs.values()) - 1e-9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from dppln import DesignRequest, Scheme, WaveguideGeometry, design, mode_solver
 from dppln.errors import QuadratureConvergenceError
 from dppln.quadrature import panel_nodes, refine_scalar
 
@@ -17,6 +18,14 @@ def test_panel_nodes_cached_and_readonly():
     assert a[0] is b[0]
     with pytest.raises(ValueError):
         a[0][0] = 1.0
+
+
+def test_panel_nodes_cache_holds_only_the_shared_quadratures():
+    # nodes of earlier geometries are not kept: two axes per _quadrature entry
+    for width in np.linspace(6.0, 11.0, 10):
+        design(DesignRequest(Scheme.TYPE0_EEE, 519.0, 780.0, 775.0,
+                             WaveguideGeometry(width, 10.0, 1.0)))
+    assert panel_nodes.cache_info().currsize <= 2 * mode_solver._quadrature.cache_info().maxsize
 
 
 def test_refine_scalar_converges():

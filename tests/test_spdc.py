@@ -18,7 +18,6 @@ from dppln import (
     coupling_amplitude,
     degree_of_entanglement,
     design,
-    design_point_mismatch,
     estimate_fwhm_nm,
     idler_wavelength,
     make_process,
@@ -124,15 +123,15 @@ def test_process_validation():
 def test_phase_mismatch_zero_at_design_point(design_type0_10):
     process = design_type0_10.process_1
     solver = EffectiveIndexSolver(DEFAULT_MATERIAL, design_type0_10.request.geometry)
-    assert abs(design_point_mismatch(process, process.signal_nm)) < 1.0
+    assert abs(phase_mismatch(process, process.signal_nm)) < 1.0
     assert abs(phase_mismatch(process, process.signal_nm, solver.index)) < 1.0
 
 
 def test_phase_mismatch_odd_to_first_order(design_type0_10):
     process = design_type0_10.process_1
     delta = 0.05
-    plus = design_point_mismatch(process, process.signal_nm + delta)
-    minus = design_point_mismatch(process, process.signal_nm - delta)
+    plus = phase_mismatch(process, process.signal_nm + delta)
+    minus = phase_mismatch(process, process.signal_nm - delta)
     assert plus == pytest.approx(-minus, rel=1e-2)
 
 
@@ -259,7 +258,7 @@ def test_fwhm_estimate_slope_matches_finite_difference(request, fixture, axis):
         center = process.signal_nm if axis == "signal" else process.idler_nm
         lams = center + h * np.array([-2.0, -1.0, 1.0, 2.0])
         signals = lams if axis == "signal" else idler_wavelength(process.pump_nm, lams)
-        dk = design_point_mismatch(process, signals)
+        dk = phase_mismatch(process, signals)
         slope = (dk[0] - 8.0 * dk[1] + 8.0 * dk[2] - dk[3]) / (12.0 * h)
         expected = 4.0 * HALF_MAX_ARG / (1e-2 * abs(slope))
         assert estimate_fwhm_nm(process, axis, 1.0) == pytest.approx(expected, rel=1e-9)
@@ -287,15 +286,18 @@ def test_spectrum_span_too_narrow(design_type0_10):
 
 def test_spectrum_design_point_gain_equals_per_sample_loop(design_type0_10):
     # the vectorised scan does the per-sample arithmetic elementwise, so it
-    # reproduces the scalar loop exactly
-    for process in (design_type0_10.process_1, design_type0_10.process_2):
-        for axis, center in (("signal", process.signal_nm), ("idler", process.idler_nm)):
-            spectrum = spectrum_scan(process, axis, 12.0, 401, 1.0)
-            grid = np.linspace(center - 6.0, center + 6.0, 401)
-            signals = grid if axis == "signal" else [
-                idler_wavelength(process.pump_nm, float(lam)) for lam in grid]
-            dk = np.array([design_point_mismatch(process, float(lam)) for lam in signals])
-            assert np.array_equal(spectrum.gain, sinc(0.5 * dk * 1e-2) ** 2)
+    # reproduces the scalar loop exactly, with frozen or re-evaluated indices
+    solver = EffectiveIndexSolver(DEFAULT_MATERIAL, design_type0_10.request.geometry)
+    for index_model, provider in (("design-point", None), ("dispersive", solver.index)):
+        for process in (design_type0_10.process_1, design_type0_10.process_2):
+            for axis, center in (("signal", process.signal_nm), ("idler", process.idler_nm)):
+                spectrum = spectrum_scan(process, axis, 12.0, 401, 1.0, index_provider=provider,
+                                         index_model=index_model)
+                grid = np.linspace(center - 6.0, center + 6.0, 401)
+                signals = grid if axis == "signal" else [
+                    idler_wavelength(process.pump_nm, float(lam)) for lam in grid]
+                dk = np.array([phase_mismatch(process, float(lam), provider) for lam in signals])
+                assert np.array_equal(spectrum.gain, sinc(0.5 * dk * 1e-2) ** 2)
 
 
 def test_spectrum_span_reaching_the_pump_is_config_error(design_type0_10):

@@ -6,9 +6,10 @@ Each tree runs in one child interpreter with its own `src` on the path.  The
 child designs the 13x13 `geomspace(2, 20)` um grid for both schemes (338
 requests at the paper's 519 -> 780/775 nm, 1 cm) and the four 101-sample
 dispersive scans (the two shipped geometries, process 1, signal and idler
-axes, 3 x the estimated FWHM).  The script prints the largest relative change
-of each quantity, the spectrum gains whose bytes changed, and every request
-whose error class or text changed.  It exits 1 when a change exceeds its
+axes, 3 x the estimated FWHM), then runs `find_best_geometry` over (6.5, 12) um
+for both schemes.  The script prints the largest relative change of each
+quantity, the spectrum gains whose bytes changed, and every request whose
+error class or text changed.  It exits 1 when a change exceeds its
 tolerance (relative, except `scan_gain`, which is absolute), when a gain
 digest changes, or when an outcome changes.
 """
@@ -35,12 +36,15 @@ TOLERANCES = {
     "gamma": 1e-14,
     "scan_fwhm": 1e-12,
     "scan_gain": 1e-11,
+    "search_geometry": 0.0,
+    "search_gamma": 0.0,
 }
 
 CHILD = r"""
 import hashlib, json, sys
 import numpy as np
-from dppln.design_search import (DesignRequest, EffectiveIndexSolver, ROLES, Scheme, design)
+from dppln.design_search import (DesignRequest, EffectiveIndexSolver, ROLES, Scheme, design,
+                                 find_best_geometry)
 from dppln.dispersion import DEFAULT_MATERIAL
 from dppln.errors import ToolkitError
 from dppln.mode_solver import WaveguideGeometry
@@ -86,7 +90,13 @@ for scheme, size in ((Scheme.TYPE0_EEE, 10.0), (Scheme.TYPE2_CROSS, 6.5)):
                                  index_model="dispersive")
         scans[f"{scheme.value} {axis}"] = {"scan_fwhm": [spectrum.fwhm_nm],
                                            "scan_gain": spectrum.gain.tolist()}
-json.dump({"designs": designs, "scans": scans}, sys.stdout)
+
+searches = {}
+for scheme in Scheme:
+    geometry, result = find_best_geometry(request(scheme, 10.0, 10.0), (6.5, 12.0))
+    searches[scheme.value] = {"search_geometry": [geometry.width_um, geometry.depth_um],
+                              "search_gamma": [result.gamma]}
+json.dump({"designs": designs, "scans": scans, "searches": searches}, sys.stdout)
 """
 
 
@@ -113,7 +123,7 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
     ok = True
     largest = {name: 0.0 for name in tolerances}
     gains = errors = 0
-    for group in ("designs", "scans"):
+    for group in ("designs", "scans", "searches"):
         for key, before in parent[group].items():
             after = changed[group][key]
             if "error" in before or "error" in after:
@@ -130,13 +140,13 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
                         print(f"changed gain bytes  {key}")
                 else:
                     largest[name] = max(largest[name], change(name, values, after[name]))
-    print(f"{len(parent['designs'])} designs and {len(parent['scans'])} dispersive scans "
-          f"compared; {errors} requests fail")
+    print(f"{len(parent['designs'])} designs, {len(parent['scans'])} dispersive scans and "
+          f"{len(parent['searches'])} searches compared; {errors} requests fail")
     for name, value in largest.items():
         flag = "" if value <= tolerances[name] else f"  ABOVE {tolerances[name]:g}"
         ok = ok and not flag
         kind = "absolute" if name == "scan_gain" else "relative"
-        print(f"{name:<10} largest {kind} change {value:.3g}{flag}")
+        print(f"{name:<15} largest {kind} change {value:.3g}{flag}")
     print(f"gain digests changed: {gains}")
     return ok and gains == 0
 
