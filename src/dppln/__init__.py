@@ -27,6 +27,7 @@ from .design_search import (
     SweepRow,
     design,
     find_best_geometry,
+    solve_modes,
     sweep,
 )
 from .errors import (

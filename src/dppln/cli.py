@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import RunConfig, csv_numbers, integer, load_config
-from .design_search import ROLES, EffectiveIndexSolver, design, sweep
+from .design_search import ROLES, EffectiveIndexSolver, design, solve_modes, sweep
 from .errors import ConfigurationError, PhysicsError
 from .spdc import spectrum_scan, synthesize_poling
 
@@ -44,10 +44,10 @@ def _report(value):
 
 
 def cmd_index(config: RunConfig, args) -> dict:
-    result = design(config.request(), config.material)
+    modes = solve_modes(config.request(), config.material)
     rows = []
     for role in ROLES:
-        mode = result.modes[role]
+        mode = modes[role]
         profile = mode.profile
         rows.append(
             dict(

@@ -14,8 +14,8 @@ import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError
-from .mode_solver import (IndexProfile, ModeSolution, WaveguideGeometry, effective_index,
-                          field_overlap, solve_mode)
+from .mode_solver import (SIZE_RANGE_UM, IndexProfile, ModeSolution, WaveguideGeometry,
+                          effective_index, field_overlap, solve_mode)
 from .spdc import (
     CouplingAmplitude,
     Spectrum,
@@ -134,13 +134,13 @@ def _tagged(error: PhysicsError, role: str, wavelength_nm: float) -> PhysicsErro
     return tagged
 
 
-def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
-    """Solve the five modes and assemble periods, amplitudes, gamma and spectra.
+def solve_modes(request: DesignRequest,
+                material: Material = DEFAULT_MATERIAL) -> dict[str, ModeSolution]:
+    """Role -> the mode of each of the five waves, in ROLES order.
 
-    Mode and phase-matching failures are re-raised with the offending wave
-    identified.  Spectra use the design-point convention of
-    `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
-    `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
+    A mode failure is re-raised with the offending wave identified.  No
+    period, overlap or spectrum is formed, so the interaction length plays
+    no part.
     """
     pols = request.scheme.polarizations()
     wavelengths = {"pump": request.pump_nm, "signal_1": request.signal1_nm,
@@ -154,6 +154,20 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
             modes[role] = solver.solve(wavelengths[role], pols[role])
         except PhysicsError as error:
             raise _tagged(error, role, wavelengths[role]) from error
+    return modes
+
+
+def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
+    """Solve the five modes and assemble periods, amplitudes, gamma and spectra.
+
+    Mode and phase-matching failures are re-raised with the offending wave
+    identified.  Spectra use the design-point convention of
+    `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
+    `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
+    """
+    modes = solve_modes(request, material)
+    pols = request.scheme.polarizations()
+    wavelengths = {role: mode.wavelength_nm for role, mode in modes.items()}
 
     length_cm = request.geometry.length_cm
     processes, overlaps, amplitudes = [], [], []
@@ -238,11 +252,14 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     """One design per geometry; row failures are recorded, not raised.
 
     `pairing` "product" crosses the two lists (row-major: depth outer);
-    "zip" pairs them element-wise.  A list or pairing error names its
-    parameter in `ConfigurationError.field`.  Rows are returned in input
+    "zip" pairs them element-wise.  A list, pairing or `max_workers` below 1
+    raises a `ConfigurationError` that names its parameter in `field`.  Rows are returned in input
     order; with `max_workers` > 1 they are computed in parallel processes, at
     most one per row and per CPU.
     """
+    if max_workers is not None and max_workers < 1:
+        raise ConfigurationError(f"max_workers must be at least 1, got {max_workers}",
+                                 "max_workers")
     depths = list(depths_um)
     widths = list(widths_um)
     if not depths or not widths:
@@ -306,11 +323,15 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
 
     Coarse grid search followed by per-axis golden-section refinement.
     Returns (geometry, design) of the first-scored point of highest gamma.
-    Raises NoFeasibleDesignError when every candidate fails to guide or phase match.
+    Bounds outside SIZE_RANGE_UM, or with lo > hi, raise a ConfigurationError
+    naming `bounds_um`.  Raises NoFeasibleDesignError when every candidate
+    fails to guide or phase match.
     """
     lo, hi = bounds_um
-    if lo > hi:
-        raise ConfigurationError("bounds must satisfy lo <= hi")
+    low, high = SIZE_RANGE_UM
+    if not low <= lo <= hi <= high:  # checked before any design is solved
+        raise ConfigurationError(f"bounds ({lo:g}, {hi:g}) um must satisfy {low:g} <= lo <= hi "
+                                 f"<= {high:g} um", "bounds_um")
     # (depth, width) rounded -> (gamma, design); a failed design scores -inf
     scored: dict[tuple[float, float], tuple[float, DualPolingDesign | None]] = {}
 

@@ -67,6 +67,8 @@ _ALPHA_FLOOR = 0.05
 MIN_GUIDING_INCREMENT = 1e-5
 
 COVER_INDEX = 1.0
+# Supported channel width and depth in um.
+SIZE_RANGE_UM = (1.0, 50.0)
 
 # math.erf elementwise; returns float arrays (and a 0-d array for a scalar)
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -86,10 +88,12 @@ class WaveguideGeometry:
                 f"length {self.length_cm:g} cm outside the supported range (0, 10] cm",
                 "length_cm",
             )
+        low, high = SIZE_RANGE_UM
         for name, v in (("width", self.width_um), ("depth", self.depth_um)):
-            if not (1.0 <= v <= 50.0):
+            if not (low <= v <= high):
                 raise ConfigurationError(
-                    f"{name} {v:g} um outside the supported range [1, 50] um", f"{name}_um"
+                    f"{name} {v:g} um outside the supported range [{low:g}, {high:g}] um",
+                    f"{name}_um"
                 )
 
 
@@ -213,25 +217,37 @@ def _quadratures(profile):
     return partial(_quadrature, replace(profile, bulk_index=0.0, increment=0.0))
 
 
-def _rq_scalar(profile, k0, quad, alpha_y, alpha_z):
-    """The Nelder-Mead objective, by direct quadrature of the six integrals.
-    It equals the moment form to rounding, as the tests check; its own
-    rounding fixes the Nelder-Mead trajectory and so the design numbers."""
+def _rq_scalar(profile, k0, quad):
+    """The Nelder-Mead objective (a_y, a_z) -> n_eff^2 at one quadrature, by
+    direct quadrature of the six integrals.  It equals the moment form to
+    rounding, as the tests check; its own rounding fixes the Nelder-Mead
+    trajectory and so the design numbers.  The elementwise steps write into
+    scratch arrays owned by the returned function, never by the shared `quad`,
+    so each solve builds its own."""
+    y, y2, g, wy, z2, zh2, f, wz = (quad.y, quad.y2, quad.g, quad.wy, quad.z2, quad.zh2,
+                                    quad.f, quad.wz)
     w2, h2 = quad.w**2, quad.h**2
-    a2 = alpha_y * alpha_y
-    Y2 = np.exp(-2.0 * a2 * quad.y2 / w2)
-    Ay = Y2 @ quad.wy
-    Gy = (Y2 * quad.g) @ quad.wy
-    Dy = (Y2 * (2.0 * a2 * quad.y / w2) ** 2) @ quad.wy
-    a2 = alpha_z * alpha_z
-    t = 2.0 * a2 * quad.z2 / h2
-    envelope = np.exp(-t)
-    Z2 = quad.zh2 * envelope
-    Az = Z2 @ quad.wz
-    Fz = (Z2 * quad.f) @ quad.wz
-    Dz = (envelope * (1.0 - t) ** 2 / h2) @ quad.wz
     nb, dn = profile.bulk_index, profile.increment
-    return float(nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2)
+    Y2, ys = np.empty((2, y.size))
+    t, envelope, Z2 = np.empty((3, z2.size))
+
+    def rq(alpha_y, alpha_z):
+        a2 = alpha_y * alpha_y
+        np.exp(np.divide(np.multiply(y2, -2.0 * a2, out=ys), w2, out=ys), out=Y2)
+        Ay = float(Y2.dot(wy))
+        Gy = float(np.multiply(Y2, g, out=ys).dot(wy))
+        np.square(np.divide(np.multiply(y, 2.0 * a2, out=ys), w2, out=ys), out=ys)
+        Dy = float(np.multiply(Y2, ys, out=ys).dot(wy))
+        a2 = alpha_z * alpha_z
+        np.divide(np.multiply(z2, 2.0 * a2, out=t), h2, out=t)
+        np.exp(np.negative(t, out=envelope), out=envelope)
+        Az = float(np.multiply(zh2, envelope, out=Z2).dot(wz))
+        Fz = float(np.multiply(Z2, f, out=Z2).dot(wz))
+        np.square(np.subtract(1.0, t, out=t), out=t)
+        Dz = float(np.divide(np.multiply(envelope, t, out=t), h2, out=t).dot(wz))
+        return nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2
+
+    return rq
 
 
 def _rq_taylor(profile, k0, quad, x):
@@ -290,7 +306,7 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
         raise ConfigurationError("trial parameters must be positive")
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
     quad = _quadratures(profile)
-    value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), alpha_y, alpha_z))
+    value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n))(alpha_y, alpha_z))
     return value
 
 
@@ -434,7 +450,7 @@ def _optimum(profile, wavelength_nm, refine):
 
     # Lock the quadrature order for the local refinement so the objective is
     # smooth, then re-evaluate adaptively at the optimum.
-    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), ay, az))
+    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n))(ay, az))
     ay, az = refine(profile, k0, quad(order), ay, az)
     lo = ALPHA_MIN * (1.0 + _EDGE_MARGIN)
     hi = ALPHA_MAX * (1.0 - _EDGE_MARGIN)
@@ -445,7 +461,7 @@ def _optimum(profile, wavelength_nm, refine):
             raise BoundaryOptimumError(f"{name} optimum at the {edge[0]} of the trusted box "
                                        f"[{ALPHA_MIN}, {ALPHA_MAX}]: the mode is {edge[1]}")
 
-    n_eff_sq, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n), ay, az))
+    n_eff_sq, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n))(ay, az))
     if n_eff_sq <= profile.bulk_index**2:
         raise NoGuidedModeError(
             f"no confined mode at {wavelength_nm:g} nm: variational n_eff^2 "
@@ -455,10 +471,12 @@ def _optimum(profile, wavelength_nm, refine):
 
 
 def _nelder_mead(profile, k0, locked, ay, az):
+    rq = _rq_scalar(profile, k0, locked)
+
     def negative_rq(x):
         if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR:
             return 1e6
-        return -_rq_scalar(profile, k0, locked, x[0], x[1])
+        return -rq(x[0], x[1])
 
     simplex = [[ay, az], [ay * 1.02, az], [ay, az * 1.02]]
     result = minimize(negative_rq, simplex, xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
@@ -505,8 +523,8 @@ def field_overlap(a: ModeSolution, b: ModeSolution, c: ModeSolution) -> float:
     def evaluate(order):
         y, wy = panel_nodes(_y_edges(geometry), order)
         z, wz = panel_nodes(_z_edges(geometry), order)
-        iy = wy @ (a.y_factor(y) * b.y_factor(y) * c.y_factor(y))
-        iz = wz @ (a.z_factor(z) * b.z_factor(z) * c.z_factor(z))
+        iy = wy.dot(a.y_factor(y) * b.y_factor(y) * c.y_factor(y))
+        iz = wz.dot(a.z_factor(z) * b.z_factor(z) * c.z_factor(z))
         return iy * iz
 
     value, _ = refine_scalar(evaluate, rtol=1e-11, atol=1e-16)

@@ -197,6 +197,21 @@ def test_spectrum_span_reaching_the_pump_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["type0_w10.yaml", "type2_w6p5.yaml"])
+def test_index_does_not_depend_on_length(tmp_path, capsys, name):
+    # a length whose design spectra would reach the pump still has modes
+    shipped = Path(__file__).resolve().parent.parent / "configs" / name
+    data = yaml.safe_load(shipped.read_text())
+    data["geometry"]["length_cm"] = 0.01
+    short = tmp_path / name
+    short.write_text(yaml.safe_dump(data))
+    code, expected, _ = run(["index", "--config", str(shipped)], capsys)
+    assert code == 0
+    code, out, err = run(["index", "--config", str(short)], capsys)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_custom_sellmeier_mapping_with_valid_range_runs(tmp_path, capsys):
     sellmeier = {**CUSTOM_SELLMEIER, "name": "zelmon-copy", "valid_range_nm": [400, 5000]}
     config = write_config(tmp_path, material={"sellmeier": sellmeier, "temperature_c": 25.0})

@@ -112,6 +112,10 @@ def test_sweep_zip_and_product_shapes():
         sweep(template, [], [8.0])
     with pytest.raises(ConfigurationError):
         sweep(template, [8.0], [8.0], pairing="diagonal")
+    for max_workers in (0, -1):  # as the CLI rejects --parallel 0
+        with pytest.raises(ConfigurationError, match="max_workers") as raised:
+            sweep(template, [8.0], [8.0], max_workers=max_workers)
+        assert raised.value.field == "max_workers"
 
 
 def test_sweep_rows_permute_with_inputs():
@@ -183,6 +187,17 @@ def test_find_best_geometry_degenerate_bounds(design_type0_10):
     geometry, best = find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), (10.0, 10.0))
     assert geometry.width_um == 10.0 and geometry.depth_um == 10.0
     assert best.gamma == design_type0_10.gamma
+
+
+@pytest.mark.parametrize("bounds", [(6.5, 60.0), (0.5, 12.0), (12.0, 6.5), (0.5, 60.0)])
+def test_find_best_geometry_checks_bounds_before_any_design(monkeypatch, bounds):
+    def no_design(request, material):
+        raise AssertionError(f"design() called at {request.geometry}")
+
+    monkeypatch.setattr(design_search, "design", no_design)
+    with pytest.raises(ConfigurationError, match="bounds") as raised:
+        find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), bounds)
+    assert raised.value.field == "bounds_um"
 
 
 def test_find_best_geometry_designs_each_point_once(monkeypatch):

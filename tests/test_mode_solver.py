@@ -1,6 +1,8 @@
 import ast
 import math
 import re
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -472,7 +474,7 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
         w, h = profile.geometry.width_um, profile.geometry.depth_um
         for ay, az in corners + rng.uniform(lo, hi, size=(100, 2)).tolist():
             moment = mode_solver._rq_taylor(profile, k0, quad, (math.log(ay), math.log(az)))[0]
-            scalar = mode_solver._rq_scalar(profile, k0, quad, ay, az)
+            scalar = mode_solver._rq_scalar(profile, k0, quad)(ay, az)
             assert scalar == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
             y_moments, z_moments = quad.moments(ay * ay, az * az)
             direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
@@ -488,6 +490,86 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
         moment = [[mode_solver._rq_taylor(profile, k0, quad, (x, y))[0] for y in logs]
                   for x in logs]
         assert np.allclose(grid, moment, rtol=1e-14, atol=0.0)
+
+
+def matmul_rq_oracle(profile, k0, quad, alpha_y, alpha_z):
+    """The Nelder-Mead objective as written with `@` and fresh arrays: the
+    same IEEE operations in the same order, the reference for bit identity."""
+    w2, h2 = quad.w**2, quad.h**2
+    a2 = alpha_y * alpha_y
+    Y2 = np.exp(-2.0 * a2 * quad.y2 / w2)
+    Ay = Y2 @ quad.wy
+    Gy = (Y2 * quad.g) @ quad.wy
+    Dy = (Y2 * (2.0 * a2 * quad.y / w2) ** 2) @ quad.wy
+    a2 = alpha_z * alpha_z
+    t = 2.0 * a2 * quad.z2 / h2
+    envelope = np.exp(-t)
+    Z2 = quad.zh2 * envelope
+    Az = Z2 @ quad.wz
+    Fz = (Z2 * quad.f) @ quad.wz
+    Dz = (envelope * (1.0 - t) ** 2 / h2) @ quad.wz
+    nb, dn = profile.bulk_index, profile.increment
+    return float(nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2)
+
+
+@pytest.mark.parametrize("order", [48, 96, 192])
+def test_nelder_mead_objective_is_bit_identical_to_matmul_oracle(order):
+    # one objective reused across many points, as one Nelder-Mead run uses it
+    rng = np.random.default_rng(5150 + order)
+    for profile in random_profiles(4, seed=31 + order):
+        k0 = 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3)
+        quad = mode_solver._quadratures(profile)(order)
+        rq = mode_solver._rq_scalar(profile, k0, quad)
+        for ay, az in rng.uniform(0.05, 6.0, size=(250, 2)).tolist():
+            assert rq(ay, az) == matmul_rq_oracle(profile, k0, quad, ay, az), (ay, az)
+
+
+def test_field_overlap_is_bit_identical_to_matmul_oracle(design_type0_10):
+    modes = design_type0_10.modes
+    trio = (modes["pump"], modes["signal_2"], modes["idler_2"])
+    geometry = trio[0].profile.geometry
+
+    def evaluate(order):
+        y, wy = mode_solver.panel_nodes(mode_solver._y_edges(geometry), order)
+        z, wz = mode_solver.panel_nodes(mode_solver._z_edges(geometry), order)
+        iy = wy @ (trio[0].y_factor(y) * trio[1].y_factor(y) * trio[2].y_factor(y))
+        iz = wz @ (trio[0].z_factor(z) * trio[1].z_factor(z) * trio[2].z_factor(z))
+        return iy * iz
+
+    value, _ = mode_solver.refine_scalar(evaluate, rtol=1e-11, atol=1e-16)
+    assert field_overlap(*trio) == float(value)
+
+
+def test_solve_mode_threads_sharing_a_quadrature_match_serial():
+    # profiles of one shape share every cached _Quadrature; each solve must
+    # still own its scratch arrays, so interleaved solves change nothing
+    geometry = WaveguideGeometry(9.0, 11.0, 1.0)
+    jobs = [[(IndexProfile(geometry, 2.1778 + 0.01 * k, 0.0030), 780.0 + 40.0 * k, E)
+             for k in range(4)],
+            [(IndexProfile(geometry, 2.2111 - 0.01 * k, 0.0025), 1551.03 - 60.0 * k, E)
+             for k in range(4)]]
+    serial = [[solve_mode(*job) for job in batch] for batch in jobs]
+    results = [[], []]
+    start = threading.Barrier(2)
+
+    def run(index):
+        start.wait()
+        for _ in range(3):
+            results[index].extend(solve_mode(*job) for job in jobs[index])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(2):
+        assert results[index] == serial[index] * 3
 
 
 def test_mode_norms_are_the_locked_order_moments():
@@ -563,8 +645,8 @@ def test_newton_derivatives_match_central_differences():
             value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(profile, k0, locked, x)
 
             def rq(dy, dz):
-                return mode_solver._rq_scalar(profile, k0, locked, math.exp(x[0] + dy),
-                                              math.exp(x[1] + dz))
+                return mode_solver._rq_scalar(profile, k0, locked)(math.exp(x[0] + dy),
+                                                                   math.exp(x[1] + dz))
 
             assert value == pytest.approx(rq(0.0, 0.0), rel=1e-15, abs=0.0)
             e = 1e-5
