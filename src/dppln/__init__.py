@@ -22,11 +22,13 @@ from .design_search import (
     DesignRequest,
     DualPolingDesign,
     EffectiveIndexSolver,
+    PhaseMatchedDesign,
     Scheme,
     SweepResult,
     SweepRow,
     design,
     find_best_geometry,
+    phase_match,
     solve_modes,
     sweep,
 )

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import RunConfig, csv_numbers, integer, load_config
-from .design_search import ROLES, EffectiveIndexSolver, design, solve_modes, sweep
+from .design_search import ROLES, EffectiveIndexSolver, design, phase_match, solve_modes, sweep
 from .errors import ConfigurationError, PhysicsError
 from .spdc import spectrum_scan, synthesize_poling
 
@@ -161,7 +161,7 @@ def text_sweep(payload) -> str:
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
     scan = config.require_scan()
-    result = design(config.request(), config.material)
+    result = phase_match(config.request(), config.material)
     process = result.process_1 if scan.axis.endswith("_1") else result.process_2
     axis = "signal" if scan.axis.startswith("signal") else "idler"
     geometry = result.request.geometry
@@ -196,7 +196,7 @@ def text_spectrum(payload) -> str:
 
 
 def cmd_poling(config: RunConfig, args) -> dict:
-    result = design(config.request(), config.material)
+    result = phase_match(config.request(), config.material)
     pattern = synthesize_poling(
         result.period1_um, result.period2_um, result.request.geometry.length_cm
     )

@@ -15,7 +15,7 @@ import numpy as np
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError
 from .mode_solver import (SIZE_RANGE_UM, IndexProfile, ModeSolution, WaveguideGeometry,
-                          effective_index, field_overlap, solve_mode)
+                          effective_index, field_overlap, solve_lanes, solve_mode)
 from .spdc import (
     CouplingAmplitude,
     Spectrum,
@@ -95,8 +95,8 @@ class EffectiveIndexSolver:
 
 
 @dataclass(frozen=True)
-class DualPolingDesign:
-    """Complete result of one dual-period design."""
+class PhaseMatchedDesign:
+    """One design without its design spectra: modes, processes and gamma."""
 
     request: DesignRequest
     modes: Mapping[str, ModeSolution]
@@ -109,7 +109,6 @@ class DualPolingDesign:
     gamma: float
     state_weights: tuple[float, float]
     entropy_bits: float
-    spectra: Mapping[str, Spectrum]
 
     @property
     def period1_um(self):
@@ -118,6 +117,13 @@ class DualPolingDesign:
     @property
     def period2_um(self):
         return self.process_2.qpm_period_um
+
+
+@dataclass(frozen=True)
+class DualPolingDesign(PhaseMatchedDesign):
+    """Complete result of one dual-period design."""
+
+    spectra: Mapping[str, Spectrum]
 
 
 ROLES = ("pump", "signal_1", "idler_1", "signal_2", "idler_2")
@@ -134,27 +140,78 @@ def _tagged(error: PhysicsError, role: str, wavelength_nm: float) -> PhysicsErro
     return tagged
 
 
+def _solve_requests(requests, material) -> list:
+    """Per request, role -> mode in ROLES order, or the first failure in ROLES
+    order tagged with its wave, without a traceback.  The modes of all the
+    requests are one `solve_lanes` batch, a group per request."""
+    groups, plans = [], []
+    for request in requests:
+        pols = request.scheme.polarizations()
+        solver = EffectiveIndexSolver(material, request.geometry)
+        nm = {"pump": request.pump_nm, "signal_1": request.signal1_nm,
+              "signal_2": request.signal2_nm}
+        for _, s_role, i_role in PAIRS:
+            nm[i_role] = idler_wavelength(request.pump_nm, nm[s_role])
+        jobs, failure = [], None
+        for role in ROLES:
+            try:
+                jobs.append((solver.profile(nm[role], pols[role]), nm[role], pols[role]))
+            except PhysicsError as error:  # the later waves are never reached
+                failure = _tagged(error.with_traceback(None), role, nm[role])
+                break
+        groups.append(jobs)
+        plans.append((nm, failure))
+    outcomes = []
+    for (nm, failure), solved in zip(plans, solve_lanes(groups)):
+        if solved and isinstance(solved[-1], PhysicsError):
+            role = ROLES[len(solved) - 1]
+            failure = _tagged(solved[-1], role, nm[role])
+        outcomes.append(dict(zip(ROLES, solved)) if failure is None else failure)
+    return outcomes
+
+
 def solve_modes(request: DesignRequest,
                 material: Material = DEFAULT_MATERIAL) -> dict[str, ModeSolution]:
-    """Role -> the mode of each of the five waves, in ROLES order.
+    """Role -> the mode of each of the five waves, in ROLES order, as one
+    `solve_lanes` batch.
 
-    A mode failure is re-raised with the offending wave identified.  No
-    period, overlap or spectrum is formed, so the interaction length plays
-    no part.
+    The first mode failure in ROLES order is re-raised with the offending wave
+    identified.  No period, overlap or spectrum is formed, so the interaction
+    length plays no part.
     """
+    outcomes = _solve_requests([request], material)
+    if isinstance(outcomes[0], PhysicsError):
+        raise outcomes.pop()  # held by no frame, so the traceback makes no cycle
+    return outcomes[0]
+
+
+def _phase_match(request: DesignRequest, modes) -> PhaseMatchedDesign:
+    """`phase_match` from solved modes; a failure names its process."""
     pols = request.scheme.polarizations()
-    wavelengths = {"pump": request.pump_nm, "signal_1": request.signal1_nm,
-                   "signal_2": request.signal2_nm}
-    for _, s_role, i_role in PAIRS:
-        wavelengths[i_role] = idler_wavelength(request.pump_nm, wavelengths[s_role])
-    solver = EffectiveIndexSolver(material, request.geometry)
-    modes = {}
-    for role in ROLES:
+    processes, overlaps, amplitudes = [], [], []
+    for tag, s_role, i_role in PAIRS:
+        signal_nm = modes[s_role].wavelength_nm
         try:
-            modes[role] = solver.solve(wavelengths[role], pols[role])
+            process = make_process(request.pump_nm, signal_nm, pols["pump"], pols[s_role],
+                                   pols[i_role], modes["pump"].n_eff, modes[s_role].n_eff,
+                                   modes[i_role].n_eff)
         except PhysicsError as error:
-            raise _tagged(error, role, wavelengths[role]) from error
-    return modes
+            raise _tagged(error, tag, signal_nm) from error
+        processes.append(process)
+        overlaps.append(field_overlap(modes["pump"], modes[s_role], modes[i_role]))
+        # Both processes are exactly phase matched at their own design point.
+        amplitudes.append(coupling_amplitude(process, overlaps[-1], 0.0,
+                                             request.geometry.length_cm))
+    weights, entropy = state_weights_and_entropy(*amplitudes)
+    return PhaseMatchedDesign(request, modes, *processes, *overlaps, *amplitudes,
+                              gamma=degree_of_entanglement(*amplitudes),
+                              state_weights=weights, entropy_bits=entropy)
+
+
+def phase_match(request: DesignRequest,
+                material: Material = DEFAULT_MATERIAL) -> PhaseMatchedDesign:
+    """`design` without the design spectra, so without their length limit."""
+    return _phase_match(request, solve_modes(request, material))
 
 
 def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
@@ -165,29 +222,15 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
     `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
     """
-    modes = solve_modes(request, material)
-    pols = request.scheme.polarizations()
-    wavelengths = {role: mode.wavelength_nm for role, mode in modes.items()}
-
+    matched = phase_match(request, material)
     length_cm = request.geometry.length_cm
-    processes, overlaps, amplitudes = [], [], []
     # Each design spectrum spans 8 x FWHM, which scales as 1/L, and must stay
     # clear of the pump: shortest[role] is the length in cm where it reaches it.
     scans, shortest = {}, {}
-    for tag, s_role, i_role in PAIRS:
-        try:
-            process = make_process(request.pump_nm, wavelengths[s_role], pols["pump"],
-                                   pols[s_role], pols[i_role], modes["pump"].n_eff,
-                                   modes[s_role].n_eff, modes[i_role].n_eff)
-        except PhysicsError as error:
-            raise _tagged(error, tag, wavelengths[s_role]) from error
-        processes.append(process)
-        overlaps.append(field_overlap(modes["pump"], modes[s_role], modes[i_role]))
-        # Both processes are exactly phase matched at their own design point.
-        amplitudes.append(coupling_amplitude(process, overlaps[-1], 0.0, length_cm))
+    for process, (_, s_role, i_role) in zip((matched.process_1, matched.process_2), PAIRS):
         for role, axis in ((s_role, "signal"), (i_role, "idler")):
             scans[role] = process, axis
-            room = wavelengths[role] - request.pump_nm
+            room = matched.modes[role].wavelength_nm - request.pump_nm
             shortest[role] = (SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, 1.0)
                               / (2.0 * room))
     limit = max(shortest, key=shortest.get)
@@ -200,22 +243,7 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     for role, (process, axis) in scans.items():
         span = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, length_cm)
         spectra[role] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
-
-    weights, entropy = state_weights_and_entropy(*amplitudes)
-    return DualPolingDesign(
-        request=request,
-        modes=modes,
-        process_1=processes[0],
-        process_2=processes[1],
-        overlap_1=overlaps[0],
-        overlap_2=overlaps[1],
-        amplitude_1=amplitudes[0],
-        amplitude_2=amplitudes[1],
-        gamma=degree_of_entanglement(*amplitudes),
-        state_weights=weights,
-        entropy_bits=entropy,
-        spectra=spectra,
-    )
+    return DualPolingDesign(**vars(matched), spectra=spectra)
 
 
 @dataclass(frozen=True)
@@ -236,26 +264,36 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _sweep_row(template, material, depth, width):
-    geometry = replace(template.geometry, width_um=width, depth_um=depth)
-    request = replace(template, geometry=geometry)
+def _sweep_row(depth, width, request, modes) -> SweepRow:
+    if isinstance(modes, PhysicsError):  # a stored failure, never raised in this frame
+        return SweepRow(depth, width, None, None, None, error=str(modes))
     try:
-        result = design(request, material)
+        result = _phase_match(request, modes)
     except PhysicsError as error:
         return SweepRow(depth, width, None, None, None, error=str(error))
     return SweepRow(depth, width, result.gamma, result.period1_um, result.period2_um)
 
 
+def _sweep_rows(template, material, pairs) -> list[SweepRow]:
+    """The rows of (depth, width) `pairs`, their modes solved as one batch."""
+    requests = [replace(template, geometry=replace(template.geometry, width_um=width,
+                                                   depth_um=depth)) for depth, width in pairs]
+    return [_sweep_row(depth, width, request, modes) for (depth, width), request, modes
+            in zip(pairs, requests, _solve_requests(requests, material))]
+
+
 def sweep(template: DesignRequest, depths_um, widths_um, *,
           material: Material = DEFAULT_MATERIAL, pairing: str = "product",
           max_workers: int | None = None) -> SweepResult:
-    """One design per geometry; row failures are recorded, not raised.
+    """One `phase_match` per geometry; row failures are recorded, not raised.
 
     `pairing` "product" crosses the two lists (row-major: depth outer);
     "zip" pairs them element-wise.  A list, pairing or `max_workers` below 1
     raises a `ConfigurationError` that names its parameter in `field`.  Rows are returned in input
     order; with `max_workers` > 1 they are computed in parallel processes, at
-    most one per row and per CPU.
+    most one per row and per CPU, each solving one contiguous chunk of rows as
+    one batch.  A row's numbers do not depend on its batch, so the rows do not
+    depend on `max_workers`.
     """
     if max_workers is not None and max_workers < 1:
         raise ConfigurationError(f"max_workers must be at least 1, got {max_workers}",
@@ -280,18 +318,20 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
         field = {"depth_um": "depths_um", "width_um": "widths_um"}[error.field]
         raise ConfigurationError(str(error), field) from None
 
-    row_at = partial(_sweep_row, template, material)
-    row_depths, row_widths = zip(*pairs)
     # the pool starts all its processes at once, so never more than can be used
     workers = min(max_workers or 1, len(pairs), os.cpu_count() or 1)
+    # one contiguous chunk of rows per process, each chunk one batch
+    chunks = [pairs[len(pairs) * k // workers:len(pairs) * (k + 1) // workers]
+              for k in range(workers)]
+    rows_of = partial(_sweep_rows, template, material)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(row_at, row_depths, row_widths))
+            chunks = list(pool.map(rows_of, chunks))
     else:
-        rows = tuple(map(row_at, row_depths, row_widths))
-    return SweepResult(scheme=template.scheme, rows=rows)
+        chunks = list(map(rows_of, chunks))
+    return SweepResult(scheme=template.scheme, rows=tuple(row for rows in chunks for row in rows))
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

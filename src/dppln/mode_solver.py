@@ -25,11 +25,17 @@ The optimiser is deterministic: a 16x16 logarithmic scan of
 (a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead,
 Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
 simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
-that repeats its floating-point trajectory on the objective `_rq_scalar`.
-The grid scan, the mode norms and `effective_index` read the quotient from
-Gaussian moment rows instead; `effective_index` needs n_eff only, which is
-stationary at the optimum, so it refines by safeguarded Newton steps
-(Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature nodes,
+that repeats its floating-point trajectory on the objective `_rq_rows`.
+`solve_lanes` runs the refinements of many solves in lock step, one stacked
+objective evaluation per round for all of them; each lane (one solve) keeps
+its own trajectory bit for bit and holds about 45 KB while the batch runs,
+and a group of lanes stops at its first failure.
+`solve_mode` is one lane; `design_search` batches the five waves of a design
+and every row of a sweep chunk, so rows agree across `--parallel` by
+construction.  The grid scan, the mode norms and `effective_index` read the
+quotient from Gaussian moment rows instead; `effective_index` needs n_eff
+only, which is stationary at the optimum, so it refines by safeguarded
+Newton steps (Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature nodes,
 profile samples and moment rows depend on the geometry, diffusion scales and
 Gauss order only, so they are built once per shape and order.
 """
@@ -39,8 +45,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial, reduce
-from operator import add
+from functools import cache, cached_property, lru_cache, partial, reduce
+from itertools import takewhile
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -50,6 +57,7 @@ from .errors import (
     ConfigurationError,
     ConsistencyError,
     NoGuidedModeError,
+    PhysicsError,
 )
 from .quadrature import panel_nodes, refine_scalar
 
@@ -212,42 +220,61 @@ def _ratios(sy, y_moments, sz, z_moments):
 _quadrature = lru_cache(maxsize=8)(_Quadrature)
 
 
-def _quadratures(profile):
+def _quadratures(profile, quadrature=_quadrature):
     """order -> the shared _Quadrature of `profile` with its indices zeroed."""
-    return partial(_quadrature, replace(profile, bulk_index=0.0, increment=0.0))
+    return partial(quadrature, replace(profile, bulk_index=0.0, increment=0.0))
 
 
-def _rq_scalar(profile, k0, quad):
-    """The Nelder-Mead objective (a_y, a_z) -> n_eff^2 at one quadrature, by
-    direct quadrature of the six integrals.  It equals the moment form to
-    rounding, as the tests check; its own rounding fixes the Nelder-Mead
-    trajectory and so the design numbers.  The elementwise steps write into
-    scratch arrays owned by the returned function, never by the shared `quad`,
-    so each solve builds its own."""
-    y, y2, g, wy, z2, zh2, f, wz = (quad.y, quad.y2, quad.g, quad.wy, quad.z2, quad.zh2,
-                                    quad.f, quad.wz)
-    w2, h2 = quad.w**2, quad.h**2
-    nb, dn = profile.bulk_index, profile.increment
-    Y2, ys = np.empty((2, y.size))
-    t, envelope, Z2 = np.empty((3, z2.size))
+_NODE_ARRAYS = attrgetter("y", "y2", "g", "wy", "z2", "zh2", "f", "wz")
 
-    def rq(alpha_y, alpha_z):
-        a2 = alpha_y * alpha_y
-        np.exp(np.divide(np.multiply(y2, -2.0 * a2, out=ys), w2, out=ys), out=Y2)
-        Ay = float(Y2.dot(wy))
-        Gy = float(np.multiply(Y2, g, out=ys).dot(wy))
-        np.square(np.divide(np.multiply(y, 2.0 * a2, out=ys), w2, out=ys), out=ys)
-        Dy = float(np.multiply(Y2, ys, out=ys).dot(wy))
-        a2 = alpha_z * alpha_z
-        np.divide(np.multiply(z2, 2.0 * a2, out=t), h2, out=t)
+
+def _rq_rows(lanes):
+    """The Nelder-Mead objective by direct quadrature for lanes (profile, k0,
+    _Quadrature) of one Gauss order: [(a_y, a_z) per lane] -> [n_eff^2 per
+    lane].  Several lanes are rows of stacked arrays, one lane keeps its own
+    1-D arrays and floats, and either way lane i's arithmetic is the same bit
+    for bit: elementwise ufuncs and one ddot per row (`np.vecdot`).  It equals
+    the moment form to rounding; its own rounding fixes the design numbers.
+    Scratch arrays belong to the returned function, never to the shared
+    quadratures."""
+    profiles, k0s, quads = zip(*lanes)
+
+    def lanewise(values, shape=(-1,)):
+        return values[0] if len(values) == 1 else np.array(values).reshape(shape)
+
+    y, y2, g, wy, z2, zh2, f, wz = (lanewise(arrays, (len(quads), -1))
+                                    for arrays in zip(*map(_NODE_ARRAYS, quads)))
+    w2, h2 = (lanewise([getattr(q, axis)**2 for q in quads], (-1, 1)) for axis in "wh")
+    nb2 = lanewise([p.bulk_index**2 for p in profiles])
+    c = lanewise([2.0 * p.bulk_index * p.increment for p in profiles])
+    k02 = lanewise([k0**2 for k0 in k0s])
+    # the integrands Y^2, g Y^2, (dY/dy)^2 and Z^2, f Z^2, (dZ/dz)^2, dotted at once
+    Y, Z = np.empty((3,) + y.shape), np.empty((3,) + z2.shape)
+    ys, t, envelope = np.empty(y.shape), np.empty(z2.shape), np.empty(z2.shape)
+
+    def rq(points):
+        # -2 a_y^2, 2 a_y^2 and 2 a_z^2: floats for one lane, else (lanes, 1) columns
+        scales = [(-2.0 * (ay * ay), 2.0 * (ay * ay), 2.0 * (az * az)) for ay, az in points]
+        sy_down, sy_up, sz_up = scales[0] if len(scales) == 1 else np.array(scales).T[:, :, None]
+        np.exp(np.divide(np.multiply(y2, sy_down, out=ys), w2, out=ys), out=Y[0])
+        np.multiply(Y[0], g, out=Y[1])
+        np.square(np.divide(np.multiply(y, sy_up, out=ys), w2, out=ys), out=ys)
+        np.multiply(Y[0], ys, out=Y[2])
+        np.divide(np.multiply(z2, sz_up, out=t), h2, out=t)
         np.exp(np.negative(t, out=envelope), out=envelope)
-        Az = float(np.multiply(zh2, envelope, out=Z2).dot(wz))
-        Fz = float(np.multiply(Z2, f, out=Z2).dot(wz))
+        np.multiply(zh2, envelope, out=Z[0])
+        np.multiply(Z[0], f, out=Z[1])
         np.square(np.subtract(1.0, t, out=t), out=t)
-        Dz = float(np.divide(np.multiply(envelope, t, out=t), h2, out=t).dot(wz))
-        return nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2
+        np.divide(np.multiply(envelope, t, out=t), h2, out=Z[2])
+        (Ay, Gy, Dy), (Az, Fz, Dz) = np.vecdot(Y, wy), np.vecdot(Z, wz)
+        return np.atleast_1d(nb2 + c * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k02).tolist()
 
     return rq
+
+
+def _quotient(profile, k0, quad, alpha_y, alpha_z):
+    """`_rq_rows` for one lane at one point."""
+    return _rq_rows([(profile, k0, quad)])([(alpha_y, alpha_z)])[0]
 
 
 def _rq_taylor(profile, k0, quad, x):
@@ -306,7 +333,7 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
         raise ConfigurationError("trial parameters must be positive")
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
     quad = _quadratures(profile)
-    value, _ = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n))(alpha_y, alpha_z))
+    value, _ = refine_scalar(lambda n: _quotient(profile, k0, quad(n), alpha_y, alpha_z))
     return value
 
 
@@ -335,7 +362,21 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
     same argsort of the vertices, the convergence test before each step,
     `nit` counted from 1 and `nfev` including the initial vertices.  `fun`
     receives each vertex as a list of floats, which it must not modify.
+    It runs `_nelder_mead_steps` on one objective.
     """
+    steps = _nelder_mead_steps(simplex, xatol=xatol, fatol=fatol, maxiter=maxiter,
+                               maxfev=maxfev)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fun(x))
+    except StopIteration as done:
+        return done.value
+
+
+def _nelder_mead_steps(simplex, *, xatol, fatol, maxiter, maxfev):
+    """`minimize` as a generator: it yields each vertex, is sent its value back
+    and returns the NelderMeadResult."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     sim = np.array(simplex, dtype=float).tolist()
     N = len(sim[0])
@@ -346,12 +387,12 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
         if nfev >= maxfev:
             raise _Exhausted
         nfev += 1
-        return float(fun(x))
+        return float((yield x))
 
     fsim = [math.inf] * (N + 1)
     try:
         for k in range(N + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _Exhausted:
         pass
     # sorted twice, as scipy does, so that tied values order the same way
@@ -366,10 +407,10 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
             # a left fold is numpy's add.reduce over the rows
             xbar = [reduce(add, column) / N for column in zip(*sim[:-1])]
             xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, sim[-1])]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, sim[-1])]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -379,18 +420,18 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, sim[-1])]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = [(1 - psi) * m + psi * v for m, v in zip(xbar, sim[-1])]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, N + 1):
                         sim[j] = [b + sigma * (v - b) for b, v in zip(sim[0], sim[j])]
-                        fsim[j] = f(sim[j])
+                        fsim[j] = yield from f(sim[j])
             nit += 1
         except _Exhausted:
             pass
@@ -430,28 +471,31 @@ class ModeSolution:
         return self.y_factor(y) * self.z_factor(z)
 
 
-def _optimum(profile, wavelength_nm, refine):
-    """Grid start, `refine(profile, k0, locked quadrature, a_y, a_z)`, edge test
-    and adaptive n_eff^2: (n_eff^2, its order, order -> _Quadrature, a_y, a_z)."""
+# One mode solve after its start: grid point and the order locked for a smooth refinement.
+_Start = namedtuple("_Start", "profile wavelength_nm k0 quad order ay az")
+
+
+def _start(profile, wavelength_nm, quadrature=_quadrature):
+    """Guidance check, grid start and order lock of one mode solve."""
     if profile.increment < MIN_GUIDING_INCREMENT:
         raise NoGuidedModeError(
             f"increment {profile.increment:g} below the guiding threshold "
             f"{MIN_GUIDING_INCREMENT:g}"
         )
     k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
-    quad = _quadratures(profile)
-
+    quad = _quadratures(profile, quadrature)
     nb, dn, geometry = profile.bulk_index, profile.increment, profile.geometry
     P, r, Q, t = quad(GRID_ORDER).grid_ratios
     grid = (nb**2 + 2.0 * nb * dn * np.outer(P, Q)
             - np.add.outer(r / geometry.width_um**2, t / geometry.depth_um**2) / k0**2)
     iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
     ay, az = float(GRID_ALPHAS[iy]), float(GRID_ALPHAS[iz])
+    _, order = refine_scalar(lambda n: _quotient(profile, k0, quad(n), ay, az))
+    return _Start(profile, wavelength_nm, k0, quad, order, ay, az)
 
-    # Lock the quadrature order for the local refinement so the objective is
-    # smooth, then re-evaluate adaptively at the optimum.
-    _, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n))(ay, az))
-    ay, az = refine(profile, k0, quad(order), ay, az)
+
+def _finish(start, ay, az):
+    """Edge test and adaptive (n_eff^2, order) at the refined (a_y, a_z)."""
     lo = ALPHA_MIN * (1.0 + _EDGE_MARGIN)
     hi = ALPHA_MAX * (1.0 - _EDGE_MARGIN)
     for name, alpha in (("alpha_y", ay), ("alpha_z", az)):
@@ -460,53 +504,110 @@ def _optimum(profile, wavelength_nm, refine):
                 "lower edge", "wider than the trusted domain (near cutoff)")
             raise BoundaryOptimumError(f"{name} optimum at the {edge[0]} of the trusted box "
                                        f"[{ALPHA_MIN}, {ALPHA_MAX}]: the mode is {edge[1]}")
-
-    n_eff_sq, order = refine_scalar(lambda n: _rq_scalar(profile, k0, quad(n))(ay, az))
-    if n_eff_sq <= profile.bulk_index**2:
+    n_eff_sq, order = refine_scalar(lambda n: _quotient(start.profile, start.k0, start.quad(n),
+                                                        ay, az))
+    if n_eff_sq <= start.profile.bulk_index**2:
         raise NoGuidedModeError(
-            f"no confined mode at {wavelength_nm:g} nm: variational n_eff^2 "
+            f"no confined mode at {start.wavelength_nm:g} nm: variational n_eff^2 "
             f"{n_eff_sq:.9f} does not exceed the bulk value"
         )
-    return n_eff_sq, order, quad, ay, az
+    return n_eff_sq, order
 
 
-def _nelder_mead(profile, k0, locked, ay, az):
-    rq = _rq_scalar(profile, k0, locked)
+def _nelder_mead(starts, finish):
+    """Nelder-Mead from each start's grid point with a fixed initial simplex,
+    all runs in lock step: each round evaluates `_rq_rows` once per locked
+    order, stacked, at the one pending vertex of every run, and restacks an
+    order's live runs once half its rows belong to ended ones.  A vertex below
+    `_ALPHA_FLOOR` scores 1e6 instead.  As run i ends, `finish(i, a_y, a_z)`
+    takes its optimum and returns the runs it makes moot, which stop."""
+    runs = {i: _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
+                                  xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
+            for i, s in enumerate(starts)}
+    pending = {i: next(run) for i, run in runs.items()}
+    stacks = {}  # order -> (its stacked runs, their objective)
+    while runs:
+        for order in {starts[i].order for i in runs}:
+            live = [i for i in runs if starts[i].order == order]
+            stacked, rq = stacks.get(order, ((), None))
+            if 2 * len(live) <= len(stacked) or not stacked:
+                stacked, rq = stacks[order] = live, _rq_rows(
+                    [(starts[i].profile, starts[i].k0, starts[i].quad(order)) for i in live])
+            xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
+            for i, x, value in zip(stacked, xs, rq(xs)):
+                if i not in runs:
+                    continue
+                try:
+                    pending[i] = runs[i].send(
+                        1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
+                    continue
+                except StopIteration as done:
+                    optimum = done.value.x.tolist()
+                # outside the handler, so an error of `finish` has no StopIteration context
+                del runs[i]
+                for j in finish(i, *optimum):
+                    runs.pop(j, None)
 
-    def negative_rq(x):
-        if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR:
-            return 1e6
-        return -rq(x[0], x[1])
 
-    simplex = [[ay, az], [ay * 1.02, az], [ay, az * 1.02]]
-    result = minimize(negative_rq, simplex, xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-    return result.x.tolist()
+def solve_lanes(groups) -> list:
+    """Solve groups of (profile, wavelength_nm, polarization) jobs, each job as
+    `solve_mode` does, bit for bit, up to its group's first failure: per
+    group, the ModeSolutions in job order, ending with the PhysicsError
+    (without its traceback) of its first failing job.  Each job is a lane of
+    the lock-step `_nelder_mead`; a failure stops the later lanes of its group."""
+    quadrature = cache(_quadrature)  # every shape and order stays built for the batch
+    results = [[None] * len(jobs) for jobs in groups]
+    lanes, starts = [], []  # (group, index in it, polarization) and `_Start` of each lane
+    for g, jobs in enumerate(groups):
+        for k, (profile, wavelength_nm, polarization) in enumerate(jobs):
+            try:
+                starts.append(_start(profile, wavelength_nm, quadrature))
+            except PhysicsError as error:
+                results[g][k] = error.with_traceback(None)
+                break
+            lanes.append((g, k, polarization))
+
+    def finish(i, ay, az):
+        (g, k, polarization), start = lanes[i], starts[i]
+        try:
+            n_eff_sq, order = _finish(start, ay, az)
+        except PhysicsError as error:
+            results[g][k] = error.with_traceback(None)
+            return takewhile(lambda j: lanes[j][0] == g, range(i + 1, len(lanes)))
+        y_moments, z_moments = start.quad(order).moments(ay * ay, az * az)  # int Y^2, int Z^2
+        results[g][k] = ModeSolution(float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm,
+                                     polarization, start.profile, math.sqrt(y_moments[0]),
+                                     math.sqrt(z_moments[1]))
+        return ()
+
+    _nelder_mead(starts, finish)
+    for row in results:  # each group up to its first failure
+        for k, result in enumerate(row):
+            if isinstance(result, PhysicsError):
+                del row[k + 1:]
+                break
+    return results
 
 
 def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
     """`solve_mode(...).n_eff` to rounding, with the same checks and errors,
     refined by `_newton`: n_eff is stationary in the trial parameters."""
-    return math.sqrt(_optimum(profile, wavelength_nm, _newton)[0])
+    start = _start(profile, wavelength_nm)
+    ay, az = _newton(profile, start.k0, start.quad(start.order), start.ay, start.az)
+    return math.sqrt(_finish(start, ay, az)[0])
 
 
 def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polarization) -> ModeSolution:
-    """Maximise the Rayleigh quotient over the trial parameters.
+    """Maximise the Rayleigh quotient over the trial parameters; the one-lane
+    case of `solve_lanes`.
 
     Raises NoGuidedModeError when the profile cannot confine a mode and
     BoundaryOptimumError when the optimum sticks to the search-box edge.
     """
-    n_eff_sq, order, quad, ay, az = _optimum(profile, wavelength_nm, _nelder_mead)
-    y_moments, z_moments = quad(order).moments(ay * ay, az * az)  # int Y^2, int Z^2: rows 0, 1
-    return ModeSolution(
-        n_eff=float(np.sqrt(n_eff_sq)),
-        alpha_y=float(ay),
-        alpha_z=float(az),
-        wavelength_nm=wavelength_nm,
-        polarization=polarization,
-        profile=profile,
-        y_norm=math.sqrt(y_moments[0]),
-        z_norm=math.sqrt(z_moments[1]),
-    )
+    results = solve_lanes([[(profile, wavelength_nm, polarization)]])[0]
+    if isinstance(results[0], PhysicsError):
+        raise results.pop()  # held by no frame, so the traceback makes no cycle
+    return results[0]
 
 
 def field_overlap(a: ModeSolution, b: ModeSolution, c: ModeSolution) -> float:

@@ -212,6 +212,23 @@ def test_index_does_not_depend_on_length(tmp_path, capsys, name):
     assert out == expected
 
 
+def test_short_length_fails_only_the_command_that_prints_design_spectra(tmp_path, capsys):
+    # at 0.01 cm the 8 x FWHM design spectra reach the pump; poling, spectrum
+    # (with its own span) and sweep rows need none of them
+    config = write_config(tmp_path, geometry={"width_um": 10.0, "depth_um": 10.0,
+                                              "length_cm": 0.01},
+                          scan={"axis": "signal_1", "span_nm": 300.0, "samples": 801})
+    for command in ("poling", "spectrum", "sweep"):
+        code, out, err = run([command, "--config", config], capsys)
+        assert (code, err) == (0, ""), command
+        assert out
+    code, out, err = run(["sweep", "--config", config], capsys)
+    assert out.count(",ok\n") == 2
+    code, out, err = run(["design", "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert "geometry.length_cm 0.01 cm is too short" in err
+
+
 def test_custom_sellmeier_mapping_with_valid_range_runs(tmp_path, capsys):
     sellmeier = {**CUSTOM_SELLMEIER, "name": "zelmon-copy", "valid_range_nm": [400, 5000]}
     config = write_config(tmp_path, material={"sellmeier": sellmeier, "temperature_c": 25.0})

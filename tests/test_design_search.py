@@ -1,21 +1,32 @@
 import concurrent.futures
 import dataclasses
+import gc
 import os
 import re
 
 import pytest
 
 from dppln import (
+    DEFAULT_MATERIAL,
+    BoundaryOptimumError,
     ConfigurationError,
     DesignRequest,
+    EffectiveIndexSolver,
+    IndexProfile,
+    NoGuidedModeError,
+    PhysicsError,
     Polarization,
     Scheme,
+    WavelengthRangeError,
     WaveguideGeometry,
     design,
     find_best_geometry,
+    idler_wavelength,
+    solve_mode,
+    solve_modes,
     sweep,
 )
-from dppln import design_search
+from dppln import design_search, mode_solver
 from dppln.design_search import SweepRow
 from conftest import request_for
 
@@ -146,6 +157,114 @@ def test_sweep_parallel_matches_serial():
     ]
 
 
+def test_sweep_parallel_matches_serial_with_a_failing_first_depth():
+    # two chunks of eight rows; every row of the first depth fails
+    template = request_for(Scheme.TYPE2_CROSS, 10.0)
+    depths, widths = [1.0, 6.5, 10.0, 14.0], [2.0, 6.5, 10.0, 16.0]
+    serial = sweep(template, depths, widths)
+    assert all(row.error is not None for row in serial.rows[:4])
+    assert any(row.error is None for row in serial.rows[4:])
+    assert sweep(template, depths, widths, max_workers=2) == serial
+
+
+def test_sweep_with_failing_rows_leaves_no_garbage():
+    # stored lane errors carry no traceback, so no frame <-> error cycle
+    template = request_for(Scheme.TYPE0_EEE, 10.0)
+    gc.collect()
+    gc.disable()
+    try:
+        result = sweep(template, [1.0, 10.0], [2.0, 10.0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [row.error is None for row in result.rows] == [False, False, False, True]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PhysicsError as error:
+        return type(error), str(error)
+
+
+def _solved(result):
+    """A solve's result with a failure as its class and message."""
+    return (type(result), str(result)) if isinstance(result, PhysicsError) else result
+
+
+def _wavelengths(request):
+    return {"pump": request.pump_nm, "signal_1": request.signal1_nm,
+            "signal_2": request.signal2_nm,
+            "idler_1": idler_wavelength(request.pump_nm, request.signal1_nm),
+            "idler_2": idler_wavelength(request.pump_nm, request.signal2_nm)}
+
+
+def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
+    # one batch of mixed lanes against one-lane solve_mode, bit for bit
+    vertices = []
+    steps = mode_solver._nelder_mead_steps
+
+    def recorded(simplex, **options):
+        run = steps(simplex, **options)
+        try:
+            x = next(run)
+            while True:
+                vertices.append(tuple(x))
+                x = run.send((yield x))
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(mode_solver, "_nelder_mead_steps", recorded)
+    narrow = dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
+    jobs = []
+    for material, size in ((DEFAULT_MATERIAL, 10.0), (narrow, 6.5), (DEFAULT_MATERIAL, 2.0),
+                           (narrow, 10.0), (DEFAULT_MATERIAL, 6.5)):
+        solver = EffectiveIndexSolver(material, WaveguideGeometry(size, 0.8 * size, 1.0))
+        for scheme in Scheme:
+            request = request_for(scheme, size)
+            for role, pol in list(scheme.polarizations().items())[::2]:
+                wavelength = _wavelengths(request)[role]
+                jobs.append((solver.profile(wavelength, pol), wavelength, pol))
+    jobs.append((IndexProfile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 1e-6), 780.0, E))
+
+    # a group per job, then all jobs as one group, which ends at its first failure
+    batch = [group[0] for group in mode_solver.solve_lanes([[job] for job in jobs])]
+    assert len(batch) >= 20 and any(min(x) <= mode_solver._ALPHA_FLOOR for x in vertices)
+    grouped = [_solved(result) for result in mode_solver.solve_lanes([jobs])[0]]
+    kinds = set()  # the locked order of each solved lane, the class of each failure
+    for job, result in zip(jobs, batch):
+        assert not isinstance(result, PhysicsError) or result.__traceback__ is None
+        assert _solved(result) == _outcome(lambda: solve_mode(*job)), job
+        kinds.add(type(result) if isinstance(result, PhysicsError)
+                  else mode_solver._start(*job[:2]).order)
+    assert {96, BoundaryOptimumError, NoGuidedModeError} <= kinds and kinds & {192, 384}
+    first_failure = next(k for k, result in enumerate(batch) if isinstance(result, PhysicsError))
+    assert 0 < first_failure < len(jobs) - 1
+    assert grouped == [_solved(result) for result in batch[:first_failure + 1]]
+
+    # whole requests: the first failing wave in role order, a profile's
+    # WavelengthRangeError included, as the role-by-role solve gives it
+    requests = [request_for(Scheme.TYPE2_CROSS, 8.0), request_for(Scheme.TYPE0_EEE, 1.5),
+                dataclasses.replace(request_for(Scheme.TYPE0_EEE, 10.0), signal1_nm=560.0),
+                request_for(Scheme.TYPE0_EEE, 12.0)]
+    failures = []
+    for request, result in zip(requests, design_search._solve_requests(requests,
+                                                                        DEFAULT_MATERIAL)):
+        expected = {}
+        solver = EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry)
+        for role, pol in request.scheme.polarizations().items():
+            wavelength = _wavelengths(request)[role]
+            mode = _outcome(lambda: solver.solve(wavelength, pol))
+            if isinstance(mode, tuple):
+                expected = mode[0], f"{role} ({wavelength:.2f} nm): {mode[1]}"
+                failures.append(mode[0])
+                break
+            expected[role] = mode
+        assert _solved(result) == expected
+        assert _outcome(lambda: solve_modes(request)) == expected
+    assert failures == [BoundaryOptimumError, WavelengthRangeError]
+
+
 @pytest.mark.parametrize(
     "max_workers,cpus,pools",
     [(100_000, 64, [4]), (100_000, 2, [2]), (3, 64, [3]), (1, 64, []), (None, 64, [])],
@@ -173,8 +292,9 @@ def test_sweep_pool_size_is_capped_by_rows_and_cpus(monkeypatch, max_workers, cp
     # must start no process
     monkeypatch.setattr(design_search, "ProcessPoolExecutor", RecordingPool, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(design_search, "_sweep_row",
-                        lambda template, material, d, w: SweepRow(d, w, 1.0, 2.0, 3.0))
+    monkeypatch.setattr(design_search, "_sweep_rows",
+                        lambda template, material, pairs: [SweepRow(d, w, 1.0, 2.0, 3.0)
+                                                           for d, w in pairs])
     template = request_for(Scheme.TYPE0_EEE, 10.0)
     result = sweep(template, [8.0, 10.0], [8.0, 10.0], max_workers=max_workers)
     assert sizes == pools

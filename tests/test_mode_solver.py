@@ -474,7 +474,7 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
         w, h = profile.geometry.width_um, profile.geometry.depth_um
         for ay, az in corners + rng.uniform(lo, hi, size=(100, 2)).tolist():
             moment = mode_solver._rq_taylor(profile, k0, quad, (math.log(ay), math.log(az)))[0]
-            scalar = mode_solver._rq_scalar(profile, k0, quad)(ay, az)
+            scalar = mode_solver._quotient(profile, k0, quad, ay, az)
             assert scalar == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
             y_moments, z_moments = quad.moments(ay * ay, az * az)
             direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
@@ -514,14 +514,19 @@ def matmul_rq_oracle(profile, k0, quad, alpha_y, alpha_z):
 
 @pytest.mark.parametrize("order", [48, 96, 192])
 def test_nelder_mead_objective_is_bit_identical_to_matmul_oracle(order):
-    # one objective reused across many points, as one Nelder-Mead run uses it
+    # one stacked objective over four lanes of different shapes and
+    # wavelengths, reused across many points as the lock-step rounds use it,
+    # and the one-lane quotient
     rng = np.random.default_rng(5150 + order)
-    for profile in random_profiles(4, seed=31 + order):
-        k0 = 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3)
-        quad = mode_solver._quadratures(profile)(order)
-        rq = mode_solver._rq_scalar(profile, k0, quad)
-        for ay, az in rng.uniform(0.05, 6.0, size=(250, 2)).tolist():
-            assert rq(ay, az) == matmul_rq_oracle(profile, k0, quad, ay, az), (ay, az)
+    lanes = [(profile, 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3),
+              mode_solver._quadratures(profile)(order))
+             for profile in random_profiles(4, seed=31 + order)]
+    rq = mode_solver._rq_rows(lanes)
+    for points in rng.uniform(0.05, 6.0, size=(250, len(lanes), 2)).tolist():
+        for lane, value, (ay, az) in zip(lanes, rq(points), points):
+            expected = matmul_rq_oracle(*lane, ay, az)
+            assert value == expected, (ay, az)
+            assert mode_solver._quotient(*lane, ay, az) == expected, (ay, az)
 
 
 def test_field_overlap_is_bit_identical_to_matmul_oracle(design_type0_10):
@@ -583,9 +588,9 @@ def test_mode_norms_are_the_locked_order_moments():
         except (BoundaryOptimumError, NoGuidedModeError):
             continue
         solved += 1
-        _, order, quad, ay, az = mode_solver._optimum(profile, wavelength,
-                                                      mode_solver._nelder_mead)
-        locked = quad(order)
+        ay, az = mode.alpha_y, mode.alpha_z
+        start = mode_solver._start(profile, wavelength)
+        locked = start.quad(mode_solver._finish(start, ay, az)[1])
         w, h = profile.geometry.width_um, profile.geometry.depth_um
         direct_y = np.exp(-2.0 * ay**2 * locked.y2 / w**2) @ locked.wy
         direct_z = (locked.zh2 * np.exp(-2.0 * az**2 * locked.z2 / h**2)) @ locked.wz
@@ -633,20 +638,14 @@ def test_newton_derivatives_match_central_differences():
     # the Nelder-Mead objective at the order the refinement locks
     rng = np.random.default_rng(77)
     for profile in random_profiles(4):
-        start = []
-
-        def keep_start(profile, k0, locked, ay, az):
-            start.extend((k0, locked, ay, az))
-            return ay, az
-
-        mode_solver._optimum(profile, float(rng.uniform(600.0, 1600.0)), keep_start)
-        k0, locked, ay, az = start
+        start = mode_solver._start(profile, float(rng.uniform(600.0, 1600.0)))
+        k0, locked, ay, az = start.k0, start.quad(start.order), start.ay, start.az
         for x in [(math.log(ay), math.log(az))] + rng.uniform(-1.0, 1.0, size=(3, 2)).tolist():
             value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(profile, k0, locked, x)
 
             def rq(dy, dz):
-                return mode_solver._rq_scalar(profile, k0, locked)(math.exp(x[0] + dy),
-                                                                   math.exp(x[1] + dz))
+                return mode_solver._quotient(profile, k0, locked, math.exp(x[0] + dy),
+                                             math.exp(x[1] + dz))
 
             assert value == pytest.approx(rq(0.0, 0.0), rel=1e-15, abs=0.0)
             e = 1e-5

@@ -348,20 +348,20 @@ def test_dispersive_spectrum_matches_nelder_mead_provider(request, fixture, axis
 
 
 def test_dispersive_scan_runs_no_nelder_mead(monkeypatch, design_type0_10):
-    calls = []
-    original = mode_solver.minimize
+    lanes = []
+    original = mode_solver._nelder_mead
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(starts, finish):
+        lanes.extend(starts)
+        return original(starts, finish)
 
-    monkeypatch.setattr(mode_solver, "minimize", counted)
+    monkeypatch.setattr(mode_solver, "_nelder_mead", counted)
     solver = EffectiveIndexSolver(DEFAULT_MATERIAL, design_type0_10.request.geometry)
     spectrum_scan(design_type0_10.process_1, "signal", 3.0, 101, 1.0,
                   index_provider=solver.index, index_model="dispersive")
-    assert calls == []
+    assert lanes == []
     design(design_type0_10.request)
-    assert len(calls) == 5
+    assert len(lanes) == 5
 
 
 def test_spectrum_dispersive_requires_provider(design_type0_10):

@@ -7,11 +7,14 @@ child designs the 13x13 `geomspace(2, 20)` um grid for both schemes (338
 requests at the paper's 519 -> 780/775 nm, 1 cm) and the four 101-sample
 dispersive scans (the two shipped geometries, process 1, signal and idler
 axes, 3 x the estimated FWHM), then runs `find_best_geometry` over (6.5, 12) um
-for both schemes.  The script prints the largest relative change of each
-quantity, the spectrum gains whose bytes changed, and every request whose
-error class or text changed.  It exits 1 when a change exceeds its
-tolerance (relative, except `scan_gain`, which is absolute), when a gain
-digest changes, or when an outcome changes.
+for both schemes.  It also sweeps the same grid through `sweep()` for both
+schemes, serially and with `max_workers=2`, so the batched row path is
+checked as well as `design()`.  The script prints the largest relative change
+of each quantity, the spectrum gains whose bytes changed, every request whose
+error class or text changed, and every sweep row that changed in any byte.
+It exits 1 when a change exceeds its tolerance (relative, except
+`scan_gain`, which is absolute), when a gain digest changes, when an outcome
+changes, or when a sweep row changes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ CHILD = r"""
 import hashlib, json, sys
 import numpy as np
 from dppln.design_search import (DesignRequest, EffectiveIndexSolver, ROLES, Scheme, design,
-                                 find_best_geometry)
+                                 find_best_geometry, sweep)
 from dppln.dispersion import DEFAULT_MATERIAL
 from dppln.errors import ToolkitError
 from dppln.mode_solver import WaveguideGeometry
@@ -96,7 +99,15 @@ for scheme in Scheme:
     geometry, result = find_best_geometry(request(scheme, 10.0, 10.0), (6.5, 12.0))
     searches[scheme.value] = {"search_geometry": [geometry.width_um, geometry.depth_um],
                               "search_gamma": [result.gamma]}
-json.dump({"designs": designs, "scans": scans, "searches": searches}, sys.stdout)
+sweeps = {}
+for scheme in Scheme:
+    for workers in (None, 2):
+        result = sweep(request(scheme, 10.0, 10.0), sizes, sizes, max_workers=workers)
+        sweeps[f"{scheme.value} max_workers={workers}"] = [
+            [row.depth_um, row.width_um, row.gamma, row.period1_um, row.period2_um, row.error]
+            for row in result.rows]
+json.dump({"designs": designs, "scans": scans, "searches": searches, "sweeps": sweeps},
+          sys.stdout)
 """
 
 
@@ -148,7 +159,15 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
         kind = "absolute" if name == "scan_gain" else "relative"
         print(f"{name:<15} largest {kind} change {value:.3g}{flag}")
     print(f"gain digests changed: {gains}")
-    return ok and gains == 0
+    rows = 0
+    for key, before in parent["sweeps"].items():
+        for row, after in zip(before, changed["sweeps"][key]):
+            if row != after:
+                rows += 1
+                print(f"changed sweep row  {key}\n  before: {row}\n  after:  {after}")
+    print(f"{len(parent['sweeps'])} sweeps of {len(before)} rows compared at tolerance 0; "
+          f"rows changed: {rows}")
+    return ok and gains == 0 and rows == 0
 
 
 def tolerance(text):
