@@ -22,7 +22,6 @@ from .design_search import (
     DesignRequest,
     DualPolingDesign,
     EffectiveIndexSolver,
-    PhaseMatchedDesign,
     Scheme,
     SweepResult,
     SweepRow,

@@ -161,7 +161,8 @@ def text_sweep(payload) -> str:
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
     scan = config.require_scan()
-    result = phase_match(config.request(), config.material)
+    request = config.request()
+    result = phase_match(request, solve_modes(request, config.material))
     process = result.process_1 if scan.axis.endswith("_1") else result.process_2
     axis = "signal" if scan.axis.startswith("signal") else "idler"
     geometry = result.request.geometry
@@ -196,7 +197,8 @@ def text_spectrum(payload) -> str:
 
 
 def cmd_poling(config: RunConfig, args) -> dict:
-    result = phase_match(config.request(), config.material)
+    request = config.request()
+    result = phase_match(request, solve_modes(request, config.material))
     pattern = synthesize_poling(
         result.period1_um, result.period2_um, result.request.geometry.length_cm
     )

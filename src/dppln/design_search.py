@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
-from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError
+from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError
 from .mode_solver import (SIZE_RANGE_UM, IndexProfile, ModeSolution, WaveguideGeometry,
                           effective_index, field_overlap, solve_lanes, solve_mode)
 from .spdc import (
@@ -95,8 +95,8 @@ class EffectiveIndexSolver:
 
 
 @dataclass(frozen=True)
-class PhaseMatchedDesign:
-    """One design without its design spectra: modes, processes and gamma."""
+class DualPolingDesign:
+    """Complete result of one dual-period design; `phase_match` gives no spectra."""
 
     request: DesignRequest
     modes: Mapping[str, ModeSolution]
@@ -109,6 +109,7 @@ class PhaseMatchedDesign:
     gamma: float
     state_weights: tuple[float, float]
     entropy_bits: float
+    spectra: Mapping[str, Spectrum] | None = None
 
     @property
     def period1_um(self):
@@ -117,13 +118,6 @@ class PhaseMatchedDesign:
     @property
     def period2_um(self):
         return self.process_2.qpm_period_um
-
-
-@dataclass(frozen=True)
-class DualPolingDesign(PhaseMatchedDesign):
-    """Complete result of one dual-period design."""
-
-    spectra: Mapping[str, Spectrum]
 
 
 ROLES = ("pump", "signal_1", "idler_1", "signal_2", "idler_2")
@@ -142,8 +136,9 @@ def _tagged(error: PhysicsError, role: str, wavelength_nm: float) -> PhysicsErro
 
 def _solve_requests(requests, material) -> list:
     """Per request, role -> mode in ROLES order, or the first failure in ROLES
-    order tagged with its wave, without a traceback.  The modes of all the
-    requests are one `solve_lanes` batch, a group per request."""
+    order tagged with its wave, without a traceback; the modes of all the
+    requests are one `solve_lanes` batch.  A ConfigurationError building a
+    wave's profile is raised only once every earlier wave of its request solves."""
     groups, plans = [], []
     for request in requests:
         pols = request.scheme.polarizations()
@@ -156,28 +151,31 @@ def _solve_requests(requests, material) -> list:
         for role in ROLES:
             try:
                 jobs.append((solver.profile(nm[role], pols[role]), nm[role], pols[role]))
-            except PhysicsError as error:  # the later waves are never reached
-                failure = _tagged(error.with_traceback(None), role, nm[role])
+            except ToolkitError as error:  # the later waves are never reached
+                failure = error.with_traceback(None)
                 break
         groups.append(jobs)
         plans.append((nm, failure))
     outcomes = []
     for (nm, failure), solved in zip(plans, solve_lanes(groups)):
         if solved and isinstance(solved[-1], PhysicsError):
-            role = ROLES[len(solved) - 1]
-            failure = _tagged(solved[-1], role, nm[role])
-        outcomes.append(dict(zip(ROLES, solved)) if failure is None else failure)
+            failure = solved.pop()
+        if isinstance(failure, ConfigurationError):
+            raise failure
+        if failure is not None:
+            role = ROLES[len(solved)]  # the first wave not solved
+            failure = _tagged(failure, role, nm[role])
+        outcomes.append(failure or dict(zip(ROLES, solved)))
     return outcomes
 
 
 def solve_modes(request: DesignRequest,
                 material: Material = DEFAULT_MATERIAL) -> dict[str, ModeSolution]:
-    """Role -> the mode of each of the five waves, in ROLES order, as one
-    `solve_lanes` batch.
+    """Role -> the mode of each of the five waves, in ROLES order.
 
-    The first mode failure in ROLES order is re-raised with the offending wave
-    identified.  No period, overlap or spectrum is formed, so the interaction
-    length plays no part.
+    A mode failure is re-raised with the offending wave identified.  No
+    period, overlap or spectrum is formed, so the interaction length plays
+    no part.
     """
     outcomes = _solve_requests([request], material)
     if isinstance(outcomes[0], PhysicsError):
@@ -185,8 +183,9 @@ def solve_modes(request: DesignRequest,
     return outcomes[0]
 
 
-def _phase_match(request: DesignRequest, modes) -> PhaseMatchedDesign:
-    """`phase_match` from solved modes; a failure names its process."""
+def phase_match(request: DesignRequest, modes: Mapping[str, ModeSolution]) -> DualPolingDesign:
+    """`design` from the `solve_modes` modes, without the design spectra and so
+    without their length limit; a failure names its process."""
     pols = request.scheme.polarizations()
     processes, overlaps, amplitudes = [], [], []
     for tag, s_role, i_role in PAIRS:
@@ -203,15 +202,9 @@ def _phase_match(request: DesignRequest, modes) -> PhaseMatchedDesign:
         amplitudes.append(coupling_amplitude(process, overlaps[-1], 0.0,
                                              request.geometry.length_cm))
     weights, entropy = state_weights_and_entropy(*amplitudes)
-    return PhaseMatchedDesign(request, modes, *processes, *overlaps, *amplitudes,
-                              gamma=degree_of_entanglement(*amplitudes),
-                              state_weights=weights, entropy_bits=entropy)
-
-
-def phase_match(request: DesignRequest,
-                material: Material = DEFAULT_MATERIAL) -> PhaseMatchedDesign:
-    """`design` without the design spectra, so without their length limit."""
-    return _phase_match(request, solve_modes(request, material))
+    return DualPolingDesign(request, modes, *processes, *overlaps, *amplitudes,
+                            gamma=degree_of_entanglement(*amplitudes),
+                            state_weights=weights, entropy_bits=entropy)
 
 
 def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
@@ -222,7 +215,7 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
     `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
     """
-    matched = phase_match(request, material)
+    matched = phase_match(request, solve_modes(request, material))
     length_cm = request.geometry.length_cm
     # Each design spectrum spans 8 x FWHM, which scales as 1/L, and must stay
     # clear of the pump: shortest[role] is the length in cm where it reaches it.
@@ -243,7 +236,7 @@ def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> Dua
     for role, (process, axis) in scans.items():
         span = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, length_cm)
         spectra[role] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
-    return DualPolingDesign(**vars(matched), spectra=spectra)
+    return replace(matched, spectra=spectra)
 
 
 @dataclass(frozen=True)
@@ -268,10 +261,15 @@ def _sweep_row(depth, width, request, modes) -> SweepRow:
     if isinstance(modes, PhysicsError):  # a stored failure, never raised in this frame
         return SweepRow(depth, width, None, None, None, error=str(modes))
     try:
-        result = _phase_match(request, modes)
+        result = phase_match(request, modes)
     except PhysicsError as error:
         return SweepRow(depth, width, None, None, None, error=str(error))
     return SweepRow(depth, width, result.gamma, result.period1_um, result.period2_um)
+
+
+# Rows per `solve_lanes` batch of a sweep.  A batch holds about 45 KB per lane
+# and the quadratures of its rows, so this bounds the memory of a long sweep.
+SWEEP_BATCH_ROWS = 8
 
 
 def _sweep_rows(template, material, pairs) -> list[SweepRow]:
@@ -291,9 +289,9 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     "zip" pairs them element-wise.  A list, pairing or `max_workers` below 1
     raises a `ConfigurationError` that names its parameter in `field`.  Rows are returned in input
     order; with `max_workers` > 1 they are computed in parallel processes, at
-    most one per row and per CPU, each solving one contiguous chunk of rows as
-    one batch.  A row's numbers do not depend on its batch, so the rows do not
-    depend on `max_workers`.
+    most one per row and per CPU.  The rows' modes are solved in contiguous
+    batches of at most SWEEP_BATCH_ROWS rows; a row's numbers do not depend
+    on its batch, so the rows do not depend on `max_workers`.
     """
     if max_workers is not None and max_workers < 1:
         raise ConfigurationError(f"max_workers must be at least 1, got {max_workers}",
@@ -320,18 +318,18 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
 
     # the pool starts all its processes at once, so never more than can be used
     workers = min(max_workers or 1, len(pairs), os.cpu_count() or 1)
-    # one contiguous chunk of rows per process, each chunk one batch
-    chunks = [pairs[len(pairs) * k // workers:len(pairs) * (k + 1) // workers]
-              for k in range(workers)]
+    # contiguous batches of at most SWEEP_BATCH_ROWS rows, at least one per process
+    count = max(workers, -(-len(pairs) // SWEEP_BATCH_ROWS))
+    batches = [pairs[len(pairs) * k // count:len(pairs) * (k + 1) // count] for k in range(count)]
     rows_of = partial(_sweep_rows, template, material)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(rows_of, chunks))
+            batches = list(pool.map(rows_of, batches))
     else:
-        chunks = list(map(rows_of, chunks))
-    return SweepResult(scheme=template.scheme, rows=tuple(row for rows in chunks for row in rows))
+        batches = list(map(rows_of, batches))
+    return SweepResult(scheme=template.scheme, rows=tuple(row for rows in batches for row in rows))
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

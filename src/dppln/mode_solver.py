@@ -26,18 +26,16 @@ The optimiser is deterministic: a 16x16 logarithmic scan of
 Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
 simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
 that repeats its floating-point trajectory on the objective `_rq_rows`.
-`solve_lanes` runs the refinements of many solves in lock step, one stacked
-objective evaluation per round for all of them; each lane (one solve) keeps
-its own trajectory bit for bit and holds about 45 KB while the batch runs,
-and a group of lanes stops at its first failure.
-`solve_mode` is one lane; `design_search` batches the five waves of a design
-and every row of a sweep chunk, so rows agree across `--parallel` by
-construction.  The grid scan, the mode norms and `effective_index` read the
-quotient from Gaussian moment rows instead; `effective_index` needs n_eff
-only, which is stationary at the optimum, so it refines by safeguarded
-Newton steps (Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature nodes,
-profile samples and moment rows depend on the geometry, diffusion scales and
-Gauss order only, so they are built once per shape and order.
+`solve_lanes` runs many solves (lanes, about 45 KB each) in lock step, one
+stacked evaluation per round, each lane bit for bit on its own trajectory;
+`design_search` batches the waves of a design and the rows of a sweep, so
+rows agree across `--parallel` by construction.  The grid scan, the mode
+norms and `effective_index` read the quotient from Gaussian moment rows
+instead; `effective_index` needs n_eff only, which is stationary at the
+optimum, so it refines by safeguarded Newton steps (Nocedal & Wright,
+Numerical Optimization, ch. 3).  Quadrature nodes, profile samples and moment
+rows depend on the geometry, diffusion scales and Gauss order only, so they
+are built once per shape and order.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache, partial, reduce
-from itertools import takewhile
-from operator import add, attrgetter
+from operator import add
 
 import numpy as np
 
@@ -225,29 +222,24 @@ def _quadratures(profile, quadrature=_quadrature):
     return partial(quadrature, replace(profile, bulk_index=0.0, increment=0.0))
 
 
-_NODE_ARRAYS = attrgetter("y", "y2", "g", "wy", "z2", "zh2", "f", "wz")
-
-
 def _rq_rows(lanes):
     """The Nelder-Mead objective by direct quadrature for lanes (profile, k0,
     _Quadrature) of one Gauss order: [(a_y, a_z) per lane] -> [n_eff^2 per
-    lane].  Several lanes are rows of stacked arrays, one lane keeps its own
-    1-D arrays and floats, and either way lane i's arithmetic is the same bit
-    for bit: elementwise ufuncs and one ddot per row (`np.vecdot`).  It equals
-    the moment form to rounding; its own rounding fixes the design numbers.
-    Scratch arrays belong to the returned function, never to the shared
-    quadratures."""
-    profiles, k0s, quads = zip(*lanes)
+    lane].  Several lanes are rows of stacked arrays; one lane keeps its own
+    1-D arrays and floats, which saves a third of its cost.  Either way lane
+    i's arithmetic is the same bit for bit: elementwise ufuncs and one ddot
+    per row.  It equals the moment form to rounding; its rounding fixes the
+    design numbers.  The scratch arrays are the function's own."""
 
     def lanewise(values, shape=(-1,)):
         return values[0] if len(values) == 1 else np.array(values).reshape(shape)
 
-    y, y2, g, wy, z2, zh2, f, wz = (lanewise(arrays, (len(quads), -1))
-                                    for arrays in zip(*map(_NODE_ARRAYS, quads)))
-    w2, h2 = (lanewise([getattr(q, axis)**2 for q in quads], (-1, 1)) for axis in "wh")
-    nb2 = lanewise([p.bulk_index**2 for p in profiles])
-    c = lanewise([2.0 * p.bulk_index * p.increment for p in profiles])
-    k02 = lanewise([k0**2 for k0 in k0s])
+    y, y2, g, wy, z2, zh2, f, wz = (
+        lanewise(arrays, (len(lanes), -1)) for arrays in
+        zip(*((q.y, q.y2, q.g, q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
+    w2, h2 = (lanewise([getattr(q, axis)**2 for *_, q in lanes], (-1, 1)) for axis in "wh")
+    nb2, c, k02 = (lanewise(values) for values in zip(*(
+        (p.bulk_index**2, 2.0 * p.bulk_index * p.increment, k0**2) for p, k0, _ in lanes)))
     # the integrands Y^2, g Y^2, (dY/dy)^2 and Z^2, f Z^2, (dZ/dz)^2, dotted at once
     Y, Z = np.empty((3,) + y.shape), np.empty((3,) + z2.shape)
     ys, t, envelope = np.empty(y.shape), np.empty(z2.shape), np.empty(z2.shape)
@@ -362,7 +354,6 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
     same argsort of the vertices, the convergence test before each step,
     `nit` counted from 1 and `nfev` including the initial vertices.  `fun`
     receives each vertex as a list of floats, which it must not modify.
-    It runs `_nelder_mead_steps` on one objective.
     """
     steps = _nelder_mead_steps(simplex, xatol=xatol, fatol=fatol, maxiter=maxiter,
                                maxfev=maxfev)
@@ -514,19 +505,32 @@ def _finish(start, ay, az):
     return n_eff_sq, order
 
 
-def _nelder_mead(starts, finish):
-    """Nelder-Mead from each start's grid point with a fixed initial simplex,
-    all runs in lock step: each round evaluates `_rq_rows` once per locked
-    order, stacked, at the one pending vertex of every run, and restacks an
-    order's live runs once half its rows belong to ended ones.  A vertex below
-    `_ALPHA_FLOOR` scores 1e6 instead.  As run i ends, `finish(i, a_y, a_z)`
-    takes its optimum and returns the runs it makes moot, which stop."""
+def solve_lanes(groups) -> list:
+    """Solve groups of (profile, wavelength_nm, polarization) jobs (lanes) as
+    `solve_mode` does, bit for bit: per group, the ModeSolutions in job order
+    up to its first failure, a PhysicsError without traceback, which stops the
+    group's later lanes.  Each round evaluates `_rq_rows` once per locked
+    order at the pending vertex of every Nelder-Mead run, and restacks an
+    order once half its rows have ended; a vertex below `_ALPHA_FLOOR` scores 1e6."""
+    quadrature = cache(_quadrature)  # every shape and order stays built for the batch
+    results = [[None] * len(jobs) for jobs in groups]
+    failed = [len(jobs) for jobs in groups]  # the index of each group's first failure
+    lanes, starts = [], []  # (group, index in it, polarization) and `_Start` of each lane
+    for g, jobs in enumerate(groups):
+        for k, (profile, wavelength_nm, polarization) in enumerate(jobs):
+            try:
+                starts.append(_start(profile, wavelength_nm, quadrature))
+            except PhysicsError as error:
+                results[g][k], failed[g] = error.with_traceback(None), k
+                break
+            lanes.append((g, k, polarization))
     runs = {i: _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
                                   xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
             for i, s in enumerate(starts)}
     pending = {i: next(run) for i, run in runs.items()}
     stacks = {}  # order -> (its stacked runs, their objective)
     while runs:
+        # an order's runs leave `runs` only in its own pass, so `live` is never empty
         for order in {starts[i].order for i in runs}:
             live = [i for i in runs if starts[i].order == order]
             stacked, rq = stacks.get(order, ((), None))
@@ -535,6 +539,9 @@ def _nelder_mead(starts, finish):
                     [(starts[i].profile, starts[i].k0, starts[i].quad(order)) for i in live])
             xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
             for i, x, value in zip(stacked, xs, rq(xs)):
+                (g, k, polarization), start = lanes[i], starts[i]
+                if k > failed[g]:  # moot: an earlier lane of its group failed
+                    runs.pop(i, None)
                 if i not in runs:
                     continue
                 try:
@@ -542,51 +549,18 @@ def _nelder_mead(starts, finish):
                         1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
                     continue
                 except StopIteration as done:
-                    optimum = done.value.x.tolist()
-                # outside the handler, so an error of `finish` has no StopIteration context
-                del runs[i]
-                for j in finish(i, *optimum):
-                    runs.pop(j, None)
-
-
-def solve_lanes(groups) -> list:
-    """Solve groups of (profile, wavelength_nm, polarization) jobs, each job as
-    `solve_mode` does, bit for bit, up to its group's first failure: per
-    group, the ModeSolutions in job order, ending with the PhysicsError
-    (without its traceback) of its first failing job.  Each job is a lane of
-    the lock-step `_nelder_mead`; a failure stops the later lanes of its group."""
-    quadrature = cache(_quadrature)  # every shape and order stays built for the batch
-    results = [[None] * len(jobs) for jobs in groups]
-    lanes, starts = [], []  # (group, index in it, polarization) and `_Start` of each lane
-    for g, jobs in enumerate(groups):
-        for k, (profile, wavelength_nm, polarization) in enumerate(jobs):
-            try:
-                starts.append(_start(profile, wavelength_nm, quadrature))
-            except PhysicsError as error:
-                results[g][k] = error.with_traceback(None)
-                break
-            lanes.append((g, k, polarization))
-
-    def finish(i, ay, az):
-        (g, k, polarization), start = lanes[i], starts[i]
-        try:
-            n_eff_sq, order = _finish(start, ay, az)
-        except PhysicsError as error:
-            results[g][k] = error.with_traceback(None)
-            return takewhile(lambda j: lanes[j][0] == g, range(i + 1, len(lanes)))
-        y_moments, z_moments = start.quad(order).moments(ay * ay, az * az)  # int Y^2, int Z^2
-        results[g][k] = ModeSolution(float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm,
-                                     polarization, start.profile, math.sqrt(y_moments[0]),
-                                     math.sqrt(z_moments[1]))
-        return ()
-
-    _nelder_mead(starts, finish)
-    for row in results:  # each group up to its first failure
-        for k, result in enumerate(row):
-            if isinstance(result, PhysicsError):
-                del row[k + 1:]
-                break
-    return results
+                    del runs[i]
+                    ay, az = done.value.x.tolist()
+                try:  # outside the handler, so an error has no StopIteration context
+                    n_eff_sq, final = _finish(start, ay, az)
+                except PhysicsError as error:
+                    results[g][k], failed[g] = error.with_traceback(None), k
+                    continue
+                y_moments, z_moments = start.quad(final).moments(ay * ay, az * az)
+                results[g][k] = ModeSolution(  # the norms are int Y^2 and int Z^2
+                    float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm, polarization,
+                    start.profile, math.sqrt(y_moments[0]), math.sqrt(z_moments[1]))
+    return [row[:k + 1] for row, k in zip(results, failed)]
 
 
 def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:

@@ -28,6 +28,7 @@ from dppln import (
 )
 from dppln import design_search, mode_solver
 from dppln.design_search import SweepRow
+from dppln.dispersion import ZELMON_1997
 from conftest import request_for
 
 E = Polarization.EXTRAORDINARY
@@ -158,7 +159,7 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_sweep_parallel_matches_serial_with_a_failing_first_depth():
-    # two chunks of eight rows; every row of the first depth fails
+    # two batches of eight rows; every row of the first depth fails
     template = request_for(Scheme.TYPE2_CROSS, 10.0)
     depths, widths = [1.0, 6.5, 10.0, 14.0], [2.0, 6.5, 10.0, 16.0]
     serial = sweep(template, depths, widths)
@@ -263,6 +264,76 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
         assert _solved(result) == expected
         assert _outcome(lambda: solve_modes(request)) == expected
     assert failures == [BoundaryOptimumError, WavelengthRangeError]
+
+
+def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypatch):
+    # an order-96 lane fails at its finish while the next lane of its group
+    # is the only run at order 384: that run stops mid-way, and the round
+    # skips its order instead of stacking no rows
+    narrow = dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
+    jobs = [(EffectiveIndexSolver(material, WaveguideGeometry(size, 0.8 * size, 1.0))
+             .profile(780.0, pol), 780.0, pol)
+            for material, size, pol in ((DEFAULT_MATERIAL, 10.0, O), (narrow, 6.5, E))]
+    assert [mode_solver._start(*job[:2]).order for job in jobs] == [96, 384]
+    finish, steps, evaluations = mode_solver._finish, mode_solver._nelder_mead_steps, []
+
+    def failing(start, ay, az):
+        if start.profile == jobs[0][0]:
+            raise BoundaryOptimumError("the chosen failure")
+        return finish(start, ay, az)
+
+    def counted(simplex, **options):
+        evaluations.append(0)
+        run, lane = steps(simplex, **options), len(evaluations) - 1
+        try:
+            x = next(run)
+            while True:
+                evaluations[lane] += 1
+                x = run.send((yield x))
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(mode_solver, "_finish", failing)
+    monkeypatch.setattr(mode_solver, "_nelder_mead_steps", counted)
+    [[error]] = mode_solver.solve_lanes([jobs])
+    assert (type(error), str(error), error.__traceback__) == (BoundaryOptimumError,
+                                                              "the chosen failure", None)
+    assert mode_solver.solve_lanes([jobs[1:]])[0][0] == solve_mode(*jobs[1])
+    assert evaluations[1] < evaluations[2]  # the order-384 run was stopped
+
+
+def test_a_profile_error_of_a_later_wave_waits_for_the_earlier_waves():
+    # this Sellmeier set gives n^2 < 0 at the idlers only: its ConfigurationError
+    # comes once the earlier waves solve, and yields to their failures
+    terms = {**ZELMON_1997.terms, E: ZELMON_1997.terms[E] + ((-2.0, 1.44),)}
+    material = dataclasses.replace(
+        DEFAULT_MATERIAL, sellmeier=dataclasses.replace(ZELMON_1997, terms=terms))
+    with pytest.raises(ConfigurationError, match=r"n\^2 = -0.413234 .* at 1551.03 nm"):
+        solve_modes(request_for(Scheme.TYPE0_EEE, 10.0), material)
+    for size, role in ((1.0, "pump"), (2.0, "signal_1")):
+        with pytest.raises(BoundaryOptimumError, match=f"^{role} "):
+            design(request_for(Scheme.TYPE0_EEE, size), material)
+    rows = sweep(request_for(Scheme.TYPE0_EEE, 1.0), [1.0, 2.0], [1.0, 2.0],
+                 material=material, max_workers=2).rows
+    assert [row.error.split(" ")[0] for row in rows] == ["pump", "pump", "signal_1", "signal_1"]
+    with pytest.raises(ConfigurationError, match="1551.03 nm"):
+        sweep(request_for(Scheme.TYPE0_EEE, 1.0), [1.0, 10.0], [10.0], material=material)
+
+
+def test_sweep_solves_its_rows_in_bounded_contiguous_batches(monkeypatch):
+    batches = []
+
+    def rows_of(template, material, pairs):
+        batches.append(pairs)
+        return [SweepRow(d, w, 1.0, 2.0, 3.0) for d, w in pairs]
+
+    monkeypatch.setattr(design_search, "_sweep_rows", rows_of)
+    depths, widths = [float(d) for d in range(2, 12)], [8.0, 10.0]
+    rows = sweep(request_for(Scheme.TYPE0_EEE, 10.0), depths, widths).rows
+    assert design_search.SWEEP_BATCH_ROWS == 8
+    assert [len(batch) for batch in batches] == [6, 7, 7]
+    assert [(row.depth_um, row.width_um) for row in rows] == [(d, w) for d in depths
+                                                              for w in widths]
 
 
 @pytest.mark.parametrize(

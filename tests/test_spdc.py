@@ -348,14 +348,14 @@ def test_dispersive_spectrum_matches_nelder_mead_provider(request, fixture, axis
 
 
 def test_dispersive_scan_runs_no_nelder_mead(monkeypatch, design_type0_10):
-    lanes = []
-    original = mode_solver._nelder_mead
+    lanes = []  # one Nelder-Mead run per lock-step lane
+    original = mode_solver._nelder_mead_steps
 
-    def counted(starts, finish):
-        lanes.extend(starts)
-        return original(starts, finish)
+    def counted(simplex, **options):
+        lanes.append(simplex)
+        return original(simplex, **options)
 
-    monkeypatch.setattr(mode_solver, "_nelder_mead", counted)
+    monkeypatch.setattr(mode_solver, "_nelder_mead_steps", counted)
     solver = EffectiveIndexSolver(DEFAULT_MATERIAL, design_type0_10.request.geometry)
     spectrum_scan(design_type0_10.process_1, "signal", 3.0, 101, 1.0,
                   index_provider=solver.index, index_model="dispersive")

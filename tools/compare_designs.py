@@ -113,7 +113,7 @@ json.dump({"designs": designs, "scans": scans, "searches": searches, "sweeps": s
 
 def run_tree(tree: Path) -> dict:
     """The designs and scans of one source tree, from a child interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     done = subprocess.run([sys.executable, "-c", CHILD], env=env, cwd=tree,
                           capture_output=True, text=True)
     if done.returncode != 0:
