@@ -21,21 +21,22 @@ on the truncated domain y in [-5w, 5w], z in [0, 8h]; panel orders are
 doubled until successive estimates agree (see `quadrature`).  All mode
 normalisations and overlaps use the same truncated domain.
 
-The optimiser is deterministic: a 16x16 logarithmic scan of
-(a_y, a_z) in [0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead,
-Comput. J. 7, 308 (1965)) from the best grid point with a fixed initial
-simplex.  `minimize` is an in-house port of SciPy's non-adaptive Nelder-Mead
-that repeats its floating-point trajectory on the objective `_rq_rows`.
-`solve_lanes` runs many solves (lanes, about 45 KB each) in lock step, one
-stacked evaluation per round, each lane bit for bit on its own trajectory;
-`design_search` batches the waves of a design and the rows of a sweep, so
-rows agree across `--parallel` by construction.  The grid scan, the mode
-norms and `effective_index` read the quotient from Gaussian moment rows
-instead; `effective_index` needs n_eff only, which is stationary at the
-optimum, so it refines by safeguarded Newton steps (Nocedal & Wright,
-Numerical Optimization, ch. 3).  Quadrature nodes, profile samples and moment
-rows depend on the geometry, diffusion scales and Gauss order only, so they
-are built once per shape and order.
+The optimiser is deterministic: a 16x16 logarithmic scan of (a_y, a_z) in
+[0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead, Comput. J. 7,
+308 (1965)) from the best grid point with a fixed initial simplex.  The step
+`_nelder_mead_steps` keeps the three vertices as plain floats and repeats,
+operation for operation, the floating-point trajectory of SciPy's
+non-adaptive N-D Nelder-Mead on the objective `_rq_rows`; `minimize` drives
+it for one objective, and `solve_lanes` runs many solves (lanes, about 45 KB
+each) in lock step, one stacked evaluation per round, each lane bit for bit
+on its own trajectory; `design_search` batches the waves of a design and the
+rows of a sweep, so rows agree across `--parallel` by construction.  The grid
+scan, the mode norms and `effective_index` read the quotient from Gaussian
+moment rows instead; `effective_index` needs n_eff only, which is stationary
+at the optimum, so it refines by safeguarded Newton steps (Nocedal & Wright,
+Numerical Optimization, ch. 3).  Quadrature nodes, profile samples and
+moment rows depend on the geometry, diffusion scales and Gauss order only, so
+they are built once per shape and order.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, lru_cache, partial, reduce
-from operator import add
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -333,28 +333,28 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
 NelderMeadResult = namedtuple("NelderMeadResult", "x nfev nit")
 
 
-class _Exhausted(Exception):
-    """Raised by the counting objective once `maxfev` evaluations are spent."""
-
-
-def _sorted(sim, fsim):
-    """`sim` and `fsim` in np.argsort(fsim) order.  Distinct values have one
-    order, which Python's sort gives; ties and NaN take numpy's."""
-    tied = len(set(fsim)) < len(fsim) or any(v != v for v in fsim)
-    order = np.argsort(fsim).tolist() if tied else sorted(range(len(fsim)), key=fsim.__getitem__)
-    return [sim[i] for i in order], [fsim[i] for i in order]
+def _ordered(*vertices):
+    """The three vertices (x, y, f) in np.argsort order of f.  Distinct
+    values have one order, found by comparisons; ties and NaN take numpy's."""
+    a, b, c = vertices
+    if b[2] < a[2]:
+        a, b = b, a
+    fa, fb, fc = a[2], b[2], c[2]
+    if fa < fb:
+        if fb < fc:
+            return a, b, c
+        if fc < fa:
+            return c, a, b
+        if fa < fc < fb:
+            return a, c, b
+    return tuple(vertices[i] for i in np.argsort([v[2] for v in vertices]).tolist())
 
 
 def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
-    """Nelder-Mead minimisation of `fun` from the initial `simplex` (N+1 rows).
-
-    Step for step the arithmetic of scipy.optimize.minimize(method=
-    "Nelder-Mead", adaptive=False) with this `initial_simplex`: coefficients
-    rho=1, chi=2, psi=0.5, sigma=0.5 in the same expressions and order, the
-    same argsort of the vertices, the convergence test before each step,
-    `nit` counted from 1 and `nfev` including the initial vertices.  `fun`
-    receives each vertex as a list of floats, which it must not modify.
-    """
+    """Nelder-Mead minimisation of `fun`, which takes a tuple of two floats,
+    from the 3 x 2 `simplex`: scipy.optimize.minimize(method="Nelder-Mead",
+    adaptive=False) with this `initial_simplex`, operation for operation, with
+    its coefficients, argsort, convergence test, `nit` and `nfev`."""
     steps = _nelder_mead_steps(simplex, xatol=xatol, fatol=fatol, maxiter=maxiter,
                                maxfev=maxfev)
     try:
@@ -366,68 +366,64 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
 
 
 def _nelder_mead_steps(simplex, *, xatol, fatol, maxiter, maxfev):
-    """`minimize` as a generator: it yields each vertex, is sent its value back
-    and returns the NelderMeadResult."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.array(simplex, dtype=float).tolist()
-    N = len(sim[0])
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
+    """`minimize` as a generator that yields each vertex, is sent its value
+    and returns the NelderMeadResult: scipy's N-D arithmetic at N = 2, where a
+    centroid column sum is one addition, 1 * v is v and 1 - psi is 0.5.  Out
+    of budget, a step stops before its next evaluation (a shrink stores its
+    vertex first), counts no iteration and ends the run."""
+    sim = np.array(simplex, dtype=float)
+    if sim.shape != (3, 2):
+        raise ValueError(f"Nelder-Mead needs a 3 x 2 simplex, got shape {sim.shape}")
+    vertices, nfev = [(x, y, math.inf) for x, y in sim.tolist()], 0
+    for k, (x, y, _) in enumerate(vertices):
         if nfev >= maxfev:
-            raise _Exhausted
+            break
         nfev += 1
-        return float((yield x))
-
-    fsim = [math.inf] * (N + 1)
-    try:
-        for k in range(N + 1):
-            fsim[k] = yield from f(sim[k])
-    except _Exhausted:
-        pass
+        vertices[k] = x, y, float((yield x, y))
     # sorted twice, as scipy does, so that tied values order the same way
-    sim, fsim = _sorted(*_sorted(sim, fsim))
+    (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = _ordered(*_ordered(*vertices))
 
     nit = 1
     while nfev < maxfev and nit < maxiter:
-        try:
-            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, sim[0]))
-                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
-                break
-            # a left fold is numpy's add.reduce over the rows
-            xbar = [reduce(add, column) / N for column in zip(*sim[:-1])]
-            xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, sim[-1])]
-            fxr = yield from f(xr)
-            if fxr < fsim[0]:
-                xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, sim[-1])]
-                fxe = yield from f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, sim[-1])]
-                    fxc = yield from f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = [(1 - psi) * m + psi * v for m, v in zip(xbar, sim[-1])]
-                    fxc = yield from f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink towards the best vertex
-                    for j in range(1, N + 1):
-                        sim[j] = [b + sigma * (v - b) for b, v in zip(sim[0], sim[j])]
-                        fsim[j] = yield from f(sim[j])
+        if (abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol and abs(x2 - x0) <= xatol
+                and abs(y2 - y0) <= xatol and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
+            break
+        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+        xr, yr = 2 * mx - x2, 2 * my - y2
+        nfev += 1
+        fr = float((yield xr, yr))
+        if fr < f0:
+            if nfev < maxfev:  # expansion
+                xe, ye = 3 * mx - 2 * x2, 3 * my - 2 * y2
+                nfev += 1
+                fe = float((yield xe, ye))
+                x2, y2, f2 = (xe, ye, fe) if fe < fr else (xr, yr, fr)
+                nit += 1
+        elif fr < f1:
+            x2, y2, f2 = xr, yr, fr
             nit += 1
-        except _Exhausted:
-            pass
-        sim, fsim = _sorted(sim, fsim)
-    return NelderMeadResult(x=np.array(sim[0]), nfev=nfev, nit=nit)
+        elif nfev < maxfev:  # outside contraction if fr < f2, else inside
+            outside = fr < f2
+            xc, yc = ((1.5 * mx - 0.5 * x2, 1.5 * my - 0.5 * y2) if outside
+                      else (0.5 * mx + 0.5 * x2, 0.5 * my + 0.5 * y2))
+            nfev += 1
+            fc = float((yield xc, yc))
+            if (fc <= fr) if outside else (fc < f2):
+                x2, y2, f2 = xc, yc, fc
+                nit += 1
+            else:  # shrink towards the best vertex
+                x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+                if nfev < maxfev:
+                    nfev += 1
+                    f1 = float((yield x1, y1))
+                    x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
+                    if nfev < maxfev:
+                        nfev += 1
+                        f2 = float((yield x2, y2))
+                        nit += 1
+        (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = _ordered((x0, y0, f0), (x1, y1, f1),
+                                                            (x2, y2, f2))
+    return NelderMeadResult(x=np.array([x0, y0]), nfev=nfev, nit=nit)
 
 
 @dataclass(frozen=True)

@@ -350,8 +350,11 @@ def synthesize_poling(period1_um: float, period2_um: float, length_cm: float) ->
     if period1_um == period2_um:
         raise DegeneratePatternError("equal periods produce no beat pattern")
     length_um = length_cm * 1e4
-    if length_um < 10.0 * max(period1_um, period2_um):
-        raise ConfigurationError("pattern length must cover many grating periods")
+    longest = max(period1_um, period2_um)
+    if length_um < 10.0 * longest:  # the suggested length is rounded up to 1e-8 cm
+        raise ConfigurationError(f"geometry.length_cm {length_cm:g} cm is too short: the poling "
+                                 f"pattern must cover 10 periods of {longest:g} um; use at least "
+                                 f"{math.ceil(longest * 1e5) / 1e8:.10g} cm", "length_cm")
 
     def value(x):
         return np.cos(2.0 * np.pi * x / period1_um) - np.cos(2.0 * np.pi * x / period2_um)

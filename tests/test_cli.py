@@ -229,6 +229,21 @@ def test_short_length_fails_only_the_command_that_prints_design_spectra(tmp_path
     assert "geometry.length_cm 0.01 cm is too short" in err
 
 
+def test_poling_too_short_names_the_length_and_the_shortest_one(tmp_path, capsys):
+    config = write_config(tmp_path, geometry={"width_um": 10.0, "depth_um": 10.0,
+                                              "length_cm": 0.005})
+    code, out, err = run(["poling", "--config", config], capsys)
+    assert (code, out) == (2, "")
+    match = re.fullmatch(r"configuration error: geometry\.length_cm 0\.005 cm is too short: the "
+                         r"poling pattern must cover 10 periods of 6\.85\d* um; use at least "
+                         r"(0\.00685\d*) cm\n", err)
+    assert match, err
+    config = write_config(tmp_path, geometry={"width_um": 10.0, "depth_um": 10.0,
+                                              "length_cm": float(match.group(1))})
+    code, out, err = run(["poling", "--config", config], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_custom_sellmeier_mapping_with_valid_range_runs(tmp_path, capsys):
     sellmeier = {**CUSTOM_SELLMEIER, "name": "zelmon-copy", "valid_range_nm": [400, 5000]}
     config = write_config(tmp_path, material={"sellmeier": sellmeier, "temperature_c": 25.0})

@@ -4,6 +4,8 @@ import re
 import sys
 import threading
 from dataclasses import replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +461,164 @@ def test_minimize_matches_scipy_on_ties_and_nan(fun):
         assert any(math.isnan(v) for v in values)
     else:
         assert len(set(values)) < len(values) / 2
+
+
+class _Exhausted(Exception):
+    """Raised by the reference's counting objective once `maxfev` is spent."""
+
+
+def _reference_sorted(sim, fsim):
+    """`sim` and `fsim` in np.argsort(fsim) order.  Distinct values have one
+    order, which Python's sort gives; ties and NaN take numpy's."""
+    tied = len(set(fsim)) < len(fsim) or any(v != v for v in fsim)
+    order = np.argsort(fsim).tolist() if tied else sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def reference_nelder_mead_steps(simplex, *, xatol, fatol, maxiter, maxfev):
+    """The N-dimensional Nelder-Mead generator that `_nelder_mead_steps`
+    replaced, kept as it was (bar names) as the oracle of its 2-D step."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float).tolist()
+    N = len(sim[0])
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return float((yield x))
+
+    fsim = [math.inf] * (N + 1)
+    try:
+        for k in range(N + 1):
+            fsim[k] = yield from f(sim[k])
+    except _Exhausted:
+        pass
+    # sorted twice, as scipy does, so that tied values order the same way
+    sim, fsim = _reference_sorted(*_reference_sorted(sim, fsim))
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, sim[0]))
+                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+                break
+            # a left fold is numpy's add.reduce over the rows
+            xbar = [reduce(add, column) / N for column in zip(*sim[:-1])]
+            xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, sim[-1])]
+            fxr = yield from f(xr)
+            if fxr < fsim[0]:
+                xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, sim[-1])]
+                fxe = yield from f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, sim[-1])]
+                    fxc = yield from f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = [(1 - psi) * m + psi * v for m, v in zip(xbar, sim[-1])]
+                    fxc = yield from f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, N + 1):
+                        sim[j] = [b + sigma * (v - b) for b, v in zip(sim[0], sim[j])]
+                        fsim[j] = yield from f(sim[j])
+            nit += 1
+        except _Exhausted:
+            pass
+        sim, fsim = _reference_sorted(sim, fsim)
+    return mode_solver.NelderMeadResult(x=np.array(sim[0]), nfev=nfev, nit=nit)
+
+
+def _run_steps(steps, fun):
+    """The vertices a Nelder-Mead generator yields, as bytes, and its result."""
+    points = []
+    try:
+        x = next(steps)
+        while True:
+            points.append(np.array(x, dtype=float).tobytes())
+            x = steps.send(fun(x))
+    except StopIteration as done:
+        return points, done.value
+
+
+def assert_same_as_reference(fun, simplex, **options):
+    """The two-parameter step and the N-D reference yield the same vertices
+    bit for bit and return the same x, nfev and nit."""
+    ours = _run_steps(mode_solver._nelder_mead_steps(simplex, **options), fun)
+    theirs = _run_steps(reference_nelder_mead_steps(simplex, **options), fun)
+    assert ours[0] == theirs[0]
+    assert ours[1].x.tobytes() == theirs[1].x.tobytes()
+    assert (ours[1].nfev, ours[1].nit) == (theirs[1].nfev, theirs[1].nit)
+    return ours[1]
+
+
+def seeded_smooth_objective(seed):
+    """A rotated, anisotropic bowl with a quartic term and a seeded start,
+    tolerances and (for a third of the seeds) a small evaluation budget."""
+    rng = np.random.default_rng(seed)
+    centre, scales = rng.uniform(-2.0, 2.0, 2), rng.uniform(0.05, 20.0, 2)
+    c, s = math.cos(rng.uniform(0.0, math.pi)), math.sin(rng.uniform(0.0, math.pi))
+    quartic = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+
+    def fun(x):
+        du, dv = x[0] - centre[0], x[1] - centre[1]
+        u, v = c * du - s * dv, s * du + c * dv
+        return scales[0] * u * u + scales[1] * v * v + quartic * u**4
+
+    x0 = rng.uniform(-3.0, 3.0, 2)
+    simplex = np.array([x0, x0 + rng.uniform(-1.0, 1.0, 2), x0 + rng.uniform(-1.0, 1.0, 2)])
+    options = dict(xatol=float(rng.choice([1e-4, 1e-7, 1e-10])),
+                   fatol=float(rng.choice([1e-6, 1e-10, 1e-14])), maxiter=1000,
+                   maxfev=int(rng.integers(1, 120)) if seed % 3 == 0 else 2000)
+    return fun, simplex, options
+
+
+def test_nelder_mead_step_matches_nd_reference_on_seeded_objectives():
+    exhausted = converged = 0
+    for seed in range(240):
+        fun, simplex, options = seeded_smooth_objective(seed)
+        result = assert_same_as_reference(fun, simplex, **options)
+        exhausted += result.nfev == options["maxfev"]
+        converged += result.nfev < options["maxfev"] and result.nit < options["maxiter"]
+    assert exhausted >= 60 and converged >= 150
+
+
+@pytest.mark.parametrize("fun", [plateau, penalty_wall, nan_half_plane])
+def test_nelder_mead_step_matches_nd_reference_on_ties_and_nan(fun):
+    x0 = np.array([0.5, 0.5])
+    simplex = np.array([x0, x0 + [0.25, 0.0], x0 + [0.0, 0.25]])
+    for maxfev in (*range(1, 41), 2000):
+        assert_same_as_reference(fun, simplex, xatol=1e-9, fatol=1e-12, maxiter=1000,
+                                 maxfev=maxfev)
+
+
+def test_nelder_mead_step_matches_nd_reference_on_rosenbrock_at_every_limit():
+    x0 = np.array([-1.2, 1.0])
+    simplex = np.array([x0, x0 + [2.0, 0.0], x0 + [0.0, 2.0]])
+    limits = [(1000, maxfev) for maxfev in range(1, 81)]
+    limits += [(maxiter, 2000) for maxiter in range(1, 41)]
+    for maxiter, maxfev in limits:
+        result = assert_same_as_reference(rosenbrock, simplex, xatol=1e-10, fatol=1e-14,
+                                          maxiter=maxiter, maxfev=maxfev)
+        assert result.nfev <= maxfev and result.nit <= maxiter
+
+
+def test_minimize_rejects_a_simplex_that_is_not_three_by_two():
+    calls = []
+    with pytest.raises(ValueError, match=r"3 x 2 simplex, got shape \(4, 3\)"):
+        mode_solver.minimize(calls.append, np.eye(4, 3), **NM_OPTIONS)
+    assert calls == []
 
 
 @pytest.mark.parametrize("order", [48, 96, 192])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,11 @@ def test_degenerate_periods_rejected():
 
 
 def test_pattern_length_must_cover_many_periods():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as error:
         synthesize_poling(6.7969, 6.8316, 1e-3)
+    assert error.value.field == "length_cm"
+    minimum = float(re.search(r"use at least (\S+) cm$", str(error.value)).group(1))
+    assert synthesize_poling(6.7969, 6.8316, minimum).length_um >= 68.316
 
 
 def test_boundaries_sorted_and_contained(dual_pattern):
