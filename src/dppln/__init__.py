@@ -26,6 +26,7 @@ from .design_search import (
     SweepResult,
     SweepRow,
     design,
+    design_spectra,
     find_best_geometry,
     phase_match,
     solve_modes,

@@ -1,5 +1,6 @@
-"""Whole-design orchestration: solve the five modes, derive both grating
-periods, form the entanglement figures, and sweep or optimise the geometry.
+"""Whole-design orchestration in three stages, `solve_modes`, `phase_match` and
+`design_spectra`, which `design` composes; `sweep` and the gamma search
+`find_best_geometry` phase-match many geometries in shared mode batches.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError
-from .mode_solver import (SIZE_RANGE_UM, IndexProfile, ModeSolution, WaveguideGeometry,
-                          effective_index, field_overlap, solve_lanes, solve_mode)
+from .mode_solver import (MAX_LENGTH_CM, SIZE_RANGE_UM, IndexProfile, ModeSolution,
+                          WaveguideGeometry, effective_index, field_overlap, solve_lanes,
+                          solve_mode)
 from .spdc import (
     CouplingAmplitude,
     Spectrum,
@@ -207,36 +209,43 @@ def phase_match(request: DesignRequest, modes: Mapping[str, ModeSolution]) -> Du
                             state_weights=weights, entropy_bits=entropy)
 
 
-def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
-    """Solve the five modes and assemble periods, amplitudes, gamma and spectra.
-
-    Mode and phase-matching failures are re-raised with the offending wave
-    identified.  Spectra use the design-point convention of
-    `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
-    `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
-    """
-    matched = phase_match(request, solve_modes(request, material))
-    length_cm = request.geometry.length_cm
+def design_spectra(matched: DualPolingDesign) -> DualPolingDesign:
+    """A `phase_match` design with its four design spectra, 8 x FWHM wide; an
+    interaction length at which one reaches the pump is a ConfigurationError."""
+    length_cm = matched.request.geometry.length_cm
     # Each design spectrum spans 8 x FWHM, which scales as 1/L, and must stay
     # clear of the pump: shortest[role] is the length in cm where it reaches it.
     scans, shortest = {}, {}
     for process, (_, s_role, i_role) in zip((matched.process_1, matched.process_2), PAIRS):
         for role, axis in ((s_role, "signal"), (i_role, "idler")):
             scans[role] = process, axis
-            room = matched.modes[role].wavelength_nm - request.pump_nm
+            room = matched.modes[role].wavelength_nm - matched.request.pump_nm
             shortest[role] = (SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, 1.0)
                               / (2.0 * room))
     limit = max(shortest, key=shortest.get)
     if length_cm <= shortest[limit]:
+        remedy = (f"use more than {shortest[limit]:.6g} cm" if shortest[limit] < MAX_LENGTH_CM
+                  else f"no supported length (at most {MAX_LENGTH_CM:g} cm) keeps it clear")
         raise ConfigurationError(
             f"geometry.length_cm {length_cm:g} cm is too short: the {SPECTRUM_SPAN_FACTOR:g} x "
-            f"FWHM design spectrum of {limit} reaches the pump; use more than "
-            f"{shortest[limit]:.6g} cm", "length_cm")
+            f"FWHM design spectrum of {limit} reaches the pump; {remedy}", "length_cm")
     spectra = {}
     for role, (process, axis) in scans.items():
         span = SPECTRUM_SPAN_FACTOR * estimate_fwhm_nm(process, axis, length_cm)
         spectra[role] = spectrum_scan(process, axis, span, SPECTRUM_SAMPLES, length_cm)
     return replace(matched, spectra=spectra)
+
+
+def design(request: DesignRequest, material: Material = DEFAULT_MATERIAL) -> DualPolingDesign:
+    """Solve the five modes and assemble periods, amplitudes, gamma and spectra:
+    `design_spectra(phase_match(request, solve_modes(request, material)))`.
+
+    Mode and phase-matching failures are re-raised with the offending wave
+    identified.  Spectra use the design-point convention of
+    `spdc.spectrum_scan`; for dispersive spectra call `spectrum_scan` with
+    `EffectiveIndexSolver(material, geometry).index` (n_eff alone) as the provider.
+    """
+    return design_spectra(phase_match(request, solve_modes(request, material)))
 
 
 @dataclass(frozen=True)
@@ -257,27 +266,34 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _sweep_row(depth, width, request, modes) -> SweepRow:
-    if isinstance(modes, PhysicsError):  # a stored failure, never raised in this frame
-        return SweepRow(depth, width, None, None, None, error=str(modes))
-    try:
-        result = phase_match(request, modes)
-    except PhysicsError as error:
-        return SweepRow(depth, width, None, None, None, error=str(error))
-    return SweepRow(depth, width, result.gamma, result.period1_um, result.period2_um)
-
-
-# Rows per `solve_lanes` batch of a sweep.  A batch holds about 45 KB per lane
-# and the quadratures of its rows, so this bounds the memory of a long sweep.
+# Rows per `solve_lanes` batch.  A batch holds about 45 KB per lane and the
+# quadratures of its rows, so this bounds the memory of a long sweep or search.
 SWEEP_BATCH_ROWS = 8
 
 
+def _phase_matched(template, material, pairs):
+    """Per (depth, width) pair, in order, its `phase_match` design or its
+    PhysicsError; the modes are solved in contiguous, balanced `solve_lanes`
+    batches of at most SWEEP_BATCH_ROWS rows."""
+    count = -(-len(pairs) // SWEEP_BATCH_ROWS)
+    for k in range(count):
+        requests = [replace(template, geometry=replace(template.geometry, width_um=w, depth_um=d))
+                    for d, w in pairs[len(pairs) * k // count:len(pairs) * (k + 1) // count]]
+        for request, modes in zip(requests, _solve_requests(requests, material)):
+            try:
+                matched = modes if isinstance(modes, PhysicsError) else phase_match(request, modes)
+            except PhysicsError as error:
+                yield error  # never held by this frame, so its traceback makes no cycle
+            else:
+                yield matched
+
+
 def _sweep_rows(template, material, pairs) -> list[SweepRow]:
-    """The rows of (depth, width) `pairs`, their modes solved as one batch."""
-    requests = [replace(template, geometry=replace(template.geometry, width_um=width,
-                                                   depth_um=depth)) for depth, width in pairs]
-    return [_sweep_row(depth, width, request, modes) for (depth, width), request, modes
-            in zip(pairs, requests, _solve_requests(requests, material))]
+    """The rows of (depth, width) `pairs`."""
+    return [SweepRow(depth, width, None, None, None, error=str(outcome))
+            if isinstance(outcome, PhysicsError) else
+            SweepRow(depth, width, outcome.gamma, outcome.period1_um, outcome.period2_um)
+            for (depth, width), outcome in zip(pairs, _phase_matched(template, material, pairs))]
 
 
 def sweep(template: DesignRequest, depths_um, widths_um, *,
@@ -318,18 +334,17 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
 
     # the pool starts all its processes at once, so never more than can be used
     workers = min(max_workers or 1, len(pairs), os.cpu_count() or 1)
-    # contiguous batches of at most SWEEP_BATCH_ROWS rows, at least one per process
-    count = max(workers, -(-len(pairs) // SWEEP_BATCH_ROWS))
-    batches = [pairs[len(pairs) * k // count:len(pairs) * (k + 1) // count] for k in range(count)]
+    shares = [pairs[len(pairs) * k // workers:len(pairs) * (k + 1) // workers]
+              for k in range(workers)]  # contiguous, one per process
     rows_of = partial(_sweep_rows, template, material)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(rows_of, batches))
+            shares = list(pool.map(rows_of, shares))
     else:
-        batches = list(map(rows_of, batches))
-    return SweepResult(scheme=template.scheme, rows=tuple(row for rows in batches for row in rows))
+        shares = list(map(rows_of, shares))
+    return SweepResult(scheme=template.scheme, rows=tuple(row for rows in shares for row in rows))
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -359,31 +374,28 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
                        material: Material = DEFAULT_MATERIAL):
     """Maximise gamma over square (width, depth) bounds.
 
-    Coarse grid search followed by per-axis golden-section refinement.
-    Returns (geometry, design) of the first-scored point of highest gamma.
-    Bounds outside SIZE_RANGE_UM, or with lo > hi, raise a ConfigurationError
-    naming `bounds_um`.  Raises NoFeasibleDesignError when every candidate
-    fails to guide or phase match.
+    Coarse grid search then per-axis golden-section refinement, each point
+    phase-matched once; returns (geometry, design) of the first-scored point
+    of highest gamma, the only one given `design_spectra`.  Bounds outside
+    SIZE_RANGE_UM, or with lo > hi, raise a ConfigurationError naming
+    `bounds_um`; NoFeasibleDesignError when every candidate fails.
     """
     lo, hi = bounds_um
     low, high = SIZE_RANGE_UM
     if not low <= lo <= hi <= high:  # checked before any design is solved
         raise ConfigurationError(f"bounds ({lo:g}, {hi:g}) um must satisfy {low:g} <= lo <= hi "
                                  f"<= {high:g} um", "bounds_um")
-    # (depth, width) rounded -> (gamma, design); a failed design scores -inf
+    # (depth, width) rounded -> (gamma, phase-matched design); a failure scores -inf
     scored: dict[tuple[float, float], tuple[float, DualPolingDesign | None]] = {}
 
-    def score(depth, width):
-        key = (round(depth, 6), round(width, 6))
-        if key not in scored:
-            geometry = replace(template.geometry, width_um=key[1], depth_um=key[0])
-            try:
-                result = design(replace(template, geometry=geometry), material)
-            except PhysicsError:
-                scored[key] = -np.inf, None
-            else:
-                scored[key] = result.gamma, result
-        return scored[key][0]
+    def score(*points):
+        """Phase-match the points not yet scored as one call; the first one's gamma."""
+        keys = [(round(depth, 6), round(width, 6)) for depth, width in points]
+        new = [key for key in dict.fromkeys(keys) if key not in scored]
+        for key, outcome in zip(new, _phase_matched(template, material, new)):
+            failed = isinstance(outcome, PhysicsError)
+            scored[key] = (-np.inf, None) if failed else (outcome.gamma, outcome)
+        return scored[keys[0]][0]
 
     def best():
         """The design of highest gamma scored so far, the first of equals."""
@@ -391,16 +403,14 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
 
     # with lo == hi every candidate, and every golden-section point, is the one geometry
     candidates = np.linspace(lo, hi, SEARCH_GRID_POINTS)
-    for depth in candidates:
-        for width in candidates:
-            score(depth, width)
+    score(*((depth, width) for depth in candidates for width in candidates))
     if best() is None:
         raise NoFeasibleDesignError("no geometry in the search grid produced a design")
     depth = best().request.geometry.depth_um
-    width = _golden_section(lambda w: score(depth, w), lo, hi, SEARCH_TOL_UM)
-    depth = _golden_section(lambda d: score(d, width), lo, hi, SEARCH_TOL_UM)
-    score(depth, width)
+    width = _golden_section(lambda w: score((depth, w)), lo, hi, SEARCH_TOL_UM)
+    depth = _golden_section(lambda d: score((d, width)), lo, hi, SEARCH_TOL_UM)
+    score((depth, width))
     # the refined point competes against every evaluated candidate, so a
     # boundary optimum is never lost to the golden-section interior
-    result = best()
+    result = design_spectra(best())
     return result.request.geometry, result

@@ -74,6 +74,8 @@ MIN_GUIDING_INCREMENT = 1e-5
 COVER_INDEX = 1.0
 # Supported channel width and depth in um.
 SIZE_RANGE_UM = (1.0, 50.0)
+# Longest supported interaction length in cm.
+MAX_LENGTH_CM = 10.0
 
 # math.erf elementwise; returns float arrays (and a 0-d array for a scalar)
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -88,9 +90,10 @@ class WaveguideGeometry:
     length_cm: float
 
     def __post_init__(self):
-        if not (0.0 < self.length_cm <= 10.0):
+        if not (0.0 < self.length_cm <= MAX_LENGTH_CM):
             raise ConfigurationError(
-                f"length {self.length_cm:g} cm outside the supported range (0, 10] cm",
+                f"length {self.length_cm:g} cm outside the supported range (0, "
+                f"{MAX_LENGTH_CM:g}] cm",
                 "length_cm",
             )
         low, high = SIZE_RANGE_UM

@@ -291,10 +291,18 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
     peak = int(np.argmax(gain))
     left, right = _half_crossings(grid, gain, peak)
     if left is None or right is None:
-        suggestion = 3.0 * estimate_fwhm_nm(process, axis, length_cm)
+        fwhm = estimate_fwhm_nm(process, axis, length_cm)
+        room = 2.0 * (center - process.pump_nm)  # every accepted span is narrower
+        widest = 0.99 * room  # so that a 3-digit print of it is accepted too
+        limit = f"spans must stay below {room:.6g} nm"
+        message = f"span {span_nm:g} nm does not contain both half-maximum crossings"
+        if fwhm >= widest:
+            raise SpanTooNarrowError(f"{message}, and no span clear of the pump does: the "
+                                     f"estimated FWHM is {fwhm:.3g} nm and {limit}")
+        suggestion = min(3.0 * fwhm, widest)
         raise SpanTooNarrowError(
-            f"span {span_nm:g} nm does not contain both half-maximum crossings; "
-            f"try at least {suggestion:.3g} nm",
+            f"{message}; try at least {suggestion:.3g} nm" if suggestion < widest else
+            f"{message}; try {suggestion:.3g} nm, as {limit}",
             suggested_span_nm=suggestion,
         )
     return Spectrum(

@@ -197,6 +197,21 @@ def test_spectrum_span_reaching_the_pump_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_near_degenerate_pair_suggests_no_unusable_length_or_span(tmp_path, capsys):
+    # a 1037.9 nm signal of a 519 nm pump: its spectra are wider than any
+    # span clear of the pump, at every supported length
+    process = dict(BASE_CONFIG["process"], signal1_nm=1037.9)
+    config = write_config(tmp_path, process=process,
+                          scan={"axis": "signal_1", "span_nm": 10.0, "samples": 801})
+    code, out, err = run(["design", "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert "geometry.length_cm 1 cm is too short" in err and "no supported length" in err
+    assert "use more than" not in err
+    code, out, err = run(["spectrum", "--config", config], capsys)
+    assert (code, out) == (3, "")
+    assert "no span clear of the pump" in err and "try" not in err
+
+
 @pytest.mark.parametrize("name", ["type0_w10.yaml", "type2_w6p5.yaml"])
 def test_index_does_not_depend_on_length(tmp_path, capsys, name):
     # a length whose design spectra would reach the pump still has modes
@@ -489,8 +504,10 @@ def test_valid_request_exits_0_or_3_and_reruns_identically(scheme, width, depth,
     code, out, err = runs[0]
     if code == 2:
         limit = re.search(r"geometry\.length_cm .* use more than (\S+) cm", err)
-        assert limit is not None, err
-        assert length < float(limit.group(1)) * (1.0 + 1e-5)
+        if limit is None:  # the spectra reach the pump at every supported length
+            assert re.search(r"geometry\.length_cm .* no supported length", err), err
+        else:
+            assert length < float(limit.group(1)) * (1.0 + 1e-5)
     elif code == 3:
         assert re.match(rf"physics error: ({'|'.join(WAVES_AND_PROCESSES)}) \(", err), err
     else:

@@ -4,6 +4,7 @@ import gc
 import os
 import re
 
+import numpy as np
 import pytest
 
 from dppln import (
@@ -14,14 +15,17 @@ from dppln import (
     EffectiveIndexSolver,
     IndexProfile,
     NoGuidedModeError,
+    PhaseMatchingError,
     PhysicsError,
     Polarization,
     Scheme,
     WavelengthRangeError,
     WaveguideGeometry,
     design,
+    design_spectra,
     find_best_geometry,
     idler_wavelength,
+    phase_match,
     solve_mode,
     solve_modes,
     sweep,
@@ -70,6 +74,49 @@ def test_short_length_names_the_field_and_its_limit(scheme):
     with pytest.raises(ConfigurationError, match="geometry.length_cm"):
         design(request_for(scheme, 10.0, length_cm=limit * (1.0 - 1e-5)))
     design(request_for(scheme, 10.0, length_cm=limit * (1.0 + 1e-5)))
+
+
+def test_a_spectrum_that_reaches_the_pump_at_every_supported_length_suggests_none():
+    # near degeneracy the design spectra are so wide that only a length beyond
+    # the supported range would keep them clear of the pump
+    request = dataclasses.replace(request_for(Scheme.TYPE0_EEE, 10.0), signal1_nm=1037.9)
+    for length_cm in (1.0, mode_solver.MAX_LENGTH_CM):
+        geometry = dataclasses.replace(request.geometry, length_cm=length_cm)
+        with pytest.raises(ConfigurationError, match="no supported length") as raised:
+            design(dataclasses.replace(request, geometry=geometry))
+        assert raised.value.field == "length_cm"
+        assert "use more than" not in str(raised.value)
+
+
+def _assert_same_design(a, b):
+    """Equal designs; the spectra hold arrays, so they are compared field by field."""
+    assert dataclasses.replace(a, spectra=None) == dataclasses.replace(b, spectra=None)
+    assert list(a.spectra) == list(b.spectra)
+    for role, spectrum in a.spectra.items():
+        other = b.spectra[role]
+        assert (spectrum.role, spectrum.center_nm, spectrum.fwhm_nm) == (
+            other.role, other.center_nm, other.fwhm_nm)
+        assert np.array_equal(spectrum.wavelengths_nm, other.wavelengths_nm)
+        assert np.array_equal(spectrum.gain, other.gain)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_design_is_its_three_stages(scheme):
+    request = request_for(scheme, 10.0)
+    matched = phase_match(request, solve_modes(request))
+    staged = design_spectra(matched)
+    _assert_same_design(staged, design(request))  # gamma, periods, FWHM and gains included
+    assert dataclasses.replace(staged, spectra=None) == matched
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_only_design_spectra_depends_on_the_length(scheme):
+    request = request_for(scheme, 10.0, length_cm=0.01)
+    matched = phase_match(request, solve_modes(request))
+    assert matched.spectra is None and matched.gamma > 0.0
+    with pytest.raises(ConfigurationError, match="geometry.length_cm") as raised:
+        design_spectra(matched)
+    assert raised.value.field == "length_cm"
 
 
 def test_design_intermediates_consistent(design_type0_10):
@@ -168,17 +215,27 @@ def test_sweep_parallel_matches_serial_with_a_failing_first_depth():
     assert sweep(template, depths, widths, max_workers=2) == serial
 
 
-def test_sweep_with_failing_rows_leaves_no_garbage():
-    # stored lane errors carry no traceback, so no frame <-> error cycle
+def test_sweep_with_failing_rows_leaves_no_garbage(monkeypatch):
+    # stored lane errors carry no traceback, and a phase-matching failure,
+    # raised with its cause's traceback, is kept only as text: no frame <-> error cycle
+    def failing(*args):
+        raise PhaseMatchingError("the chosen failure")
+
     template = request_for(Scheme.TYPE0_EEE, 10.0)
-    gc.collect()
-    gc.disable()
-    try:
-        result = sweep(template, [1.0, 10.0], [2.0, 10.0])
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert [row.error is None for row in result.rows] == [False, False, False, True]
+    errors = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(design_search, "make_process", failing)
+        gc.collect()
+        gc.disable()
+        try:
+            result = sweep(template, [1.0, 10.0], [2.0, 10.0])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        errors.append([row.error for row in result.rows])
+    assert [error is None for error in errors[0]] == [False, False, False, True]
+    assert errors[1] == errors[0][:3] + ["process_1 (780.00 nm): the chosen failure"]
 
 
 def _outcome(call):
@@ -320,20 +377,27 @@ def test_a_profile_error_of_a_later_wave_waits_for_the_earlier_waves():
         sweep(request_for(Scheme.TYPE0_EEE, 1.0), [1.0, 10.0], [10.0], material=material)
 
 
+def _recorded_batches(monkeypatch):
+    """The geometries of each `_solve_requests` call, recorded as they come."""
+    batches, solve_requests = [], design_search._solve_requests
+
+    def recorded(requests, material):
+        batches.append([(r.geometry.depth_um, r.geometry.width_um) for r in requests])
+        return solve_requests(requests, material)
+
+    monkeypatch.setattr(design_search, "_solve_requests", recorded)
+    return batches
+
+
 def test_sweep_solves_its_rows_in_bounded_contiguous_batches(monkeypatch):
-    batches = []
-
-    def rows_of(template, material, pairs):
-        batches.append(pairs)
-        return [SweepRow(d, w, 1.0, 2.0, 3.0) for d, w in pairs]
-
-    monkeypatch.setattr(design_search, "_sweep_rows", rows_of)
+    batches = _recorded_batches(monkeypatch)
     depths, widths = [float(d) for d in range(2, 12)], [8.0, 10.0]
     rows = sweep(request_for(Scheme.TYPE0_EEE, 10.0), depths, widths).rows
     assert design_search.SWEEP_BATCH_ROWS == 8
     assert [len(batch) for batch in batches] == [6, 7, 7]
-    assert [(row.depth_um, row.width_um) for row in rows] == [(d, w) for d in depths
-                                                              for w in widths]
+    pairs = [(d, w) for d in depths for w in widths]
+    assert [pair for batch in batches for pair in batch] == pairs
+    assert [(row.depth_um, row.width_um) for row in rows] == pairs
 
 
 @pytest.mark.parametrize(
@@ -382,29 +446,45 @@ def test_find_best_geometry_degenerate_bounds(design_type0_10):
 
 @pytest.mark.parametrize("bounds", [(6.5, 60.0), (0.5, 12.0), (12.0, 6.5), (0.5, 60.0)])
 def test_find_best_geometry_checks_bounds_before_any_design(monkeypatch, bounds):
-    def no_design(request, material):
-        raise AssertionError(f"design() called at {request.geometry}")
+    def no_solve(groups):
+        raise AssertionError(f"solve_lanes called on {len(groups)} groups")
 
-    monkeypatch.setattr(design_search, "design", no_design)
+    for module in (design_search, mode_solver):
+        monkeypatch.setattr(module, "solve_lanes", no_solve)
     with pytest.raises(ConfigurationError, match="bounds") as raised:
         find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), bounds)
     assert raised.value.field == "bounds_um"
 
 
 def test_find_best_geometry_designs_each_point_once(monkeypatch):
-    # the search returns the design it scored, so no geometry is solved twice
-    solved = {}
+    # every point is phase-matched once, in the sweep's batches; only the
+    # returned design gets its four spectra
+    batches = _recorded_batches(monkeypatch)
+    gammas, scans = [], []
+    matched_by, scanned_by = design_search.phase_match, design_search.spectrum_scan
 
-    def counted(request, material):
-        assert request.geometry not in solved
-        solved[request.geometry] = design(request, material)
-        return solved[request.geometry]
+    def matched(request, modes):
+        result = matched_by(request, modes)
+        gammas.append(result.gamma)
+        return result
 
-    monkeypatch.setattr(design_search, "design", counted)
-    geometry, best = find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), (9.0, 10.0))
-    assert len(solved) > 16
-    assert best is solved[geometry]
-    assert best.gamma == max(result.gamma for result in solved.values())
+    def scanned(*args):
+        scans.append(args)
+        return scanned_by(*args)
+
+    monkeypatch.setattr(design_search, "phase_match", matched)
+    monkeypatch.setattr(design_search, "spectrum_scan", scanned)
+    template = request_for(Scheme.TYPE0_EEE, 10.0)
+    geometry, best = find_best_geometry(template, (9.0, 10.0))
+    # the 16 grid points go in two batches of 8, then one point per golden-section step
+    assert [len(batch) for batch in batches[:2]] == [8, 8]
+    assert len(batches) > 2 and all(len(batch) == 1 for batch in batches[2:])
+    solved = [pair for batch in batches for pair in batch]
+    assert len(solved) == len(set(solved)) > 16
+    assert len(scans) == 4
+    assert best.gamma == max(gammas)
+    monkeypatch.undo()
+    _assert_same_design(best, design(dataclasses.replace(template, geometry=geometry)))
 
 
 def test_find_best_geometry_tracks_table_trend(type0_designs):

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,32 @@ def test_spectrum_span_too_narrow(design_type0_10):
     with pytest.raises(SpanTooNarrowError) as info:
         spectrum_scan(process, "signal", 0.2, 101, 1.0)
     assert info.value.suggested_span_nm > 0.2
+
+
+@pytest.mark.parametrize("delta_n,capped", [(1e-3, False), (2.2e-4, True)])
+def test_spectrum_span_suggestion_stays_clear_of_the_pump(delta_n, capped):
+    # a 1000 nm signal of a 519 nm pump: spans must stay below 962 nm.  The
+    # estimated FWHM is 89 nm or 403 nm, so 3 x FWHM fits or must be capped
+    e = Polarization.EXTRAORDINARY
+    process = make_process(519.0, 1000.0, e, e, e, 2.22, 2.16, 2.16 - delta_n)
+    with pytest.raises(SpanTooNarrowError) as info:
+        spectrum_scan(process, "signal", 1.0, 1001, 1.0)
+    suggestion = info.value.suggested_span_nm
+    assert suggestion > estimate_fwhm_nm(process, "signal", 1.0)
+    assert ("try at least" in str(info.value)) is not capped
+    printed = float(re.search(r"try (?:at least )?(\S+) nm", str(info.value)).group(1))
+    for span in (suggestion, printed):  # neither reaches the pump
+        assert spectrum_scan(process, "signal", span, 1001, 1.0).fwhm_nm > 0.0
+
+
+def test_spectrum_too_wide_for_any_span_clear_of_the_pump_suggests_none():
+    e = Polarization.EXTRAORDINARY
+    process = make_process(519.0, 1000.0, e, e, e, 2.22, 2.16, 2.16 - 5e-5)
+    assert estimate_fwhm_nm(process, "signal", 1.0) > 962.0
+    with pytest.raises(SpanTooNarrowError, match="no span clear of the pump") as info:
+        spectrum_scan(process, "signal", 10.0, 1001, 1.0)
+    assert info.value.suggested_span_nm is None
+    assert "try" not in str(info.value)
 
 
 def test_spectrum_design_point_gain_equals_per_sample_loop(design_type0_10):

@@ -7,7 +7,9 @@ child designs the 13x13 `geomspace(2, 20)` um grid for both schemes (338
 requests at the paper's 519 -> 780/775 nm, 1 cm) and the four 101-sample
 dispersive scans (the two shipped geometries, process 1, signal and idler
 axes, 3 x the estimated FWHM), then runs `find_best_geometry` over (6.5, 12) um
-for both schemes.  It also sweeps the same grid through `sweep()` for both
+for both schemes and records the geometry, gamma and four design-spectrum FWHM
+of the design it returns, so a search that returns the spectra of a design
+other than the one it scored is caught.  It also sweeps the same grid through `sweep()` for both
 schemes, serially and with `max_workers=2`, so the batched row path is
 checked as well as `design()`.  The script prints the largest relative change
 of each quantity, the spectrum gains whose bytes changed, every request whose
@@ -41,6 +43,7 @@ TOLERANCES = {
     "scan_gain": 1e-11,
     "search_geometry": 0.0,
     "search_gamma": 0.0,
+    "search_fwhm": 0.0,
 }
 
 CHILD = r"""
@@ -98,7 +101,8 @@ searches = {}
 for scheme in Scheme:
     geometry, result = find_best_geometry(request(scheme, 10.0, 10.0), (6.5, 12.0))
     searches[scheme.value] = {"search_geometry": [geometry.width_um, geometry.depth_um],
-                              "search_gamma": [result.gamma]}
+                              "search_gamma": [result.gamma],
+                              "search_fwhm": [s.fwhm_nm for s in result.spectra.values()]}
 sweeps = {}
 for scheme in Scheme:
     for workers in (None, 2):
