@@ -30,13 +30,19 @@ non-adaptive N-D Nelder-Mead on the objective `_rq_rows`; `minimize` drives
 it for one objective, and `solve_lanes` runs many solves (lanes, about 45 KB
 each) in lock step, one stacked evaluation per round, each lane bit for bit
 on its own trajectory; `design_search` batches the waves of a design and the
-rows of a sweep, so rows agree across `--parallel` by construction.  The grid
-scan, the mode norms and `effective_index` read the quotient from Gaussian
-moment rows instead; `effective_index` needs n_eff only, which is stationary
-at the optimum, so it refines by safeguarded Newton steps (Nocedal & Wright,
-Numerical Optimization, ch. 3).  Quadrature nodes, profile samples and
-moment rows depend on the geometry, diffusion scales and Gauss order only, so
-they are built once per shape and order.
+rows of a sweep, so rows agree across `--parallel` by construction.  The y
+nodes, weights and channel g(y) are exact mirror images, so `_rq_rows`
+evaluates the y integrands on half the nodes and mirrors them into full rows.
+The order lock at the grid point refines all the lanes of a batch together,
+and the final n_eff^2 all those whose runs end in one round
+(`quadrature.refine_rows`): one stacked `_rq_rows` per Gauss order for the
+lanes still refining, each stopping as `refine_scalar` would.  The grid scan, the mode norms and `effective_index` read the
+quotient from Gaussian moment rows instead; `effective_index` needs n_eff
+only, which is stationary at the optimum, so it refines by safeguarded
+Newton steps (Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature
+nodes and profile samples depend on the geometry, diffusion scales and Gauss
+order only, so they are built once per shape and order; the moment rows are
+built on first use, which the orders read only by `_rq_rows` never reach.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .errors import (
     NoGuidedModeError,
     PhysicsError,
 )
-from .quadrature import panel_nodes, refine_scalar
+from .quadrature import panel_nodes, refine_rows, refine_scalar
 
 ALPHA_MIN = 0.2
 ALPHA_MAX = 5.0
@@ -77,8 +83,11 @@ SIZE_RANGE_UM = (1.0, 50.0)
 # Longest supported interaction length in cm.
 MAX_LENGTH_CM = 10.0
 
-# math.erf elementwise; returns float arrays (and a 0-d array for a scalar)
-_erf = np.vectorize(math.erf, otypes=[float])
+
+def _erf(x):
+    """math.erf elementwise: a float array of the shape of `x` (0-d for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,8 @@ def _z_edges(geometry):
 
 class _Quadrature:
     """Panel nodes, weights and the alpha-independent samples of one profile
-    shape at one per-panel Gauss order, shared read-only via `_quadrature`."""
+    shape at one per-panel Gauss order, shared read-only via `_quadrature`.
+    The moment rows are built on first use: the objective never reads them."""
 
     def __init__(self, shape, order):
         geometry = shape.geometry
@@ -163,17 +173,23 @@ class _Quadrature:
         self.z2 = z**2
         self.zh2 = (z / self.h) ** 2
         self.f = shape.depth_shape(z)
-        # Moment rows: with u = (y/w)^2 and v2 = (z/h)^2, `y_rows @ Y^2` is
-        # int u^k Y^2 (k <= 3), int g u^k Y^2 (k <= 2), and `z_rows @ e` with
-        # e = exp(-2 a_z^2 v2) is int v2^k e (k <= 4), int f v2^k e (k = 1..3).
-        self.u, v2 = self.y2 / self.w**2, self.zh2
-        self.y_rows = np.array([self.wy * self.u**k for k in range(4)]
-                               + [self.wy * self.g * self.u**k for k in range(3)])
-        self.z_rows = np.array([self.wz * v2**k for k in range(5)]
-                               + [self.wz * self.f * v2**k for k in range(1, 4)])
-        for array in (self.y2, self.g, self.z2, self.zh2, self.f, self.u, self.y_rows,
-                      self.z_rows):
+        self.u = self.y2 / self.w**2
+        for array in (self.y2, self.g, self.z2, self.zh2, self.f, self.u):
             array.flags.writeable = False
+
+    # Moment rows: with u = (y/w)^2 and v2 = (z/h)^2, `y_rows @ Y^2` is
+    # int u^k Y^2 (k <= 3), int g u^k Y^2 (k <= 2), and `z_rows @ e` with
+    # e = exp(-2 a_z^2 v2) is int v2^k e (k <= 4), int f v2^k e (k = 1..3).
+    @cached_property
+    def y_rows(self):
+        return _read_only(np.array([self.wy * self.u**k for k in range(4)]
+                                   + [self.wy * self.g * self.u**k for k in range(3)]))
+
+    @cached_property
+    def z_rows(self):
+        v2 = self.zh2
+        return _read_only(np.array([self.wz * v2**k for k in range(5)]
+                                   + [self.wz * self.f * v2**k for k in range(1, 4)]))
 
     def moments(self, sy, sz):
         """The y and z moment rows at s_y = a_y^2 and s_z = a_z^2; a vector
@@ -186,9 +202,12 @@ class _Quadrature:
         """Rows P, r, Q, t of `_ratios` at GRID_ALPHAS, for the grid scan."""
         s = GRID_ALPHAS**2
         y_moments, z_moments = self.moments(s, s)
-        ratios = np.array([f[0] for f in _ratios(s, y_moments, s, z_moments)])
-        ratios.flags.writeable = False
-        return ratios
+        return _read_only(np.array([f[0] for f in _ratios(s, y_moments, s, z_moments)]))
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def _ratio(num, den):
@@ -231,35 +250,51 @@ def _rq_rows(lanes):
     lane].  Several lanes are rows of stacked arrays; one lane keeps its own
     1-D arrays and floats, which saves a third of its cost.  Either way lane
     i's arithmetic is the same bit for bit: elementwise ufuncs and one ddot
-    per row.  It equals the moment form to rounding; its rounding fixes the
-    design numbers.  The scratch arrays are the function's own."""
+    per row.  The y nodes, weights and g(y) are mirror images (`_y_edges` and
+    the Gauss nodes are symmetric, and IEEE rounding is sign-symmetric), so
+    the y integrands are computed on the first half of the nodes and copied,
+    reversed, into the second half of each full row before its dot.  One
+    scale s = -2 a^2 per axis serves the exponent and, squared, the
+    derivative factor.  It equals the moment form to rounding; its rounding
+    fixes the design numbers.  The scratch arrays are the function's own."""
+    one = len(lanes) == 1
 
-    def lanewise(values, shape=(-1,)):
-        return values[0] if len(values) == 1 else np.array(values).reshape(shape)
+    def lanewise(values, shape=(len(lanes), -1)):
+        return values[0] if one else np.array(values).reshape(shape)
 
-    y, y2, g, wy, z2, zh2, f, wz = (
-        lanewise(arrays, (len(lanes), -1)) for arrays in
-        zip(*((q.y, q.y2, q.g, q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
-    w2, h2 = (lanewise([getattr(q, axis)**2 for *_, q in lanes], (-1, 1)) for axis in "wh")
-    nb2, c, k02 = (lanewise(values) for values in zip(*(
+    half = len(lanes[0][2].y) // 2
+    y, y2, g, wy, z2, zh2, f, wz = (lanewise(arrays) for arrays in zip(*(
+        (q.y[:half], q.y2[:half], q.g[:half], q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
+    w2, h2 = ([getattr(q, axis)**2 for *_, q in lanes] for axis in "wh")
+    if one:
+        w2, h2 = w2[0], h2[0]
+    else:  # full rows, which divide faster than broadcast columns
+        w2, h2 = (np.repeat(v, rows.shape[-1]).reshape(rows.shape)
+                  for v, rows in ((w2, y), (h2, z2)))
+    nb2, c, k02 = (lanewise(values, -1) for values in zip(*(
         (p.bulk_index**2, 2.0 * p.bulk_index * p.increment, k0**2) for p, k0, _ in lanes)))
     # the integrands Y^2, g Y^2, (dY/dy)^2 and Z^2, f Z^2, (dZ/dz)^2, dotted at once
-    Y, Z = np.empty((3,) + y.shape), np.empty((3,) + z2.shape)
-    ys, t, envelope = np.empty(y.shape), np.empty(z2.shape), np.empty(z2.shape)
+    Y, Z = np.empty((3,) + wy.shape), np.empty((3,) + z2.shape)
+    Y_half, ys = np.empty((3,) + y.shape), np.empty(y.shape)
+    t, envelope = np.empty(z2.shape), np.empty(z2.shape)
 
     def rq(points):
-        # -2 a_y^2, 2 a_y^2 and 2 a_z^2: floats for one lane, else (lanes, 1) columns
-        scales = [(-2.0 * (ay * ay), 2.0 * (ay * ay), 2.0 * (az * az)) for ay, az in points]
-        sy_down, sy_up, sz_up = scales[0] if len(scales) == 1 else np.array(scales).T[:, :, None]
-        np.exp(np.divide(np.multiply(y2, sy_down, out=ys), w2, out=ys), out=Y[0])
-        np.multiply(Y[0], g, out=Y[1])
-        np.square(np.divide(np.multiply(y, sy_up, out=ys), w2, out=ys), out=ys)
-        np.multiply(Y[0], ys, out=Y[2])
-        np.divide(np.multiply(z2, sz_up, out=t), h2, out=t)
-        np.exp(np.negative(t, out=envelope), out=envelope)
+        if one:  # -2 a_y^2 and -2 a_z^2: floats for one lane, else (lanes, 1) columns
+            ((ay, az),) = points
+            sy, sz = -2.0 * (ay * ay), -2.0 * (az * az)
+        else:
+            a = np.array(points)
+            sy, sz = (-2.0 * (a * a)).T[:, :, None]
+        np.exp(np.divide(np.multiply(y2, sy, out=ys), w2, out=ys), out=Y_half[0])
+        np.multiply(Y_half[0], g, out=Y_half[1])
+        np.square(np.divide(np.multiply(y, sy, out=ys), w2, out=ys), out=ys)
+        np.multiply(Y_half[0], ys, out=Y_half[2])
+        np.concatenate((Y_half, Y_half[..., ::-1]), axis=-1, out=Y)
+        np.divide(np.multiply(z2, sz, out=t), h2, out=t)
+        np.exp(t, out=envelope)
         np.multiply(zh2, envelope, out=Z[0])
         np.multiply(Z[0], f, out=Z[1])
-        np.square(np.subtract(1.0, t, out=t), out=t)
+        np.square(np.add(1.0, t, out=t), out=t)
         np.divide(np.multiply(envelope, t, out=t), h2, out=Z[2])
         (Ay, Gy, Dy), (Az, Fz, Dz) = np.vecdot(Y, wy), np.vecdot(Z, wz)
         return np.atleast_1d(nb2 + c * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k02).tolist()
@@ -319,14 +354,21 @@ def _newton(profile, k0, quad, ay, az):
     return math.exp(x[0]), math.exp(x[1])
 
 
+def _wavenumber(wavelength_nm, **alphas):
+    """k0 in 1/um, once the wavelength and any trial parameters are finite
+    and positive; else a ConfigurationError naming the first bad one."""
+    for name, value in (("wavelength_nm", wavelength_nm), *alphas.items()):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"{name} must be finite and positive, got {value!r}", name)
+    return 2.0 * np.pi / (wavelength_nm * 1e-3)
+
+
 def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     """Scalar-wave variational estimate of n_eff^2 for one trial field.
 
     The quadrature order doubles until the estimate stabilises.
     """
-    if alpha_y <= 0 or alpha_z <= 0:
-        raise ConfigurationError("trial parameters must be positive")
-    k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
+    k0 = _wavenumber(wavelength_nm, alpha_y=alpha_y, alpha_z=alpha_z)
     quad = _quadratures(profile)
     value, _ = refine_scalar(lambda n: _quotient(profile, k0, quad(n), alpha_y, alpha_z))
     return value
@@ -465,52 +507,94 @@ class ModeSolution:
 _Start = namedtuple("_Start", "profile wavelength_nm k0 quad order ay az")
 
 
-def _start(profile, wavelength_nm, quadrature=_quadrature):
-    """Guidance check, grid start and order lock of one mode solve."""
+def _grid_start(profile, wavelength_nm, quadrature):
+    """Argument and guidance checks and the grid start of one mode solve; its
+    order is locked by `_locked`."""
+    k0 = _wavenumber(wavelength_nm)
     if profile.increment < MIN_GUIDING_INCREMENT:
         raise NoGuidedModeError(
             f"increment {profile.increment:g} below the guiding threshold "
             f"{MIN_GUIDING_INCREMENT:g}"
         )
-    k0 = 2.0 * np.pi / (wavelength_nm * 1e-3)
     quad = _quadratures(profile, quadrature)
     nb, dn, geometry = profile.bulk_index, profile.increment, profile.geometry
     P, r, Q, t = quad(GRID_ORDER).grid_ratios
     grid = (nb**2 + 2.0 * nb * dn * np.outer(P, Q)
             - np.add.outer(r / geometry.width_um**2, t / geometry.depth_um**2) / k0**2)
     iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    ay, az = float(GRID_ALPHAS[iy]), float(GRID_ALPHAS[iz])
-    _, order = refine_scalar(lambda n: _quotient(profile, k0, quad(n), ay, az))
-    return _Start(profile, wavelength_nm, k0, quad, order, ay, az)
+    return _Start(profile, wavelength_nm, k0, quad, None, float(GRID_ALPHAS[iy]),
+                  float(GRID_ALPHAS[iz]))
 
 
-def _finish(start, ay, az):
-    """Edge test and adaptive (n_eff^2, order) at the refined (a_y, a_z)."""
-    lo = ALPHA_MIN * (1.0 + _EDGE_MARGIN)
-    hi = ALPHA_MAX * (1.0 - _EDGE_MARGIN)
+def _refined(starts, points):
+    """`refine_rows` of the quotient of each start's lane at its (a_y, a_z):
+    one `_rq_rows` per order for every lane still refining."""
+    return refine_rows(lambda order, rows: _rq_rows(
+        [(starts[i].profile, starts[i].k0, starts[i].quad(order)) for i in rows])(
+        [points[i] for i in rows]), len(starts))
+
+
+def _locked(starts):
+    """Each grid start with the order its quotient converges at, or its
+    QuadratureConvergenceError."""
+    return [outcome if isinstance(outcome, PhysicsError) else start._replace(order=outcome[1])
+            for start, outcome in zip(starts, _refined(starts, [(s.ay, s.az) for s in starts]))]
+
+
+def _edge_error(ay, az):
+    """The BoundaryOptimumError of an optimum outside the trusted box, else None."""
+    lo, hi = ALPHA_MIN * (1.0 + _EDGE_MARGIN), ALPHA_MAX * (1.0 - _EDGE_MARGIN)
     for name, alpha in (("alpha_y", ay), ("alpha_z", az)):
         if not lo <= alpha <= hi:
             edge = ("upper edge", "narrower than the channel scale") if alpha > hi else (
                 "lower edge", "wider than the trusted domain (near cutoff)")
-            raise BoundaryOptimumError(f"{name} optimum at the {edge[0]} of the trusted box "
-                                       f"[{ALPHA_MIN}, {ALPHA_MAX}]: the mode is {edge[1]}")
-    n_eff_sq, order = refine_scalar(lambda n: _quotient(start.profile, start.k0, start.quad(n),
-                                                        ay, az))
-    if n_eff_sq <= start.profile.bulk_index**2:
-        raise NoGuidedModeError(
-            f"no confined mode at {start.wavelength_nm:g} nm: variational n_eff^2 "
-            f"{n_eff_sq:.9f} does not exceed the bulk value"
-        )
-    return n_eff_sq, order
+            return BoundaryOptimumError(f"{name} optimum at the {edge[0]} of the trusted box "
+                                        f"[{ALPHA_MIN}, {ALPHA_MAX}]: the mode is {edge[1]}")
+    return None
+
+
+def _finished(starts, points):
+    """Per lane, the edge test, then the adaptive (n_eff^2, order) at its
+    refined point (a_y, a_z), or its PhysicsError."""
+    outcomes = [_edge_error(*point) for point in points]
+    inside = [i for i, error in enumerate(outcomes) if error is None]
+    for i, outcome in zip(inside, _refined([starts[i] for i in inside],
+                                           [points[i] for i in inside])):
+        if not isinstance(outcome, PhysicsError) and outcome[0] <= starts[i].profile.bulk_index**2:
+            outcome = NoGuidedModeError(
+                f"no confined mode at {starts[i].wavelength_nm:g} nm: variational n_eff^2 "
+                f"{outcome[0]:.9f} does not exceed the bulk value")
+        outcomes[i] = outcome
+    return outcomes
+
+
+def _raised(outcome):
+    """A lane's outcome, raised if it is a PhysicsError."""
+    if isinstance(outcome, PhysicsError):
+        raise outcome
+    return outcome
+
+
+def _start(profile, wavelength_nm):
+    """Checks, grid start and order lock of one mode solve: one lane of `_locked`."""
+    return _raised(_locked([_grid_start(profile, wavelength_nm, _quadrature)])[0])
+
+
+def _finish(start, ay, az):
+    """Edge test and adaptive (n_eff^2, order) at the refined (a_y, a_z): one
+    lane of `_finished`."""
+    return _raised(_finished([start], [(ay, az)])[0])
 
 
 def solve_lanes(groups) -> list:
     """Solve groups of (profile, wavelength_nm, polarization) jobs (lanes) as
     `solve_mode` does, bit for bit: per group, the ModeSolutions in job order
     up to its first failure, a PhysicsError without traceback, which stops the
-    group's later lanes.  Each round evaluates `_rq_rows` once per locked
-    order at the pending vertex of every Nelder-Mead run, and restacks an
-    order once half its rows have ended; a vertex below `_ALPHA_FLOOR` scores 1e6."""
+    group's later lanes.  The orders of all lanes are locked at once; each
+    round then evaluates `_rq_rows` once per locked order at the pending
+    vertex of every Nelder-Mead run, and restacks an order once half its rows
+    have ended; a vertex below `_ALPHA_FLOOR` scores 1e6.  The runs that end
+    in a round are finished together at its end, in (group, index) order."""
     quadrature = cache(_quadrature)  # every shape and order stays built for the batch
     results = [[None] * len(jobs) for jobs in groups]
     failed = [len(jobs) for jobs in groups]  # the index of each group's first failure
@@ -518,17 +602,35 @@ def solve_lanes(groups) -> list:
     for g, jobs in enumerate(groups):
         for k, (profile, wavelength_nm, polarization) in enumerate(jobs):
             try:
-                starts.append(_start(profile, wavelength_nm, quadrature))
+                starts.append(_grid_start(profile, wavelength_nm, quadrature))
             except PhysicsError as error:
                 results[g][k], failed[g] = error.with_traceback(None), k
                 break
             lanes.append((g, k, polarization))
+
+    def settle(done, outcomes):
+        """Record the failures among the outcomes of lanes `done`, in (group,
+        index) order, and return the (lane, outcome) pairs of the rest that
+        no earlier failure of their group makes moot."""
+        kept = []
+        for i, outcome in zip(done, outcomes):
+            g, k, _ = lanes[i]
+            if k > failed[g]:
+                continue
+            if isinstance(outcome, PhysicsError):
+                results[g][k], failed[g] = outcome, k
+            else:
+                kept.append((i, outcome))
+        return kept
+
+    starts = _locked(starts)
     runs = {i: _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
                                   xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-            for i, s in enumerate(starts)}
+            for i, s in settle(range(len(starts)), starts)}
     pending = {i: next(run) for i, run in runs.items()}
     stacks = {}  # order -> (its stacked runs, their objective)
     while runs:
+        ended = []  # (lane, its optimum) of each run that ends this round
         # an order's runs leave `runs` only in its own pass, so `live` is never empty
         for order in {starts[i].order for i in runs}:
             live = [i for i in runs if starts[i].order == order]
@@ -538,27 +640,25 @@ def solve_lanes(groups) -> list:
                     [(starts[i].profile, starts[i].k0, starts[i].quad(order)) for i in live])
             xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
             for i, x, value in zip(stacked, xs, rq(xs)):
-                (g, k, polarization), start = lanes[i], starts[i]
-                if k > failed[g]:  # moot: an earlier lane of its group failed
-                    runs.pop(i, None)
-                if i not in runs:
-                    continue
-                try:
-                    pending[i] = runs[i].send(
-                        1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
-                    continue
-                except StopIteration as done:
-                    del runs[i]
-                    ay, az = done.value.x.tolist()
-                try:  # outside the handler, so an error has no StopIteration context
-                    n_eff_sq, final = _finish(start, ay, az)
-                except PhysicsError as error:
-                    results[g][k], failed[g] = error.with_traceback(None), k
-                    continue
-                y_moments, z_moments = start.quad(final).moments(ay * ay, az * az)
-                results[g][k] = ModeSolution(  # the norms are int Y^2 and int Z^2
-                    float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm, polarization,
-                    start.profile, math.sqrt(y_moments[0]), math.sqrt(z_moments[1]))
+                if i in runs:
+                    try:
+                        pending[i] = runs[i].send(
+                            1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
+                    except StopIteration as done:
+                        del runs[i]
+                        ended.append((i, tuple(done.value.x.tolist())))
+        if not ended:
+            continue
+        ended = dict(sorted(ended))  # lanes are numbered in (group, index) order
+        finished = _finished([starts[i] for i in ended], list(ended.values()))
+        for i, (n_eff_sq, final) in settle(ended, finished):
+            (g, k, polarization), start, (ay, az) = lanes[i], starts[i], ended[i]
+            y_moments, z_moments = start.quad(final).moments(ay * ay, az * az)
+            results[g][k] = ModeSolution(  # the norms are int Y^2 and int Z^2
+                float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm, polarization,
+                start.profile, math.sqrt(y_moments[0]), math.sqrt(z_moments[1]))
+        for i in [i for i in runs if lanes[i][1] > failed[lanes[i][0]]]:
+            del runs[i]  # moot: an earlier lane of its group failed
     return [row[:k + 1] for row, k in zip(results, failed)]
 
 

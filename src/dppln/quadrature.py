@@ -42,22 +42,41 @@ def panel_nodes(edges, order):
     return x, w
 
 
+def refine_rows(evaluate, count, rtol=1e-12, atol=0.0):
+    """`refine_scalar` for `count` estimates at once.
+
+    `evaluate(order, rows)` maps a per-panel order and the indices of the
+    rows still refining to their estimates.  Each row doubles and stops as
+    `refine_scalar` does, so its (value, converged_order) is bit for bit
+    `refine_scalar`'s; a row that does not converge gets its
+    QuadratureConvergenceError, unraised, instead.  Returns one per row.
+    """
+    outcomes, rows, order = [None] * count, list(range(count)), START_ORDER
+    previous = evaluate(order, rows) if rows else []  # one estimate per row in `rows`
+    while rows and order <= MAX_ORDER // 2:
+        order *= 2
+        pending = []
+        for row, before, current in zip(rows, previous, evaluate(order, rows)):
+            if abs(current - before) <= rtol * abs(current) + atol:
+                outcomes[row] = current, order
+            else:
+                pending.append((row, current))
+        rows, previous = [row for row, _ in pending], [value for _, value in pending]
+    for row in rows:
+        outcomes[row] = QuadratureConvergenceError(
+            f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}")
+    return outcomes
+
+
 def refine_scalar(evaluate, rtol=1e-12, atol=0.0):
     """Double the Gauss order from START_ORDER until `evaluate(order)` stabilises.
 
     `evaluate` maps a per-panel order to a scalar estimate.  Convergence is
     declared when two successive estimates agree to `rtol` relative (plus
     `atol` absolute, so values collapsing to zero still converge).  Returns
-    (value, converged_order).
+    (value, converged_order); the one-row case of `refine_rows`.
     """
-    order = START_ORDER
-    previous = evaluate(order)
-    while order <= MAX_ORDER // 2:
-        order *= 2
-        current = evaluate(order)
-        if abs(current - previous) <= rtol * abs(current) + atol:
-            return current, order
-        previous = current
-    raise QuadratureConvergenceError(
-        f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}"
-    )
+    (outcome,) = refine_rows(lambda order, rows: [evaluate(order)], 1, rtol, atol)
+    if isinstance(outcome, QuadratureConvergenceError):
+        raise outcome
+    return outcome

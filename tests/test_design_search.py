@@ -18,6 +18,7 @@ from dppln import (
     PhaseMatchingError,
     PhysicsError,
     Polarization,
+    QuadratureConvergenceError,
     Scheme,
     WavelengthRangeError,
     WaveguideGeometry,
@@ -33,6 +34,7 @@ from dppln import (
 from dppln import design_search, mode_solver
 from dppln.design_search import SweepRow
 from dppln.dispersion import ZELMON_1997
+from dppln.quadrature import refine_scalar
 from conftest import request_for
 
 E = Polarization.EXTRAORDINARY
@@ -323,21 +325,25 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
     assert failures == [BoundaryOptimumError, WavelengthRangeError]
 
 
-def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypatch):
-    # an order-96 lane fails at its finish while the next lane of its group
-    # is the only run at order 384: that run stops mid-way, and the round
-    # skips its order instead of stacking no rows
+def _jobs_locking_at_96_and_384():
     narrow = dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
     jobs = [(EffectiveIndexSolver(material, WaveguideGeometry(size, 0.8 * size, 1.0))
              .profile(780.0, pol), 780.0, pol)
             for material, size, pol in ((DEFAULT_MATERIAL, 10.0, O), (narrow, 6.5, E))]
     assert [mode_solver._start(*job[:2]).order for job in jobs] == [96, 384]
-    finish, steps, evaluations = mode_solver._finish, mode_solver._nelder_mead_steps, []
+    return jobs
 
-    def failing(start, ay, az):
-        if start.profile == jobs[0][0]:
-            raise BoundaryOptimumError("the chosen failure")
-        return finish(start, ay, az)
+
+def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypatch):
+    # an order-96 lane fails at its finish while the next lane of its group
+    # is the only run at order 384: that run stops mid-way, and the round
+    # skips its order instead of stacking no rows
+    jobs = _jobs_locking_at_96_and_384()
+    finished, steps, evaluations = mode_solver._finished, mode_solver._nelder_mead_steps, []
+
+    def failing(starts, points):
+        return [BoundaryOptimumError("the chosen failure") if start.profile == jobs[0][0]
+                else outcome for start, outcome in zip(starts, finished(starts, points))]
 
     def counted(simplex, **options):
         evaluations.append(0)
@@ -350,13 +356,89 @@ def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypat
         except StopIteration as done:
             return done.value
 
-    monkeypatch.setattr(mode_solver, "_finish", failing)
+    monkeypatch.setattr(mode_solver, "_finished", failing)
     monkeypatch.setattr(mode_solver, "_nelder_mead_steps", counted)
     [[error]] = mode_solver.solve_lanes([jobs])
     assert (type(error), str(error), error.__traceback__) == (BoundaryOptimumError,
                                                               "the chosen failure", None)
     assert mode_solver.solve_lanes([jobs[1:]])[0][0] == solve_mode(*jobs[1])
     assert evaluations[1] < evaluations[2]  # the order-384 run was stopped
+
+
+def _never_converging(monkeypatch, profile):
+    """Patch `_rq_rows` so that the lanes of `profile` gain 1/(nodes) and
+    never converge; every other lane keeps its values."""
+    rq_rows = mode_solver._rq_rows
+
+    def noisy(lanes):
+        rq = rq_rows(lanes)
+        shifts = [1.0 / q.y.size if p is profile else 0.0 for p, _, q in lanes]
+        return lambda points: [v + shift for v, shift in zip(rq(points), shifts)]
+
+    monkeypatch.setattr(mode_solver, "_rq_rows", noisy)
+
+
+def test_batched_refinement_matches_one_lane_refine_scalar(monkeypatch):
+    # the stacked order lock and final refinement give each lane the
+    # (value, order) of refine_scalar over its own one-lane quotient: lanes
+    # that lock at 96 and at 384, at their grid points and off them
+    jobs = _jobs_locking_at_96_and_384()
+    jobs += [(IndexProfile(WaveguideGeometry(w, 9.0, 1.0), 2.2, 0.003), 1000.0, E)
+             for w in (5.0, 14.0)]
+    starts = [mode_solver._grid_start(profile, nm, mode_solver._quadrature)
+              for profile, nm, _ in jobs]
+    lanes = starts * 3
+    points = ([(s.ay, s.az) for s in starts] + [(s.ay * 1.3, s.az * 0.8) for s in starts]
+              + [(1.0, 1.0)] * len(starts))
+
+    def one_lane(start, point):
+        return refine_scalar(lambda n: mode_solver._quotient(start.profile, start.k0,
+                                                             start.quad(n), *point))
+
+    batched = mode_solver._refined(lanes, points)
+    assert batched == [one_lane(*lane) for lane in zip(lanes, points)]
+    assert [order for _, order in batched[:2]] == [96, 384]
+    assert [s.order for s in mode_solver._locked(starts)] == [o for _, o in batched[:4]]
+
+    # a lane that never converges gets its own QuadratureConvergenceError
+    _never_converging(monkeypatch, jobs[1][0])
+    batched = mode_solver._refined(lanes, points)
+    for k, outcome in enumerate(batched):
+        if k % len(starts) == 1:
+            assert isinstance(outcome, QuadratureConvergenceError)
+            assert outcome.__traceback__ is None
+        else:
+            assert outcome == one_lane(lanes[k], points[k])
+
+
+def test_a_lane_that_never_converges_stops_only_its_own_group(monkeypatch):
+    jobs = _jobs_locking_at_96_and_384()
+    other = (IndexProfile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 0.003), 900.0, E)
+    expected = [solve_mode(*jobs[0]), solve_mode(*other)]
+    _never_converging(monkeypatch, jobs[1][0])
+    with pytest.raises(QuadratureConvergenceError, match="within order 3072"):
+        mode_solver._start(*jobs[1][:2])
+    (first, error), (second,) = mode_solver.solve_lanes([jobs + [other], [other]])
+    assert [first, second] == expected
+    assert type(error) is QuadratureConvergenceError and error.__traceback__ is None
+
+
+def test_lock_step_batch_locks_every_lane_at_once_without_one_lane_refinements(monkeypatch):
+    # the order lock evaluates all the lanes of a batch in one `_rq_rows` per
+    # order, and no one-lane quotient or refine_scalar closure is built
+    request = request_for(Scheme.TYPE2_CROSS, 9.0)
+    solver, nm = EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry), _wavelengths(request)
+    jobs = [(solver.profile(nm[role], pol), nm[role], pol)
+            for role, pol in request.scheme.polarizations().items()]
+    expected = [solve_mode(*job) for job in jobs]
+    calls, sizes, rq_rows = [], [], mode_solver._rq_rows
+    monkeypatch.setattr(mode_solver, "_quotient", lambda *args: calls.append("_quotient"))
+    monkeypatch.setattr(mode_solver, "refine_scalar",
+                        lambda *args, **options: calls.append("refine_scalar"))
+    monkeypatch.setattr(mode_solver, "_rq_rows", lambda lanes: sizes.append(len(lanes))
+                        or rq_rows(lanes))
+    assert mode_solver.solve_lanes([jobs]) == [expected]
+    assert calls == [] and sizes[:2] == [5, 5]
 
 
 def test_a_profile_error_of_a_later_wave_waits_for_the_earlier_waves():

@@ -213,6 +213,27 @@ def test_rayleigh_quotient_rejects_bad_alphas():
         rayleigh_quotient(profile, 900.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf, -math.inf])
+def test_solvers_reject_bad_arguments_before_any_quadrature(monkeypatch, bad):
+    profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 0.003)
+
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature was built")
+
+    monkeypatch.setattr(mode_solver, "_quadratures", no_quadrature)
+    calls = {"wavelength_nm": [lambda: solve_mode(profile, bad, E),
+                               lambda: mode_solver.effective_index(profile, bad),
+                               lambda: rayleigh_quotient(profile, bad, 1.0, 1.0)],
+             "alpha_y": [lambda: rayleigh_quotient(profile, 780.0, bad, 1.0)],
+             "alpha_z": [lambda: rayleigh_quotient(profile, 780.0, 1.0, bad)]}
+    for field, field_calls in calls.items():
+        for call in field_calls:
+            with pytest.raises(ConfigurationError, match=f"^{field} must be finite and "
+                                                         "positive") as raised:
+                call()
+            assert raised.value.field == field
+
+
 def test_solve_mode_guidance_bracket(solved_idler_10):
     mode = solved_idler_10
     nb, dn = mode.profile.bulk_index, mode.profile.increment
@@ -687,6 +708,78 @@ def test_nelder_mead_objective_is_bit_identical_to_matmul_oracle(order):
             expected = matmul_rq_oracle(*lane, ay, az)
             assert value == expected, (ay, az)
             assert mode_solver._quotient(*lane, ay, az) == expected, (ay, az)
+
+
+def test_y_nodes_weights_and_channel_are_exact_mirror_images():
+    # the premise of the mirrored y half in `_rq_rows`: y[i] == -y[n-1-i],
+    # and wy and g(y) are even, bit for bit, at every order refine can reach
+    low, high = mode_solver.SIZE_RANGE_UM
+    for width in np.geomspace(low, high, 5).tolist():
+        for scale in (0.02, 0.1, 0.5, 2.0):
+            shape = IndexProfile(WaveguideGeometry(width, 10.0, 1.0), 0.0, 0.0, scale)
+            for order in (48, 96, 192, 384, 768, 1536, 3072):
+                quad = mode_solver._Quadrature(shape, order)
+                assert np.array_equal(quad.y, -quad.y[::-1]), (width, scale, order)
+                assert np.array_equal(quad.wy, quad.wy[::-1]), (width, scale, order)
+                assert np.array_equal(quad.g, quad.g[::-1]), (width, scale, order)
+
+
+def full_node_rq_rows(lanes):
+    """The reference for `_rq_rows`' mirrored y half: every integrand on
+    every node, (lanes, 1) columns of w^2 and h^2, positive scales and
+    t = 2 a_z^2 z^2 / h^2 with exp(-t) and (1 - t)^2, in the same IEEE
+    operations per node."""
+    one = len(lanes) == 1
+
+    def lanewise(values, shape=(-1,)):
+        return values[0] if one else np.array(values).reshape(shape)
+
+    y, y2, g, wy, z2, zh2, f, wz = (
+        lanewise(arrays, (len(lanes), -1)) for arrays in
+        zip(*((q.y, q.y2, q.g, q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
+    w2, h2 = (lanewise([getattr(q, axis)**2 for *_, q in lanes], (-1, 1)) for axis in "wh")
+    nb2, c, k02 = (lanewise(values) for values in zip(*(
+        (p.bulk_index**2, 2.0 * p.bulk_index * p.increment, k0**2) for p, k0, _ in lanes)))
+
+    def rq(points):
+        scales = [(-2.0 * (ay * ay), 2.0 * (ay * ay), 2.0 * (az * az)) for ay, az in points]
+        sy_down, sy_up, sz_up = scales[0] if one else np.array(scales).T[:, :, None]
+        Y2 = np.exp((y2 * sy_down) / w2)
+        Y = np.array([Y2, Y2 * g, Y2 * np.square((y * sy_up) / w2)])
+        t = (z2 * sz_up) / h2
+        envelope = np.exp(-t)
+        Z2 = zh2 * envelope
+        Z = np.array([Z2, Z2 * f, (envelope * np.square(1.0 - t)) / h2])
+        (Ay, Gy, Dy), (Az, Fz, Dz) = np.vecdot(Y, wy), np.vecdot(Z, wz)
+        return np.atleast_1d(nb2 + c * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k02).tolist()
+
+    return rq
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 20, 40])
+def test_mirrored_objective_is_bit_identical_to_the_full_node_kernel(count):
+    # seeded lanes of every size, diffusion scale and order up to 384, at
+    # points that include the alpha floor, the edge margins and the box edges
+    rng = np.random.default_rng(6060 + count)
+    lo, hi, margin = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX, mode_solver._EDGE_MARGIN
+    floor = mode_solver._ALPHA_FLOOR
+    special = [0.5 * floor, floor, lo, lo * (1.0 + margin), hi * (1.0 - margin), hi]
+    low, high = mode_solver.SIZE_RANGE_UM
+    for order in (48, 96, 192, 384):
+        lanes = []
+        for _ in range(count):
+            geometry = WaveguideGeometry(*rng.uniform(low, high, size=2).tolist(), 1.0)
+            profile = IndexProfile(geometry, float(rng.uniform(2.1, 2.3)),
+                                   float(rng.uniform(1e-4, 0.01)), float(rng.uniform(0.02, 2.0)),
+                                   float(rng.uniform(0.5, 3.0)))
+            k0 = 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3)
+            lanes.append((profile, k0, mode_solver._Quadrature(profile, order)))
+        mirrored, full = mode_solver._rq_rows(lanes), full_node_rq_rows(lanes)
+        for _ in range(12):
+            alphas = rng.uniform(0.01, 6.0, size=(count, 2))
+            alphas[rng.random(size=(count, 2)) < 0.3] = rng.choice(special)
+            points = [tuple(point) for point in alphas.tolist()]
+            assert mirrored(points) == full(points), (order, points)
 
 
 def test_field_overlap_is_bit_identical_to_matmul_oracle(design_type0_10):

@@ -9,14 +9,18 @@ dispersive scans (the two shipped geometries, process 1, signal and idler
 axes, 3 x the estimated FWHM), then runs `find_best_geometry` over (6.5, 12) um
 for both schemes and records the geometry, gamma and four design-spectrum FWHM
 of the design it returns, so a search that returns the spectra of a design
-other than the one it scored is caught.  It also sweeps the same grid through `sweep()` for both
-schemes, serially and with `max_workers=2`, so the batched row path is
-checked as well as `design()`.  The script prints the largest relative change
-of each quantity, the spectrum gains whose bytes changed, every request whose
-error class or text changed, and every sweep row that changed in any byte.
-It exits 1 when a change exceeds its tolerance (relative, except
-`scan_gain`, which is absolute), when a gain digest changes, when an outcome
-changes, or when a sweep row changes.
+other than the one it scored is caught.  For the five waves of each tree's
+shipped `configs/*.yaml` it records `solve_mode` (n_eff, alpha_y, alpha_z and
+the two norms) and `rayleigh_quotient` at four fixed trial points, so the
+one-lane objective and refinement are checked as well as the stacked ones.
+It also sweeps the same grid through `sweep()` for both schemes, serially and
+with `max_workers=2`, so the batched row path is checked as well as
+`design()`.  The script prints the largest relative change of each quantity,
+the spectrum gains whose bytes changed, every request whose error class or
+text changed, and every sweep row that changed in any byte.  It exits 1 when
+a change exceeds its tolerance (relative, except `scan_gain`, which is
+absolute), when a gain digest changes, when an outcome changes, or when a
+sweep row changes.
 """
 
 from __future__ import annotations
@@ -44,16 +48,21 @@ TOLERANCES = {
     "search_geometry": 0.0,
     "search_gamma": 0.0,
     "search_fwhm": 0.0,
+    "solve_mode": 0.0,
+    "rayleigh_quotient": 0.0,
 }
 
 CHILD = r"""
 import hashlib, json, sys
+from pathlib import Path
 import numpy as np
+from dppln import idler_wavelength
+from dppln.config import load_config
 from dppln.design_search import (DesignRequest, EffectiveIndexSolver, ROLES, Scheme, design,
                                  find_best_geometry, sweep)
 from dppln.dispersion import DEFAULT_MATERIAL
 from dppln.errors import ToolkitError
-from dppln.mode_solver import WaveguideGeometry
+from dppln.mode_solver import WaveguideGeometry, rayleigh_quotient
 from dppln.spdc import estimate_fwhm_nm, spectrum_scan
 
 def request(scheme, width, depth):
@@ -110,8 +119,29 @@ for scheme in Scheme:
         sweeps[f"{scheme.value} max_workers={workers}"] = [
             [row.depth_um, row.width_um, row.gamma, row.period1_um, row.period2_um, row.error]
             for row in result.rows]
-json.dump({"designs": designs, "scans": scans, "searches": searches, "sweeps": sweeps},
-          sys.stdout)
+modes = {}
+for path in sorted(Path("configs").glob("*.yaml")):
+    config = load_config(str(path))
+    request = config.request()
+    solver = EffectiveIndexSolver(config.material, request.geometry)
+    nm = {"pump": request.pump_nm, "signal_1": request.signal1_nm,
+          "signal_2": request.signal2_nm}
+    nm["idler_1"] = idler_wavelength(request.pump_nm, request.signal1_nm)
+    nm["idler_2"] = idler_wavelength(request.pump_nm, request.signal2_nm)
+    for role, pol in request.scheme.polarizations().items():
+        key = f"{path.name} {role}"
+        try:
+            mode = solver.solve(nm[role], pol)
+        except ToolkitError as error:
+            modes[key] = {"error": f"{type(error).__name__}: {error}"}
+            continue
+        modes[key] = {
+            "solve_mode": [mode.n_eff, mode.alpha_y, mode.alpha_z, mode.y_norm, mode.z_norm],
+            "rayleigh_quotient": [rayleigh_quotient(mode.profile, nm[role], ay, az)
+                                  for ay, az in ((0.3, 0.3), (1.0, 1.0), (1.7, 0.6), (4.0, 2.5))],
+        }
+json.dump({"designs": designs, "scans": scans, "searches": searches, "modes": modes,
+           "sweeps": sweeps}, sys.stdout)
 """
 
 
@@ -138,7 +168,7 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
     ok = True
     largest = {name: 0.0 for name in tolerances}
     gains = errors = 0
-    for group in ("designs", "scans", "searches"):
+    for group in ("designs", "scans", "searches", "modes"):
         for key, before in parent[group].items():
             after = changed[group][key]
             if "error" in before or "error" in after:
@@ -155,13 +185,14 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
                         print(f"changed gain bytes  {key}")
                 else:
                     largest[name] = max(largest[name], change(name, values, after[name]))
-    print(f"{len(parent['designs'])} designs, {len(parent['scans'])} dispersive scans and "
-          f"{len(parent['searches'])} searches compared; {errors} requests fail")
+    print(f"{len(parent['designs'])} designs, {len(parent['scans'])} dispersive scans, "
+          f"{len(parent['searches'])} searches and {len(parent['modes'])} config waves "
+          f"compared; {errors} requests fail")
     for name, value in largest.items():
         flag = "" if value <= tolerances[name] else f"  ABOVE {tolerances[name]:g}"
         ok = ok and not flag
         kind = "absolute" if name == "scan_gain" else "relative"
-        print(f"{name:<15} largest {kind} change {value:.3g}{flag}")
+        print(f"{name:<17} largest {kind} change {value:.3g}{flag}")
     print(f"gain digests changed: {gains}")
     rows = 0
     for key, before in parent["sweeps"].items():
