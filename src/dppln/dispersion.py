@@ -69,10 +69,10 @@ class SellmeierModel:
                 n2 += B * lam2 / (lam2 - C)
         except ZeroDivisionError:  # a pole at this very wavelength
             n2 = math.inf
-        if not 0.0 < n2 < math.inf:
+        if not 1.0 <= n2 < math.inf:  # the guide's bulk index is at least the air cover's
             raise ConfigurationError(
                 f"Sellmeier set '{self.name}' gives n^2 = {n2:g} for {pol} polarization "
-                f"at {wavelength_nm:g} nm; expected a finite positive value"
+                f"at {wavelength_nm:g} nm; expected a finite value of at least 1"
             )
         return float(np.sqrt(n2))
 

@@ -6,6 +6,10 @@ marks a physically impossible or numerically failed computation.  The CLI
 maps the two branches to distinct exit codes.
 """
 
+import math
+
+import numpy as np
+
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,6 +22,18 @@ class ConfigurationError(ToolkitError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def require_positive(**values):
+    """Raise a ConfigurationError naming the first value that is not finite
+    and positive; a list or array value is checked element by element."""
+    for name, value in values.items():
+        if isinstance(value, (np.ndarray, list, tuple)):  # its first bad element, or a pass
+            array = np.ravel(value).astype(float)
+            value = next(iter(array[~(np.isfinite(array) & (array > 0.0))].tolist()), 1.0)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"{name} must be finite and positive, got {float(value)!r}",
+                                     name)
 
 
 class PhysicsError(ToolkitError):

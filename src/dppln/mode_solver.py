@@ -15,42 +15,32 @@ the square root of the maximised Rayleigh quotient
 
     n_eff^2 = [ k0^2 int n^2 E^2 - int |grad E|^2 ] / [ k0^2 int E^2 ]
 
-over (a_y, a_z).  The profile and trial field are separable, so every
-integral factorises into one-dimensional panelled Gauss-Legendre quadratures
-on the truncated domain y in [-5w, 5w], z in [0, 8h]; panel orders are
-doubled until successive estimates agree (see `quadrature`).  All mode
-normalisations and overlaps use the same truncated domain.
-
-The optimiser is deterministic: a 16x16 logarithmic scan of (a_y, a_z) in
-[0.2, 5]^2 followed by Nelder-Mead refinement (Nelder & Mead, Comput. J. 7,
-308 (1965)) from the best grid point with a fixed initial simplex.  The step
-`_nelder_mead_steps` keeps the three vertices as plain floats and repeats,
-operation for operation, the floating-point trajectory of SciPy's
-non-adaptive N-D Nelder-Mead on the objective `_rq_rows`; `minimize` drives
-it for one objective, and `solve_lanes` runs many solves (lanes, about 45 KB
-each) in lock step, one stacked evaluation per round, each lane bit for bit
-on its own trajectory; `design_search` batches the waves of a design and the
-rows of a sweep, so rows agree across `--parallel` by construction.  The y
-nodes, weights and channel g(y) are exact mirror images, so `_rq_rows`
-evaluates the y integrands on half the nodes and mirrors them into full rows.
-The order lock at the grid point refines all the lanes of a batch together,
-and the final n_eff^2 all those whose runs end in one round
-(`quadrature.refine_rows`): one stacked `_rq_rows` per Gauss order for the
-lanes still refining, each stopping as `refine_scalar` would.  The grid scan, the mode norms and `effective_index` read the
-quotient from Gaussian moment rows instead; `effective_index` needs n_eff
-only, which is stationary at the optimum, so it refines by safeguarded
-Newton steps (Nocedal & Wright, Numerical Optimization, ch. 3).  Quadrature
-nodes and profile samples depend on the geometry, diffusion scales and Gauss
-order only, so they are built once per shape and order; the moment rows are
-built on first use, which the orders read only by `_rq_rows` never reach.
+over (a_y, a_z).  Every integral factorises into one-dimensional panelled
+Gauss-Legendre quadratures on y in [-5w, 5w], z in [0, 8h], whose orders
+double until successive estimates agree (see `quadrature`).  In u = y/w and
+v = z/h (the b-V scaling of Kogelnik & Ramaswamy, Appl. Opt. 13, 1857
+(1974)), n_eff^2 = n_b^2 + 2 n_b dn P Q - r/(k0 w)^2 - t/(k0 h)^2, where the
+moment ratios P, r of a_y and Q, t of a_z depend on the diffusion scales
+alone (`_Scaled`, once per material and order).  They give the 16x16 grid
+start in [0.2, 5]^2, the order locked there, the final n_eff^2 and all of
+`effective_index`, which refines by safeguarded Newton steps (Nocedal &
+Wright, Numerical Optimization, ch. 3).  The norms are closed forms: y_norm^2
+= w sqrt(pi/(2 a_y^2)) erf(5 sqrt(2) a_y), z_norm^2 = h [sqrt(pi)/(4 c^1.5)
+erf(8 sqrt(c)) - 4 exp(-64 c)/c], c = 2 a_z^2.  `solve_mode` refines by
+Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)): `_nelder_mead_steps`
+repeats SciPy's non-adaptive trajectory on `_rq_rows`, a direct quadrature
+on the geometry's own nodes at the locked order, whose rounding fixes the
+design numbers; `solve_lanes` runs many solves in lock step, each bit for
+bit on its own trajectory.  `rayleigh_quotient`, the adaptive direct
+quadrature, is the oracle of the scaled n_eff^2.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from functools import cache, cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -61,6 +51,7 @@ from .errors import (
     ConsistencyError,
     NoGuidedModeError,
     PhysicsError,
+    require_positive,
 )
 from .quadrature import panel_nodes, refine_rows, refine_scalar
 
@@ -88,6 +79,19 @@ def _erf(x):
     """math.erf elementwise: a float array of the shape of `x` (0-d for a scalar)."""
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _channel(y, w, lateral_scale):
+    """g(y) of a channel of width w with erf walls of scale lateral_scale * w."""
+    wd = lateral_scale * w
+    return 0.5 * (_erf((w / 2 + y) / wd) + _erf((w / 2 - y) / wd))
+
+
+def _decay(z, h, depth_scale):
+    """f(z) = exp(-(z / (depth_scale * h))^2) for z >= 0, zero in the cover."""
+    hz = depth_scale * h
+    z = np.asarray(z, dtype=float)
+    return np.where(z >= 0.0, np.exp(-((z / hz) ** 2)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -124,17 +128,20 @@ class IndexProfile:
     lateral_scale: float = 0.5
     depth_scale: float = 2.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.bulk_index) and self.bulk_index >= 1.0):
+            raise ConfigurationError(
+                f"bulk_index must be finite and at least 1, got {self.bulk_index!r}", "bulk_index")
+        require_positive(increment=self.increment, lateral_scale=self.lateral_scale,
+                         depth_scale=self.depth_scale)
+
     def lateral_shape(self, y):
         """g(y) in [0, 1], even, unity deep inside the channel."""
-        w = self.geometry.width_um
-        wd = self.lateral_scale * w
-        return 0.5 * (_erf((w / 2 + y) / wd) + _erf((w / 2 - y) / wd))
+        return _channel(y, self.geometry.width_um, self.lateral_scale)
 
     def depth_shape(self, z):
         """f(z) in [0, 1] for z >= 0, zero in the cover."""
-        hz = self.depth_scale * self.geometry.depth_um
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= 0.0, np.exp(-((z / hz) ** 2)), 0.0)
+        return _decay(z, self.geometry.depth_um, self.depth_scale)
 
     def index(self, y, z):
         """n(y, z); the cover region z < 0 is air."""
@@ -147,62 +154,74 @@ class IndexProfile:
         return np.where(z < 0.0, COVER_INDEX, np.sqrt(n2))
 
 
-def _y_edges(geometry):
-    w = geometry.width_um
+def _y_edges(w):
     return (-5.0 * w, -w, 0.0, w, 5.0 * w)
 
 
-def _z_edges(geometry):
-    h = geometry.depth_um
+def _z_edges(h):
     return (0.0, h, 3.0 * h, 8.0 * h)
 
 
 class _Quadrature:
-    """Panel nodes, weights and the alpha-independent samples of one profile
-    shape at one per-panel Gauss order, shared read-only via `_quadrature`.
-    The moment rows are built on first use: the objective never reads them."""
+    """Panel nodes, weights and profile samples of one geometry and diffusion
+    scales at one Gauss order: what `_rq_rows` reads, shared via `_quadrature`."""
 
-    def __init__(self, shape, order):
-        geometry = shape.geometry
-        self.w = geometry.width_um
-        self.h = geometry.depth_um
-        self.y, self.wy = panel_nodes(_y_edges(geometry), order)
+    def __init__(self, geometry, lateral_scale, depth_scale, order):
+        self.w, self.h = geometry.width_um, geometry.depth_um
+        self.y, self.wy = panel_nodes(_y_edges(self.w), order)
         self.y2 = self.y**2
-        self.g = shape.lateral_shape(self.y)
-        z, self.wz = panel_nodes(_z_edges(geometry), order)
+        self.g = _channel(self.y, self.w, lateral_scale)
+        z, self.wz = panel_nodes(_z_edges(self.h), order)
         self.z2 = z**2
         self.zh2 = (z / self.h) ** 2
-        self.f = shape.depth_shape(z)
-        self.u = self.y2 / self.w**2
-        for array in (self.y2, self.g, self.z2, self.zh2, self.f, self.u):
+        self.f = _decay(z, self.h, depth_scale)
+        for array in (self.y2, self.g, self.z2, self.zh2, self.f):
             array.flags.writeable = False
 
-    # Moment rows: with u = (y/w)^2 and v2 = (z/h)^2, `y_rows @ Y^2` is
-    # int u^k Y^2 (k <= 3), int g u^k Y^2 (k <= 2), and `z_rows @ e` with
-    # e = exp(-2 a_z^2 v2) is int v2^k e (k <= 4), int f v2^k e (k = 1..3).
-    @cached_property
-    def y_rows(self):
-        return _read_only(np.array([self.wy * self.u**k for k in range(4)]
-                                   + [self.wy * self.g * self.u**k for k in range(3)]))
 
-    @cached_property
-    def z_rows(self):
-        v2 = self.zh2
-        return _read_only(np.array([self.wz * v2**k for k in range(5)]
-                                   + [self.wz * self.f * v2**k for k in range(1, 4)]))
+# (geometry, lateral_scale, depth_scale, order) -> _Quadrature
+_quadrature = lru_cache(maxsize=8)(_Quadrature)
+
+
+def _quadrature_of(profile, order):
+    """The `_quadrature` of a profile's shape: its indices do not enter."""
+    return _quadrature(profile.geometry, profile.lateral_scale, profile.depth_scale, order)
+
+
+class _Scaled:
+    """Moment rows of one material at one per-panel Gauss order on the scaled
+    box u = y/w in [-5, 5] (its even half, weights doubled), v = z/h in [0, 8]:
+    with e = exp(-2 s u^2), `y_rows @ e` is int u^2k e (k <= 3), int g u^2k e
+    (k <= 2), and `z_rows` gives int v^2k e (k <= 4), int f v^2k e (1..3)."""
+
+    def __init__(self, lateral_scale, depth_scale, order):
+        u, wu = panel_nodes(_y_edges(1.0)[2:], order)
+        v, wv = panel_nodes(_z_edges(1.0), order)
+        u2, v2 = u * u, v * v
+        g, f = 2.0 * wu * _channel(u, 1.0, lateral_scale), wv * _decay(v, 1.0, depth_scale)
+        self.y_rows = _read_only(np.array([2.0 * wu * u2**k for k in range(4)]
+                                          + [g * u2**k for k in range(3)]))
+        self.z_rows = _read_only(np.array([wv * v2**k for k in range(5)]
+                                          + [f * v2**k for k in range(1, 4)]))
+        self.y_exponent, self.z_exponent = _read_only(-2.0 * u2), _read_only(-2.0 * v2)
 
     def moments(self, sy, sz):
-        """The y and z moment rows at s_y = a_y^2 and s_z = a_z^2; a vector
-        of s gives one column per entry."""
-        return (self.y_rows @ np.exp(np.multiply.outer(self.u, -2.0 * sy)),
-                self.z_rows @ np.exp(np.multiply.outer(self.zh2, -2.0 * sz)))
+        """The moments at s_y = a_y^2, s_z = a_z^2 (floats, or (L, 1, 1) arrays
+        of L lanes), one ddot each, so a lane's do not depend on the others."""
+        return (np.vecdot(self.y_rows, np.exp(sy * self.y_exponent)),
+                np.vecdot(self.z_rows, np.exp(sz * self.z_exponent)))
 
     @cached_property
-    def grid_ratios(self):
-        """Rows P, r, Q, t of `_ratios` at GRID_ALPHAS, for the grid scan."""
+    def grid_terms(self):
+        """P Q, r (a column) and t of `_ratios` at GRID_ALPHAS, for the grid start."""
         s = GRID_ALPHAS**2
-        y_moments, z_moments = self.moments(s, s)
-        return _read_only(np.array([f[0] for f in _ratios(s, y_moments, s, z_moments)]))
+        y_moments, z_moments = self.moments(s[:, None, None], s[:, None, None])
+        (P, *_), (r, *_), (Q, *_), (t, *_) = _ratios(s, y_moments.T, s, z_moments.T)
+        return _read_only(np.multiply.outer(P, Q)), _read_only(r[:, None]), _read_only(t)
+
+
+# (lateral_scale, depth_scale, order) -> _Scaled
+_scaled = lru_cache(maxsize=16)(_Scaled)
 
 
 def _read_only(array):
@@ -218,10 +237,9 @@ def _ratio(num, den):
 
 
 def _ratios(sy, y_moments, sz, z_moments):
-    """P = G_y/A_y and r = w^2 D_y/A_y at s_y = a_y^2, Q = F_z/A_z and
-    t = h^2 D_z/A_z at s_z = a_z^2, each with its first two s-derivatives, from
-    `_Quadrature.moments`.  With d/ds int w exp(-2 s u) = -2 int w u
-    exp(-2 s u), each derivative of a moment is the next moment row."""
+    """P = G_y/A_y and r = w^2 D_y/A_y at s_y = a_y^2, Q = F_z/A_z and t =
+    h^2 D_z/A_z at s_z = a_z^2 with their first two s-derivatives, from
+    `_Scaled.moments`: d/ds of a moment row is -2 times the next row."""
     M0, M1, M2, M3, G0, G1, G2 = y_moments
     E0, E1, E2, E3, E4, H1, H2, H3 = z_moments
     Ay, Az = (M0, -2.0 * M1, 4.0 * M2), (E1, -2.0 * E2, 4.0 * E3)
@@ -235,28 +253,36 @@ def _ratios(sy, y_moments, sz, z_moments):
                     28.0 * E2 - 48.0 * sz * E3 + 16.0 * sz * sz * E4), Az))
 
 
-# (shape, order) -> _Quadrature; a solve uses two to four orders
-_quadrature = lru_cache(maxsize=8)(_Quadrature)
-
-
-def _quadratures(profile, quadrature=_quadrature):
-    """order -> the shared _Quadrature of `profile` with its indices zeroed."""
-    return partial(quadrature, replace(profile, bulk_index=0.0, increment=0.0))
+def _quotients(lanes, order):
+    """n_eff^2 at one order for lanes (profile, k0, a_y, a_z): the moments of
+    each material's lanes in one stacked evaluation, the rest in floats."""
+    values, materials = [None] * len(lanes), {}
+    for i, (profile, _, ay, az) in enumerate(lanes):
+        materials.setdefault((profile.lateral_scale, profile.depth_scale), []).append(
+            (i, ay * ay, az * az))
+    for (lateral_scale, depth_scale), rows in materials.items():
+        s, scaled = np.array(rows)[:, 1:, None], _scaled(lateral_scale, depth_scale, order)
+        y_moments, z_moments = scaled.moments(s[:, :1], s[:, 1:])
+        for (i, sy, sz), (M0, M1, _, _, G0, _, _), (E0, E1, E2, _, _, H1, _, _) in zip(
+                rows, y_moments.tolist(), z_moments.tolist()):  # the values of `_ratios`
+            p, k0, *_ = lanes[i]
+            values[i] = (p.bulk_index**2 + 2.0 * p.bulk_index * p.increment * (G0 / M0) * (H1 / E1)
+                         - 4.0 * sy * sy * M1 / M0 / (k0 * p.geometry.width_um) ** 2
+                         - (E0 - 4.0 * sz * E1 + 4.0 * sz * sz * E2) / E1
+                         / (k0 * p.geometry.depth_um) ** 2)
+    return values
 
 
 def _rq_rows(lanes):
     """The Nelder-Mead objective by direct quadrature for lanes (profile, k0,
     _Quadrature) of one Gauss order: [(a_y, a_z) per lane] -> [n_eff^2 per
-    lane].  Several lanes are rows of stacked arrays; one lane keeps its own
-    1-D arrays and floats, which saves a third of its cost.  Either way lane
-    i's arithmetic is the same bit for bit: elementwise ufuncs and one ddot
-    per row.  The y nodes, weights and g(y) are mirror images (`_y_edges` and
-    the Gauss nodes are symmetric, and IEEE rounding is sign-symmetric), so
-    the y integrands are computed on the first half of the nodes and copied,
-    reversed, into the second half of each full row before its dot.  One
-    scale s = -2 a^2 per axis serves the exponent and, squared, the
-    derivative factor.  It equals the moment form to rounding; its rounding
-    fixes the design numbers.  The scratch arrays are the function's own."""
+    lane].  Several lanes are rows of stacked arrays, one lane keeps 1-D
+    arrays and floats; either way lane i's arithmetic is the same bit for bit
+    (elementwise ufuncs, one ddot per row).  The y nodes, weights and g(y)
+    are exact mirror images, so the y integrands are computed on the first
+    half of the nodes and mirrored into full rows; one scale s = -2 a^2 per
+    axis serves the exponent and, squared, the derivative factor.  The
+    scratch arrays are the function's own."""
     one = len(lanes) == 1
 
     def lanewise(values, shape=(len(lanes), -1)):
@@ -307,14 +333,14 @@ def _quotient(profile, k0, quad, alpha_y, alpha_z):
     return _rq_rows([(profile, k0, quad)])([(alpha_y, alpha_z)])[0]
 
 
-def _rq_taylor(profile, k0, quad, x):
-    """The quotient at x = (ln a_y, ln a_z) from the moment rows, with its
+def _rq_taylor(profile, k0, scaled, x):
+    """The quotient at x = (ln a_y, ln a_z) from the `_Scaled` rows, with its
     gradient and Hessian in x."""
     sy, sz = math.exp(2.0 * x[0]), math.exp(2.0 * x[1])
-    y_moments, z_moments = quad.moments(sy, sz)
+    y_moments, z_moments = scaled.moments(sy, sz)
     P, r, Q, t = _ratios(sy, y_moments.tolist(), sz, z_moments.tolist())
-    nb, dn = profile.bulk_index, profile.increment
-    c, ky, kz = 2.0 * nb * dn, 1.0 / (k0 * quad.w) ** 2, 1.0 / (k0 * quad.h) ** 2
+    nb, dn, geometry = profile.bulk_index, profile.increment, profile.geometry
+    c, ky, kz = 2.0 * nb * dn, (k0 * geometry.width_um) ** -2, (k0 * geometry.depth_um) ** -2
     value = nb**2 + c * P[0] * Q[0] - ky * r[0] - kz * t[0]
     # d/dx = 2 s d/ds, so d2/dx2 = 4 s d/ds + 4 s^2 d2/ds2
     gy = 2.0 * sy * (c * P[1] * Q[0] - ky * r[1])
@@ -324,13 +350,13 @@ def _rq_taylor(profile, k0, quad, x):
     return value, gy, gz, hyy, 4.0 * sy * sz * c * P[1] * Q[1], hzz
 
 
-def _newton(profile, k0, quad, ay, az):
+def _newton(profile, k0, scaled, ay, az):
     """Maximise the quotient from (ay, az) in ln(alpha): a Newton step where
     the Hessian is negative definite, else a gradient step, capped at 0.5 and
     halved while the quotient falls by more than rounding.  Stops at a step
     of 1e-10 or below `_ALPHA_FLOOR`; the iteration cap is only a bound."""
     x = (math.log(ay), math.log(az))
-    now = _rq_taylor(profile, k0, quad, x)
+    now = _rq_taylor(profile, k0, scaled, x)
     for _ in range(100):
         value, gy, gz, hyy, hyz, hzz = now
         det = hyy * hzz - hyz * hyz
@@ -342,7 +368,7 @@ def _newton(profile, k0, quad, ay, az):
         t = min(1.0, 0.5 / size) if concave else 0.5 / size
         while t * size > 1e-10:
             trial_x = (x[0] + t * d[0], x[1] + t * d[1])
-            trial = _rq_taylor(profile, k0, quad, trial_x)
+            trial = _rq_taylor(profile, k0, scaled, trial_x)
             if trial[0] >= value - 4.0 * math.ulp(value):  # a few ulp of fall is rounding
                 break
             t *= 0.5
@@ -355,11 +381,8 @@ def _newton(profile, k0, quad, ay, az):
 
 
 def _wavenumber(wavelength_nm, **alphas):
-    """k0 in 1/um, once the wavelength and any trial parameters are finite
-    and positive; else a ConfigurationError naming the first bad one."""
-    for name, value in (("wavelength_nm", wavelength_nm), *alphas.items()):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigurationError(f"{name} must be finite and positive, got {value!r}", name)
+    """k0 in 1/um, after `require_positive` of the wavelength and any trial parameters."""
+    require_positive(wavelength_nm=wavelength_nm, **alphas)
     return 2.0 * np.pi / (wavelength_nm * 1e-3)
 
 
@@ -369,8 +392,8 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     The quadrature order doubles until the estimate stabilises.
     """
     k0 = _wavenumber(wavelength_nm, alpha_y=alpha_y, alpha_z=alpha_z)
-    quad = _quadratures(profile)
-    value, _ = refine_scalar(lambda n: _quotient(profile, k0, quad(n), alpha_y, alpha_z))
+    value, _ = refine_scalar(lambda n: _quotient(profile, k0, _quadrature_of(profile, n),
+                                                 alpha_y, alpha_z))
     return value
 
 
@@ -504,39 +527,31 @@ class ModeSolution:
 
 
 # One mode solve after its start: grid point and the order locked for a smooth refinement.
-_Start = namedtuple("_Start", "profile wavelength_nm k0 quad order ay az")
+_Start = namedtuple("_Start", "profile wavelength_nm k0 order ay az")
 
 
-def _grid_start(profile, wavelength_nm, quadrature):
-    """Argument and guidance checks and the grid start of one mode solve; its
-    order is locked by `_locked`."""
+def _grid_start(profile, wavelength_nm):
+    """Argument and guidance checks and the grid start of one mode solve."""
     k0 = _wavenumber(wavelength_nm)
     if profile.increment < MIN_GUIDING_INCREMENT:
-        raise NoGuidedModeError(
-            f"increment {profile.increment:g} below the guiding threshold "
-            f"{MIN_GUIDING_INCREMENT:g}"
-        )
-    quad = _quadratures(profile, quadrature)
+        raise NoGuidedModeError(f"increment {profile.increment:g} below the guiding threshold "
+                                f"{MIN_GUIDING_INCREMENT:g}")
     nb, dn, geometry = profile.bulk_index, profile.increment, profile.geometry
-    P, r, Q, t = quad(GRID_ORDER).grid_ratios
-    grid = (nb**2 + 2.0 * nb * dn * np.outer(P, Q)
-            - np.add.outer(r / geometry.width_um**2, t / geometry.depth_um**2) / k0**2)
-    iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    return _Start(profile, wavelength_nm, k0, quad, None, float(GRID_ALPHAS[iy]),
-                  float(GRID_ALPHAS[iz]))
+    PQ, r, t = _scaled(profile.lateral_scale, profile.depth_scale, GRID_ORDER).grid_terms
+    ky, kz = (k0 * geometry.width_um) ** -2, (k0 * geometry.depth_um) ** -2
+    grid = nb * nb + 2.0 * nb * dn * PQ - ky * r - kz * t
+    iy, iz = divmod(int(np.argmax(grid)), GRID_POINTS)
+    return _Start(profile, wavelength_nm, k0, None, *GRID_ALPHAS[[iy, iz]].tolist())
 
 
 def _refined(starts, points):
-    """`refine_rows` of the quotient of each start's lane at its (a_y, a_z):
-    one `_rq_rows` per order for every lane still refining."""
-    return refine_rows(lambda order, rows: _rq_rows(
-        [(starts[i].profile, starts[i].k0, starts[i].quad(order)) for i in rows])(
-        [points[i] for i in rows]), len(starts))
+    """`refine_rows` of n_eff^2 at each start's (a_y, a_z): `_quotients` per order."""
+    return refine_rows(lambda order, rows: _quotients(
+        [(starts[i].profile, starts[i].k0, *points[i]) for i in rows], order), len(starts))
 
 
 def _locked(starts):
-    """Each grid start with the order its quotient converges at, or its
-    QuadratureConvergenceError."""
+    """Each grid start with its converged order, or its QuadratureConvergenceError."""
     return [outcome if isinstance(outcome, PhysicsError) else start._replace(order=outcome[1])
             for start, outcome in zip(starts, _refined(starts, [(s.ay, s.az) for s in starts]))]
 
@@ -568,22 +583,20 @@ def _finished(starts, points):
     return outcomes
 
 
+def _norms(geometry, ay, az):
+    """y_norm and z_norm, sqrt(int Y^2) and sqrt(int Z^2), in closed form."""
+    c = 2.0 * az * az
+    y2 = math.sqrt(math.pi / (2.0 * ay * ay)) * math.erf(5.0 * math.sqrt(2.0) * ay)
+    z2 = math.sqrt(math.pi) / (4.0 * c * math.sqrt(c)) * math.erf(8.0 * math.sqrt(c))
+    return math.sqrt(geometry.width_um * y2), math.sqrt(geometry.depth_um * (
+        z2 - 4.0 * math.exp(-64.0 * c) / c))
+
+
 def _raised(outcome):
     """A lane's outcome, raised if it is a PhysicsError."""
     if isinstance(outcome, PhysicsError):
         raise outcome
     return outcome
-
-
-def _start(profile, wavelength_nm):
-    """Checks, grid start and order lock of one mode solve: one lane of `_locked`."""
-    return _raised(_locked([_grid_start(profile, wavelength_nm, _quadrature)])[0])
-
-
-def _finish(start, ay, az):
-    """Edge test and adaptive (n_eff^2, order) at the refined (a_y, a_z): one
-    lane of `_finished`."""
-    return _raised(_finished([start], [(ay, az)])[0])
 
 
 def solve_lanes(groups) -> list:
@@ -595,14 +608,14 @@ def solve_lanes(groups) -> list:
     vertex of every Nelder-Mead run, and restacks an order once half its rows
     have ended; a vertex below `_ALPHA_FLOOR` scores 1e6.  The runs that end
     in a round are finished together at its end, in (group, index) order."""
-    quadrature = cache(_quadrature)  # every shape and order stays built for the batch
+    quadrature = cache(_quadrature_of)  # each locked order stays built for the batch
     results = [[None] * len(jobs) for jobs in groups]
     failed = [len(jobs) for jobs in groups]  # the index of each group's first failure
     lanes, starts = [], []  # (group, index in it, polarization) and `_Start` of each lane
     for g, jobs in enumerate(groups):
         for k, (profile, wavelength_nm, polarization) in enumerate(jobs):
             try:
-                starts.append(_grid_start(profile, wavelength_nm, quadrature))
+                starts.append(_grid_start(profile, wavelength_nm))
             except PhysicsError as error:
                 results[g][k], failed[g] = error.with_traceback(None), k
                 break
@@ -637,7 +650,8 @@ def solve_lanes(groups) -> list:
             stacked, rq = stacks.get(order, ((), None))
             if 2 * len(live) <= len(stacked) or not stacked:
                 stacked, rq = stacks[order] = live, _rq_rows(
-                    [(starts[i].profile, starts[i].k0, starts[i].quad(order)) for i in live])
+                    [(starts[i].profile, starts[i].k0, quadrature(starts[i].profile, order))
+                     for i in live])
             xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
             for i, x, value in zip(stacked, xs, rq(xs)):
                 if i in runs:
@@ -651,23 +665,24 @@ def solve_lanes(groups) -> list:
             continue
         ended = dict(sorted(ended))  # lanes are numbered in (group, index) order
         finished = _finished([starts[i] for i in ended], list(ended.values()))
-        for i, (n_eff_sq, final) in settle(ended, finished):
+        for i, (n_eff_sq, _) in settle(ended, finished):
             (g, k, polarization), start, (ay, az) = lanes[i], starts[i], ended[i]
-            y_moments, z_moments = start.quad(final).moments(ay * ay, az * az)
-            results[g][k] = ModeSolution(  # the norms are int Y^2 and int Z^2
-                float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm, polarization,
-                start.profile, math.sqrt(y_moments[0]), math.sqrt(z_moments[1]))
+            results[g][k] = ModeSolution(float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm,
+                                         polarization, start.profile,
+                                         *_norms(start.profile.geometry, ay, az))
         for i in [i for i in runs if lanes[i][1] > failed[lanes[i][0]]]:
             del runs[i]  # moot: an earlier lane of its group failed
     return [row[:k + 1] for row, k in zip(results, failed)]
 
 
 def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
-    """`solve_mode(...).n_eff` to rounding, with the same checks and errors,
-    refined by `_newton`: n_eff is stationary in the trial parameters."""
-    start = _start(profile, wavelength_nm)
-    ay, az = _newton(profile, start.k0, start.quad(start.order), start.ay, start.az)
-    return math.sqrt(_finish(start, ay, az)[0])
+    """`solve_mode(...).n_eff` to rounding, with the same checks, grid start,
+    order lock, final refinement and errors, refined by `_newton` instead of
+    Nelder-Mead: n_eff is stationary in the trial parameters."""
+    start = _raised(_locked([_grid_start(profile, wavelength_nm)])[0])
+    scaled = _scaled(profile.lateral_scale, profile.depth_scale, start.order)
+    ay, az = _newton(profile, start.k0, scaled, start.ay, start.az)
+    return math.sqrt(_raised(_finished([start], [(ay, az)])[0])[0])
 
 
 def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polarization) -> ModeSolution:
@@ -695,8 +710,8 @@ def field_overlap(a: ModeSolution, b: ModeSolution, c: ModeSolution) -> float:
     geometry = a.profile.geometry
 
     def evaluate(order):
-        y, wy = panel_nodes(_y_edges(geometry), order)
-        z, wz = panel_nodes(_z_edges(geometry), order)
+        y, wy = panel_nodes(_y_edges(geometry.width_um), order)
+        z, wz = panel_nodes(_z_edges(geometry.depth_um), order)
         iy = wy.dot(a.y_factor(y) * b.y_factor(y) * c.y_factor(y))
         iz = wz.dot(a.z_factor(z) * b.z_factor(z) * c.z_factor(z))
         return iy * iz

@@ -24,6 +24,7 @@ from .errors import (
     DownConversionError,
     PhaseMatchingError,
     SpanTooNarrowError,
+    require_positive,
 )
 
 C_UM_PER_FS = 0.299792458
@@ -50,6 +51,7 @@ def idler_wavelength(pump_nm: float, signal_nm):
 
     `signal_nm` may be an array; the idlers are then computed elementwise.
     """
+    require_positive(pump_nm=pump_nm, signal_nm=signal_nm)
     if np.any(np.asarray(signal_nm) <= pump_nm):
         raise DownConversionError(
             f"signal {np.min(signal_nm):g} nm must exceed the pump {pump_nm:g} nm"
@@ -163,8 +165,7 @@ class CouplingAmplitude:
 def coupling_amplitude(process: SpdcProcess, overlap_per_um: float,
                        delta_k_rad_per_m: float, length_cm: float) -> CouplingAmplitude:
     """Relative amplitude |I| sqrt(ws wi) / (ns ni) * |sinc(dk L/2)|."""
-    if length_cm <= 0.0:
-        raise ConfigurationError("interaction length must be positive")
+    require_positive(length_cm=length_cm)
     ws = angular_frequency(process.signal_nm)
     wi = angular_frequency(process.idler_nm)
     base = abs(overlap_per_um) * math.sqrt(ws * wi) / (process.n_signal * process.n_idler)
@@ -227,6 +228,7 @@ def estimate_fwhm_nm(process: SpdcProcess, axis: str, length_cm: float) -> float
     slope is d(dk)/d(lam_s) = 2 pi (n_i - n_s) / lam_s^2 on the signal axis
     and 2 pi (n_s - n_i) / lam_i^2 on the idler axis.
     """
+    require_positive(length_cm=length_cm)
     center = process.signal_nm if axis == "signal" else process.idler_nm
     # rad/m per nm, with the wavelength in um
     slope = 2.0 * np.pi * (process.n_idler - process.n_signal) / (center * 1e-3) ** 2 * 1e3
@@ -273,6 +275,7 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
         raise ConfigurationError(f"unknown index model '{index_model}'")
     if index_model == "dispersive" and index_provider is None:
         raise ConfigurationError("dispersive scans need an index provider")
+    require_positive(span_nm=span_nm, length_cm=length_cm)
 
     center = process.signal_nm if axis == "signal" else process.idler_nm
     grid = np.linspace(center - span_nm / 2.0, center + span_nm / 2.0, samples)
@@ -353,8 +356,7 @@ def synthesize_poling(period1_um: float, period2_um: float, length_cm: float) ->
     Sign flips are bracketed on a sub-period grid and bisected to well below
     1 nm.  Raises DegeneratePatternError when the periods coincide.
     """
-    if period1_um <= 0.0 or period2_um <= 0.0:
-        raise ConfigurationError("poling periods must be positive")
+    require_positive(period1_um=period1_um, period2_um=period2_um, length_cm=length_cm)
     if period1_um == period2_um:
         raise DegeneratePatternError("equal periods produce no beat pattern")
     length_um = length_cm * 1e4

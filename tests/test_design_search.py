@@ -259,6 +259,12 @@ def _wavelengths(request):
             "idler_2": idler_wavelength(request.pump_nm, request.signal2_nm)}
 
 
+def _locked_order(profile, wavelength_nm):
+    """The Gauss order `solve_lanes` locks a lane at."""
+    (start,) = mode_solver._locked([mode_solver._grid_start(profile, wavelength_nm)])
+    return start.order
+
+
 def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
     # one batch of mixed lanes against one-lane solve_mode, bit for bit
     vertices = []
@@ -296,7 +302,7 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
         assert not isinstance(result, PhysicsError) or result.__traceback__ is None
         assert _solved(result) == _outcome(lambda: solve_mode(*job)), job
         kinds.add(type(result) if isinstance(result, PhysicsError)
-                  else mode_solver._start(*job[:2]).order)
+                  else _locked_order(*job[:2]))
     assert {96, BoundaryOptimumError, NoGuidedModeError} <= kinds and kinds & {192, 384}
     first_failure = next(k for k, result in enumerate(batch) if isinstance(result, PhysicsError))
     assert 0 < first_failure < len(jobs) - 1
@@ -330,7 +336,7 @@ def _jobs_locking_at_96_and_384():
     jobs = [(EffectiveIndexSolver(material, WaveguideGeometry(size, 0.8 * size, 1.0))
              .profile(780.0, pol), 780.0, pol)
             for material, size, pol in ((DEFAULT_MATERIAL, 10.0, O), (narrow, 6.5, E))]
-    assert [mode_solver._start(*job[:2]).order for job in jobs] == [96, 384]
+    assert [_locked_order(*job[:2]) for job in jobs] == [96, 384]
     return jobs
 
 
@@ -366,16 +372,15 @@ def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypat
 
 
 def _never_converging(monkeypatch, profile):
-    """Patch `_rq_rows` so that the lanes of `profile` gain 1/(nodes) and
+    """Patch `_quotients` so that the lanes of `profile` gain 1/order and
     never converge; every other lane keeps its values."""
-    rq_rows = mode_solver._rq_rows
+    quotients = mode_solver._quotients
 
-    def noisy(lanes):
-        rq = rq_rows(lanes)
-        shifts = [1.0 / q.y.size if p is profile else 0.0 for p, _, q in lanes]
-        return lambda points: [v + shift for v, shift in zip(rq(points), shifts)]
+    def noisy(lanes, order):
+        return [v + (1.0 / order if lane[0] is profile else 0.0)
+                for v, lane in zip(quotients(lanes, order), lanes)]
 
-    monkeypatch.setattr(mode_solver, "_rq_rows", noisy)
+    monkeypatch.setattr(mode_solver, "_quotients", noisy)
 
 
 def test_batched_refinement_matches_one_lane_refine_scalar(monkeypatch):
@@ -385,15 +390,14 @@ def test_batched_refinement_matches_one_lane_refine_scalar(monkeypatch):
     jobs = _jobs_locking_at_96_and_384()
     jobs += [(IndexProfile(WaveguideGeometry(w, 9.0, 1.0), 2.2, 0.003), 1000.0, E)
              for w in (5.0, 14.0)]
-    starts = [mode_solver._grid_start(profile, nm, mode_solver._quadrature)
-              for profile, nm, _ in jobs]
+    starts = [mode_solver._grid_start(profile, nm) for profile, nm, _ in jobs]
     lanes = starts * 3
     points = ([(s.ay, s.az) for s in starts] + [(s.ay * 1.3, s.az * 0.8) for s in starts]
               + [(1.0, 1.0)] * len(starts))
 
     def one_lane(start, point):
-        return refine_scalar(lambda n: mode_solver._quotient(start.profile, start.k0,
-                                                             start.quad(n), *point))
+        return refine_scalar(lambda n: mode_solver._quotients([(start.profile, start.k0, *point)],
+                                                              n)[0])
 
     batched = mode_solver._refined(lanes, points)
     assert batched == [one_lane(*lane) for lane in zip(lanes, points)]
@@ -417,26 +421,26 @@ def test_a_lane_that_never_converges_stops_only_its_own_group(monkeypatch):
     expected = [solve_mode(*jobs[0]), solve_mode(*other)]
     _never_converging(monkeypatch, jobs[1][0])
     with pytest.raises(QuadratureConvergenceError, match="within order 3072"):
-        mode_solver._start(*jobs[1][:2])
+        mode_solver.effective_index(*jobs[1][:2])
     (first, error), (second,) = mode_solver.solve_lanes([jobs + [other], [other]])
     assert [first, second] == expected
     assert type(error) is QuadratureConvergenceError and error.__traceback__ is None
 
 
 def test_lock_step_batch_locks_every_lane_at_once_without_one_lane_refinements(monkeypatch):
-    # the order lock evaluates all the lanes of a batch in one `_rq_rows` per
+    # the order lock evaluates all the lanes of a batch in one `_quotients` per
     # order, and no one-lane quotient or refine_scalar closure is built
     request = request_for(Scheme.TYPE2_CROSS, 9.0)
     solver, nm = EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry), _wavelengths(request)
     jobs = [(solver.profile(nm[role], pol), nm[role], pol)
             for role, pol in request.scheme.polarizations().items()]
     expected = [solve_mode(*job) for job in jobs]
-    calls, sizes, rq_rows = [], [], mode_solver._rq_rows
+    calls, sizes, quotients = [], [], mode_solver._quotients
     monkeypatch.setattr(mode_solver, "_quotient", lambda *args: calls.append("_quotient"))
     monkeypatch.setattr(mode_solver, "refine_scalar",
                         lambda *args, **options: calls.append("refine_scalar"))
-    monkeypatch.setattr(mode_solver, "_rq_rows", lambda lanes: sizes.append(len(lanes))
-                        or rq_rows(lanes))
+    monkeypatch.setattr(mode_solver, "_quotients", lambda lanes, order: sizes.append(len(lanes))
+                        or quotients(lanes, order))
     assert mode_solver.solve_lanes([jobs]) == [expected]
     assert calls == [] and sizes[:2] == [5, 5]
 
@@ -480,6 +484,28 @@ def test_sweep_solves_its_rows_in_bounded_contiguous_batches(monkeypatch):
     pairs = [(d, w) for d in depths for w in widths]
     assert [pair for batch in batches for pair in batch] == pairs
     assert [(row.depth_um, row.width_um) for row in rows] == pairs
+
+
+def test_a_sweep_builds_scaled_rows_once_and_quadratures_only_at_locked_orders(monkeypatch):
+    # a 16x16 sweep builds the scaled rows once per (scales, order) and one
+    # per-geometry _Quadrature per (geometry, locked order) that a
+    # Nelder-Mead run reads: none for the grid, the lock or the final n_eff
+    keys, read = [], set()
+    scaled, quadrature, rq_rows = mode_solver._scaled, mode_solver._quadrature, mode_solver._rq_rows
+    scaled.cache_clear()
+    quadrature.cache_clear()
+    monkeypatch.setattr(mode_solver, "_scaled", lambda *key: keys.append(key) or scaled(*key))
+    monkeypatch.setattr(mode_solver, "_rq_rows", lambda lanes: read.update(
+        (p.geometry, q.wy.size // 4) for p, _, q in lanes) or rq_rows(lanes))
+    sizes = np.geomspace(2.0, 18.0, 16).tolist()
+    rows = sweep(request_for(Scheme.TYPE2_CROSS, 10.0), sizes, sizes).rows
+    assert len(rows) == 256 and sum(row.error is None for row in rows) > 100
+    assert scaled.cache_info().misses == len(set(keys)) <= 5
+    assert quadrature.cache_info().misses == len(read) < 256 * 2
+    # the n_eff path of dispersive scans builds no per-geometry quadrature at all
+    quadrature.cache_clear()
+    EffectiveIndexSolver(DEFAULT_MATERIAL, WaveguideGeometry(9.0, 7.0, 1.0)).index(780.0, E)
+    assert quadrature.cache_info().misses == 0
 
 
 @pytest.mark.parametrize(

@@ -29,8 +29,9 @@ def test_sellmeier_matches_independent_evaluation():
     "terms,wavelength_nm,shown",
     [(((-5.0, 0.01),), 519.0, "n^2 = -4.19"),  # n^2 below zero
      (((0.5, 1.0),), 1000.0, "n^2 = inf"),  # a pole at exactly 1 um
-     (((1e308, 0.01), (1e308, 0.02)), 519.0, "n^2 = inf")],  # overflow
-    ids=["negative", "pole", "overflow"],
+     (((1e308, 0.01), (1e308, 0.02)), 519.0, "n^2 = inf"),  # overflow
+     (((-0.5, 0.01),), 780.0, "n^2 = 0.491")],  # below the air cover's 1
+    ids=["negative", "pole", "overflow", "below-one"],
 )
 def test_sellmeier_rejects_nonpositive_or_infinite_square(terms, wavelength_nm, shown):
     model = SellmeierModel("bad", 25.0, (400.0, 5000.0), {E: terms})

@@ -141,13 +141,28 @@ def test_geometry_validation():
 
 def test_make_profile_rejects_nonpositive_increment():
     # IndexProfile is built directly; a non-positive increment is refused
-    # when a mode is asked of it (outside input is range-checked earlier,
-    # by IndexIncrementTable)
+    # when the profile is built (outside input is range-checked earlier, by
+    # IndexIncrementTable)
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    with pytest.raises(NoGuidedModeError):
-        solve_mode(IndexProfile(geometry, 2.2, 0.0), 1551.03, E)
-    with pytest.raises(NoGuidedModeError):
-        solve_mode(IndexProfile(geometry, 2.2, -0.001), 1551.03, E)
+    for increment in (0.0, -0.001):
+        with pytest.raises(ConfigurationError, match="^increment must be finite and positive"
+                           ) as raised:
+            IndexProfile(geometry, 2.2, increment)
+        assert raised.value.field == "increment"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bulk_index", math.nan), ("bulk_index", math.inf), ("bulk_index", 0.9),
+    ("increment", math.nan), ("lateral_scale", 0.0), ("lateral_scale", math.inf),
+    ("depth_scale", -1.0), ("depth_scale", math.nan)])
+def test_index_profile_checks_its_numbers(field, value):
+    # before, a NaN bulk index ran the quadrature to order 3072 and raised
+    # QuadratureConvergenceError, lateral_scale=0 divided by zero and
+    # depth_scale=-1 solved a mode
+    numbers = {"bulk_index": 2.2, "increment": 0.003, "lateral_scale": 0.5, "depth_scale": 2.0}
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite and") as raised:
+        IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), **{**numbers, field: value})
+    assert raised.value.field == field
 
 
 def test_profile_limits():
@@ -179,7 +194,7 @@ def test_lateral_shape_matches_scipy_erf():
 
 def test_rayleigh_quotient_homogeneous_limit():
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    uniform = IndexProfile(geometry, 2.2, 0.0)
+    uniform = IndexProfile(geometry, 2.2, 1e-300)  # too small to change n^2 in any bit
     rq_mid = rayleigh_quotient(uniform, 1000.0, 1.0, 1.0)
     rq_broad = rayleigh_quotient(uniform, 1000.0, 0.3, 0.3)
     assert rq_mid < 2.2**2
@@ -220,7 +235,8 @@ def test_solvers_reject_bad_arguments_before_any_quadrature(monkeypatch, bad):
     def no_quadrature(*args):
         raise AssertionError("a quadrature was built")
 
-    monkeypatch.setattr(mode_solver, "_quadratures", no_quadrature)
+    monkeypatch.setattr(mode_solver, "_quadrature", no_quadrature)
+    monkeypatch.setattr(mode_solver, "_scaled", no_quadrature)
     calls = {"wavelength_nm": [lambda: solve_mode(profile, bad, E),
                                lambda: mode_solver.effective_index(profile, bad),
                                lambda: rayleigh_quotient(profile, bad, 1.0, 1.0)],
@@ -644,31 +660,36 @@ def test_minimize_rejects_a_simplex_that_is_not_three_by_two():
 
 @pytest.mark.parametrize("order", [48, 96, 192])
 def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
-    # the Nelder-Mead objective and the grid quotient against the moment-row
-    # quotient, and int Y^2, int Z^2 (the mode norms) against direct quadrature
+    # the Nelder-Mead objective against the scaled moment-row quotient (one
+    # lane and stacked, and the Newton value) and the grid quotient, and
+    # int Y^2, int Z^2 from the scaled rows against direct quadrature
     rng = np.random.default_rng(4242 + order)
     lo, hi = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX
     corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
     for profile in random_profiles(3):
         k0 = 2.0 * np.pi / (float(rng.uniform(600.0, 1600.0)) * 1e-3)
-        quad = mode_solver._quadratures(profile)(order)
+        quad = mode_solver._quadrature_of(profile, order)
+        scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, order)
         w, h = profile.geometry.width_um, profile.geometry.depth_um
-        for ay, az in corners + rng.uniform(lo, hi, size=(100, 2)).tolist():
-            moment = mode_solver._rq_taylor(profile, k0, quad, (math.log(ay), math.log(az)))[0]
+        points = corners + rng.uniform(lo, hi, size=(100, 2)).tolist()
+        stacked = mode_solver._quotients([(profile, k0, ay, az) for ay, az in points], order)
+        for (ay, az), value in zip(points, stacked):
+            moment = mode_solver._rq_taylor(profile, k0, scaled, (math.log(ay), math.log(az)))[0]
             scalar = mode_solver._quotient(profile, k0, quad, ay, az)
             assert scalar == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
-            y_moments, z_moments = quad.moments(ay * ay, az * az)
+            assert scalar == pytest.approx(value, rel=1e-14, abs=0.0), (ay, az)
+            assert mode_solver._quotients([(profile, k0, ay, az)], order) == [value]
+            y_moments, z_moments = scaled.moments(ay * ay, az * az)
             direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
             direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
-            assert y_moments[0] == pytest.approx(direct_y, rel=1e-14, abs=0.0), ay
-            assert z_moments[1] == pytest.approx(direct_z, rel=1e-14, abs=0.0), az
+            assert w * y_moments[0] == pytest.approx(direct_y, rel=1e-14, abs=0.0), ay
+            assert h * z_moments[1] == pytest.approx(direct_z, rel=1e-14, abs=0.0), az
 
         nb, dn = profile.bulk_index, profile.increment
-        P, r, Q, t = quad.grid_ratios
-        grid = (nb**2 + 2.0 * nb * dn * np.outer(P, Q)
-                - np.add.outer(r / w**2, t / h**2) / k0**2)
+        PQ, r, t = scaled.grid_terms
+        grid = nb**2 + 2.0 * nb * dn * PQ - (r / w**2 + t / h**2) / k0**2
         logs = np.log(mode_solver.GRID_ALPHAS).tolist()
-        moment = [[mode_solver._rq_taylor(profile, k0, quad, (x, y))[0] for y in logs]
+        moment = [[mode_solver._rq_taylor(profile, k0, scaled, (x, y))[0] for y in logs]
                   for x in logs]
         assert np.allclose(grid, moment, rtol=1e-14, atol=0.0)
 
@@ -700,7 +721,7 @@ def test_nelder_mead_objective_is_bit_identical_to_matmul_oracle(order):
     # and the one-lane quotient
     rng = np.random.default_rng(5150 + order)
     lanes = [(profile, 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3),
-              mode_solver._quadratures(profile)(order))
+              mode_solver._quadrature_of(profile, order))
              for profile in random_profiles(4, seed=31 + order)]
     rq = mode_solver._rq_rows(lanes)
     for points in rng.uniform(0.05, 6.0, size=(250, len(lanes), 2)).tolist():
@@ -716,9 +737,9 @@ def test_y_nodes_weights_and_channel_are_exact_mirror_images():
     low, high = mode_solver.SIZE_RANGE_UM
     for width in np.geomspace(low, high, 5).tolist():
         for scale in (0.02, 0.1, 0.5, 2.0):
-            shape = IndexProfile(WaveguideGeometry(width, 10.0, 1.0), 0.0, 0.0, scale)
+            geometry = WaveguideGeometry(width, 10.0, 1.0)
             for order in (48, 96, 192, 384, 768, 1536, 3072):
-                quad = mode_solver._Quadrature(shape, order)
+                quad = mode_solver._Quadrature(geometry, scale, 2.0, order)
                 assert np.array_equal(quad.y, -quad.y[::-1]), (width, scale, order)
                 assert np.array_equal(quad.wy, quad.wy[::-1]), (width, scale, order)
                 assert np.array_equal(quad.g, quad.g[::-1]), (width, scale, order)
@@ -773,7 +794,8 @@ def test_mirrored_objective_is_bit_identical_to_the_full_node_kernel(count):
                                    float(rng.uniform(1e-4, 0.01)), float(rng.uniform(0.02, 2.0)),
                                    float(rng.uniform(0.5, 3.0)))
             k0 = 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3)
-            lanes.append((profile, k0, mode_solver._Quadrature(profile, order)))
+            lanes.append((profile, k0, mode_solver._Quadrature(
+                profile.geometry, profile.lateral_scale, profile.depth_scale, order)))
         mirrored, full = mode_solver._rq_rows(lanes), full_node_rq_rows(lanes)
         for _ in range(12):
             alphas = rng.uniform(0.01, 6.0, size=(count, 2))
@@ -788,8 +810,8 @@ def test_field_overlap_is_bit_identical_to_matmul_oracle(design_type0_10):
     geometry = trio[0].profile.geometry
 
     def evaluate(order):
-        y, wy = mode_solver.panel_nodes(mode_solver._y_edges(geometry), order)
-        z, wz = mode_solver.panel_nodes(mode_solver._z_edges(geometry), order)
+        y, wy = mode_solver.panel_nodes(mode_solver._y_edges(geometry.width_um), order)
+        z, wz = mode_solver.panel_nodes(mode_solver._z_edges(geometry.depth_um), order)
         iy = wy @ (trio[0].y_factor(y) * trio[1].y_factor(y) * trio[2].y_factor(y))
         iz = wz @ (trio[0].z_factor(z) * trio[1].z_factor(z) * trio[2].z_factor(z))
         return iy * iz
@@ -831,8 +853,9 @@ def test_solve_mode_threads_sharing_a_quadrature_match_serial():
 
 
 def test_mode_norms_are_the_locked_order_moments():
-    # y_norm and z_norm of solve_mode: int Y^2 and int Z^2 by direct
-    # quadrature at the order the final refinement settles on
+    # y_norm and z_norm of solve_mode, in closed form: int Y^2 and int Z^2 by
+    # direct quadrature at the order the final refinement settles on and at
+    # order 768, and the closed forms over the whole box at random alphas
     solved = 0
     for profile in random_profiles(4):
         wavelength = 1000.0
@@ -842,14 +865,30 @@ def test_mode_norms_are_the_locked_order_moments():
             continue
         solved += 1
         ay, az = mode.alpha_y, mode.alpha_z
-        start = mode_solver._start(profile, wavelength)
-        locked = start.quad(mode_solver._finish(start, ay, az)[1])
+        (start,) = mode_solver._locked([mode_solver._grid_start(profile, wavelength)])
+        ((_, final),) = mode_solver._finished([start], [(ay, az)])
         w, h = profile.geometry.width_um, profile.geometry.depth_um
-        direct_y = np.exp(-2.0 * ay**2 * locked.y2 / w**2) @ locked.wy
-        direct_z = (locked.zh2 * np.exp(-2.0 * az**2 * locked.z2 / h**2)) @ locked.wz
-        assert mode.y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0)
-        assert mode.z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0)
+        for order in (final, 768):
+            quad = mode_solver._quadrature_of(profile, order)
+            direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
+            direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
+            assert mode.y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0)
+            assert mode.z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0)
     assert solved >= 2
+    # over the whole box against order 96: at higher orders the Gauss-Legendre
+    # weights carry up to 2.6e-14 of error for a = 5
+    rng = np.random.default_rng(768)
+    lo, hi = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX
+    for profile in random_profiles(3, seed=768):
+        geometry = profile.geometry
+        quad = mode_solver._quadrature_of(profile, 96)
+        w, h = geometry.width_um, geometry.depth_um
+        for ay, az in [(lo, lo), (hi, hi)] + rng.uniform(lo, hi, size=(50, 2)).tolist():
+            direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
+            direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
+            y_norm, z_norm = mode_solver._norms(geometry, ay, az)
+            assert y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0), ay
+            assert z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0), az
 
 
 def test_quadrature_is_shared_per_shape_read_only_and_bounded():
@@ -861,16 +900,19 @@ def test_quadrature_is_shared_per_shape_read_only_and_bounded():
     solve_mode(IndexProfile(geometry, 2.2111, 0.0024), 1551.03, Polarization.ORDINARY)
     assert cached.cache_info().misses == built  # other indices, same quadratures
 
-    quad = mode_solver._quadratures(IndexProfile(geometry, 2.0, 0.001))(mode_solver.GRID_ORDER)
+    quad = cached(geometry, 0.5, 2.0, mode_solver.GRID_ORDER)
+    scaled = mode_solver._scaled(0.5, 2.0, mode_solver.GRID_ORDER)
     for array in (quad.y, quad.wy, quad.y2, quad.g, quad.wz, quad.z2, quad.zh2, quad.f,
-                  quad.u, quad.y_rows, quad.z_rows, *quad.grid_ratios):
+                  scaled.y_exponent, scaled.z_exponent, scaled.y_rows, scaled.z_rows,
+                  *scaled.grid_terms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
     for size in (7.0, 8.0, 9.0, 11.0, 12.0):
         solve_mode(IndexProfile(WaveguideGeometry(size, size, 1.0), 2.1778, 0.003), 780.0, E)
-    info = cached.cache_info()
-    assert info.maxsize <= 8 and info.currsize <= info.maxsize
+    for info in (cached.cache_info(), mode_solver._scaled.cache_info()):
+        assert info.maxsize <= 16 and info.currsize <= info.maxsize
+    assert cached.cache_info().maxsize <= 8
 
 
 def test_runtime_modules_import_no_scipy():
@@ -887,14 +929,18 @@ def test_runtime_modules_import_no_scipy():
 
 
 def test_newton_derivatives_match_central_differences():
-    # gradient and Hessian in (ln a_y, ln a_z) against central differences of
-    # the Nelder-Mead objective at the order the refinement locks
+    # gradient and Hessian in (ln a_y, ln a_z) of the scaled moment rows
+    # against central differences of the Nelder-Mead objective at the order
+    # the refinement locks
     rng = np.random.default_rng(77)
     for profile in random_profiles(4):
-        start = mode_solver._start(profile, float(rng.uniform(600.0, 1600.0)))
-        k0, locked, ay, az = start.k0, start.quad(start.order), start.ay, start.az
+        (start,) = mode_solver._locked(
+            [mode_solver._grid_start(profile, float(rng.uniform(600.0, 1600.0)))])
+        k0, ay, az = start.k0, start.ay, start.az
+        locked = mode_solver._quadrature_of(profile, start.order)
+        scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, start.order)
         for x in [(math.log(ay), math.log(az))] + rng.uniform(-1.0, 1.0, size=(3, 2)).tolist():
-            value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(profile, k0, locked, x)
+            value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(profile, k0, scaled, x)
 
             def rq(dy, dz):
                 return mode_solver._quotient(profile, k0, locked, math.exp(x[0] + dy),
@@ -946,3 +992,76 @@ def test_effective_index_matches_solve_mode(scheme):
                     assert str(newton) == str(nelder_mead), where
                     failed += 1
     assert solved > 150 and failed > 20
+
+
+def direct_grid_start(profile, k0):
+    """The grid start by order-GRID_ORDER direct quadrature on the profile's
+    own nodes: the quotient at every grid point, then its argmax."""
+    quad = mode_solver._quadrature_of(profile, mode_solver.GRID_ORDER)
+    w, h = profile.geometry.width_um, profile.geometry.depth_um
+    s = mode_solver.GRID_ALPHAS**2
+    Y2 = np.exp(-2.0 * np.multiply.outer(s, quad.y2) / w**2)
+    dY2 = Y2 * (2.0 * np.multiply.outer(s, quad.y) / w**2) ** 2
+    t = 2.0 * np.multiply.outer(s, quad.z2) / h**2
+    envelope = np.exp(-t)
+    Z2 = quad.zh2 * envelope
+    Ay, Gy, Dy = Y2 @ quad.wy, (Y2 * quad.g) @ quad.wy, dY2 @ quad.wy
+    Az, Fz, Dz = Z2 @ quad.wz, (Z2 * quad.f) @ quad.wz, (envelope * (1.0 - t) ** 2 / h**2) @ quad.wz
+    nb, dn = profile.bulk_index, profile.increment
+    grid = (nb**2 + 2.0 * nb * dn * np.outer(Gy / Ay, Fz / Az)
+            - np.add.outer(Dy / Ay, Dz / Az) / k0**2)
+    iy, iz = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    return float(mode_solver.GRID_ALPHAS[iy]), float(mode_solver.GRID_ALPHAS[iz])
+
+
+def direct_lock(profile, k0, ay, az):
+    """The order at which the profile's own direct quadrature converges."""
+    def quotient(order):
+        quad = mode_solver._quadrature_of(profile, order)
+        return mode_solver._quotient(profile, k0, quad, ay, az)
+
+    return mode_solver.refine_scalar(quotient)[1]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scaled_grid_start_and_order_lock_match_direct_quadrature(scheme):
+    # the inputs of every Nelder-Mead run: the grid point and the locked order
+    # from the scaled rows equal those of the profile's own direct quadrature,
+    # on the 13x13 geomspace(2, 20) grid x 5 roles, for the default and a
+    # narrow channel wall, and on random profiles
+    wavelengths = {"pump": PUMP_NM, "signal_1": SIGNAL1_NM, "signal_2": SIGNAL2_NM,
+                   "idler_1": idler_wavelength(PUMP_NM, SIGNAL1_NM),
+                   "idler_2": idler_wavelength(PUMP_NM, SIGNAL2_NM)}
+    lanes = [(profile, 1000.0) for profile in random_profiles(8)]
+    for width in np.geomspace(2.0, 20.0, 13).tolist():
+        for depth in np.geomspace(2.0, 20.0, 13).tolist():
+            for material in (DEFAULT_MATERIAL, replace(DEFAULT_MATERIAL, lateral_scale=0.02)):
+                solver = EffectiveIndexSolver(material, WaveguideGeometry(width, depth, 1.0))
+                lanes += [(solver.profile(wavelengths[role], pol), wavelengths[role])
+                          for role, pol in scheme.polarizations().items()]
+    starts = [mode_solver._grid_start(*lane) for lane in lanes]
+    orders = set()
+    for start, locked in zip(starts, mode_solver._locked(starts)):
+        point = direct_grid_start(start.profile, start.k0)
+        assert (start.ay, start.az) == point, start.profile
+        assert locked.order == direct_lock(start.profile, start.k0, *point), start.profile
+        orders.add(locked.order)
+    assert len(lanes) == 1698 and {96, 192, 384} <= orders
+
+
+def test_solved_n_eff_squared_is_the_rayleigh_quotient_at_its_optimum():
+    # the final n_eff^2 from the scaled rows against the independent adaptive
+    # direct quadrature of rayleigh_quotient, and effective_index likewise
+    solved = 0
+    for profile in random_profiles(6, seed=99):
+        for wavelength in (700.0, 1000.0, 1500.0):
+            try:
+                mode = solve_mode(profile, wavelength, E)
+            except (BoundaryOptimumError, NoGuidedModeError):
+                continue
+            solved += 1
+            oracle = rayleigh_quotient(profile, wavelength, mode.alpha_y, mode.alpha_z)
+            assert mode.n_eff**2 == pytest.approx(oracle, rel=1e-14, abs=0.0)
+            newton = mode_solver.effective_index(profile, wavelength)
+            assert newton**2 == pytest.approx(oracle, rel=1e-14, abs=0.0)
+    assert solved >= 10

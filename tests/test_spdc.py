@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 
 import numpy as np
@@ -28,6 +29,7 @@ from dppln import (
     spectral_distinguishability,
     spectrum_scan,
     state_weights_and_entropy,
+    synthesize_poling,
 )
 from dppln.dispersion import DEFAULT_MATERIAL
 from dppln.spdc import HALF_MAX_ARG
@@ -77,6 +79,25 @@ def test_idler_wavelength_rejects_non_downconversion():
         idler_wavelength(519.0, 519.0)
     with pytest.raises(DownConversionError):
         idler_wavelength(519.0, 400.0)
+
+
+# Before these checks: a ZeroDivisionError, "ValueError: cannot convert float
+# NaN to integer", a NaN idler and a SpanTooNarrowError suggesting "try nan nm".
+@pytest.mark.parametrize("case", ["fwhm-zero-length", "poling-nan-period", "idler-nan-signal",
+                                  "scan-nan-length"])
+def test_library_boundary_rejects_a_bad_number_by_name(design_type0_10, case):
+    process = design_type0_10.process_1
+    field, call = {
+        "fwhm-zero-length": ("length_cm", lambda: estimate_fwhm_nm(process, "signal", 0.0)),
+        "poling-nan-period": ("period1_um", lambda: synthesize_poling(math.nan, 6.8, 1.0)),
+        "idler-nan-signal": ("signal_nm", lambda: idler_wavelength(519.0, math.nan)),
+        "scan-nan-length": ("length_cm",
+                            lambda: spectrum_scan(process, "signal", 6.0, 101, math.nan)),
+    }[case]
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite and positive, "
+                                                 "got (nan|0.0)$") as raised:
+        call()
+    assert raised.value.field == field
 
 
 def test_idler_wavelength_elementwise_over_arrays():
