@@ -141,7 +141,7 @@ def _solve_requests(requests, material) -> list:
     order tagged with its wave, without a traceback; the modes of all the
     requests are one `solve_lanes` batch.  A ConfigurationError building a
     wave's profile is raised only once every earlier wave of its request solves."""
-    groups, plans = [], []
+    plans = []  # per request: its wavelengths and its jobs, a profile's error last
     for request in requests:
         pols = request.scheme.polarizations()
         solver = EffectiveIndexSolver(material, request.geometry)
@@ -149,25 +149,25 @@ def _solve_requests(requests, material) -> list:
               "signal_2": request.signal2_nm}
         for _, s_role, i_role in PAIRS:
             nm[i_role] = idler_wavelength(request.pump_nm, nm[s_role])
-        jobs, failure = [], None
+        jobs = []
         for role in ROLES:
             try:
                 jobs.append((solver.profile(nm[role], pols[role]), nm[role], pols[role]))
             except ToolkitError as error:  # the later waves are never reached
-                failure = error.with_traceback(None)
+                jobs.append(error.with_traceback(None))
                 break
-        groups.append(jobs)
-        plans.append((nm, failure))
+        plans.append((nm, jobs))
+    solved = iter(solve_lanes([job for _, jobs in plans for job in jobs
+                               if not isinstance(job, ToolkitError)]))
     outcomes = []
-    for (nm, failure), solved in zip(plans, solve_lanes(groups)):
-        if solved and isinstance(solved[-1], PhysicsError):
-            failure = solved.pop()
-        if isinstance(failure, ConfigurationError):
-            raise failure
-        if failure is not None:
-            role = ROLES[len(solved)]  # the first wave not solved
-            failure = _tagged(failure, role, nm[role])
-        outcomes.append(failure or dict(zip(ROLES, solved)))
+    for nm, jobs in plans:
+        modes = {role: job if isinstance(job, ToolkitError) else next(solved)
+                 for role, job in zip(ROLES, jobs)}
+        role = next((role for role, mode in modes.items() if isinstance(mode, ToolkitError)),
+                    None)
+        if isinstance(modes.get(role), ConfigurationError):
+            raise modes[role]
+        outcomes.append(modes if role is None else _tagged(modes[role], role, nm[role]))
     return outcomes
 
 
@@ -315,7 +315,8 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     depths = list(depths_um)
     widths = list(widths_um)
     if not depths or not widths:
-        raise ConfigurationError("depth and width lists must be non-empty")
+        raise ConfigurationError("depth and width lists must be non-empty",
+                                 "depths_um" if not depths else "widths_um")
     if pairing == "product":
         pairs = [(d, w) for d in depths for w in widths]
     elif pairing == "zip":
@@ -324,7 +325,7 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
                                      f"depths and {len(widths)} widths", "pairing")
         pairs = list(zip(depths, widths))
     else:
-        raise ConfigurationError(f"unknown pairing '{pairing}'")
+        raise ConfigurationError(f"unknown pairing '{pairing}'", "pairing")
     try:  # every geometry is in range before any row is solved
         for depth, width in pairs:
             replace(template.geometry, depth_um=depth, width_um=width)

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, WavelengthRangeError
+from .errors import ConfigurationError, WavelengthRangeError, require_positive
 
 
 class Polarization(Enum):
@@ -164,6 +164,9 @@ class Material:
     # depth_scale * depth.
     lateral_scale: float = 0.5
     depth_scale: float = 2.0
+
+    def __post_init__(self):
+        require_positive(lateral_scale=self.lateral_scale, depth_scale=self.depth_scale)
 
 
 DEFAULT_MATERIAL = Material()

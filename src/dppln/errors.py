@@ -36,6 +36,25 @@ def require_positive(**values):
                                      name)
 
 
+def require_within(name, value, bounds, unit, field=None):
+    """Raise a ConfigurationError, with `field` (default `name`), when `value`
+    is outside the closed range `bounds` = (low, high) or is NaN."""
+    low, high = bounds
+    if not low <= value <= high:
+        raise ConfigurationError(f"{name} {value:g} {unit} outside the supported range "
+                                 f"[{low:g}, {high:g}] {unit}", field or name)
+
+
+def require_finite(**values):
+    """Raise a ConfigurationError naming the first value that is not finite; a
+    list or array value is checked element by element."""
+    for name, value in values.items():
+        bad = np.ravel(value).astype(float)
+        bad = bad[~np.isfinite(bad)]
+        if bad.size:
+            raise ConfigurationError(f"{name} must be finite, got {float(bad[0])!r}", name)
+
+
 class PhysicsError(ToolkitError):
     """A computation failed for physical or numerical reasons."""
 

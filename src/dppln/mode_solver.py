@@ -21,18 +21,18 @@ double until successive estimates agree (see `quadrature`).  In u = y/w and
 v = z/h (the b-V scaling of Kogelnik & Ramaswamy, Appl. Opt. 13, 1857
 (1974)), n_eff^2 = n_b^2 + 2 n_b dn P Q - r/(k0 w)^2 - t/(k0 h)^2, where the
 moment ratios P, r of a_y and Q, t of a_z depend on the diffusion scales
-alone (`_Scaled`, once per material and order).  They give the 16x16 grid
-start in [0.2, 5]^2, the order locked there, the final n_eff^2 and all of
-`effective_index`, which refines by safeguarded Newton steps (Nocedal &
-Wright, Numerical Optimization, ch. 3).  The norms are closed forms: y_norm^2
-= w sqrt(pi/(2 a_y^2)) erf(5 sqrt(2) a_y), z_norm^2 = h [sqrt(pi)/(4 c^1.5)
-erf(8 sqrt(c)) - 4 exp(-64 c)/c], c = 2 a_z^2.  `solve_mode` refines by
-Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)): `_nelder_mead_steps`
-repeats SciPy's non-adaptive trajectory on `_rq_rows`, a direct quadrature
-on the geometry's own nodes at the locked order, whose rounding fixes the
-design numbers; `solve_lanes` runs many solves in lock step, each bit for
-bit on its own trajectory.  `rayleigh_quotient`, the adaptive direct
-quadrature, is the oracle of the scaled n_eff^2.
+alone (`_Scaled`, once per material and order).  The norms are closed forms:
+y_norm^2 = w sqrt(pi/(2 a_y^2)) erf(5 sqrt(2) a_y), z_norm^2 = h [sqrt(pi)/(4
+c^1.5) erf(8 sqrt(c)) - 4 exp(-64 c)/c], c = 2 a_z^2.  `solve_lanes` solves
+many modes (lanes) in four stages, each run once over the lanes still
+solving: `_grid_start` (the scaled quotient on a 16x16 grid in [0.2, 5]^2),
+`_locked` (the Gauss order at the grid point), `_nelder_mead_optima` (Nelder
+& Mead, Comput. J. 7, 308 (1965), SciPy's non-adaptive trajectory on
+`_rq_rows`, a direct quadrature at the locked order whose rounding fixes the
+design numbers) and `_finished` (the box-edge test and the final n_eff^2).
+`effective_index` refines by safeguarded Newton steps on the scaled quotient
+instead (Nocedal & Wright, Numerical Optimization, ch. 3).
+`rayleigh_quotient`, the adaptive direct quadrature, is its oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .errors import (
     NoGuidedModeError,
     PhysicsError,
     require_positive,
+    require_within,
 )
 from .quadrature import panel_nodes, refine_rows, refine_scalar
 
@@ -71,6 +72,8 @@ MIN_GUIDING_INCREMENT = 1e-5
 COVER_INDEX = 1.0
 # Supported channel width and depth in um.
 SIZE_RANGE_UM = (1.0, 50.0)
+# Supported vacuum wavelengths of a mode solve in nm.
+WAVELENGTH_RANGE_NM = (100.0, 20000.0)
 # Longest supported interaction length in cm.
 MAX_LENGTH_CM = 10.0
 
@@ -109,13 +112,8 @@ class WaveguideGeometry:
                 f"{MAX_LENGTH_CM:g}] cm",
                 "length_cm",
             )
-        low, high = SIZE_RANGE_UM
         for name, v in (("width", self.width_um), ("depth", self.depth_um)):
-            if not (low <= v <= high):
-                raise ConfigurationError(
-                    f"{name} {v:g} um outside the supported range [{low:g}, {high:g}] um",
-                    f"{name}_um"
-                )
+            require_within(name, v, SIZE_RANGE_UM, "um", f"{name}_um")
 
 
 @dataclass(frozen=True)
@@ -381,8 +379,9 @@ def _newton(profile, k0, scaled, ay, az):
 
 
 def _wavenumber(wavelength_nm, **alphas):
-    """k0 in 1/um, after `require_positive` of the wavelength and any trial parameters."""
+    """k0 in 1/um, after the checks of the wavelength and any trial parameters."""
     require_positive(wavelength_nm=wavelength_nm, **alphas)
+    require_within("wavelength_nm", wavelength_nm, WAVELENGTH_RANGE_NM, "nm")
     return 2.0 * np.pi / (wavelength_nm * 1e-3)
 
 
@@ -592,66 +591,33 @@ def _norms(geometry, ay, az):
         z2 - 4.0 * math.exp(-64.0 * c) / c))
 
 
-def _raised(outcome):
-    """A lane's outcome, raised if it is a PhysicsError."""
-    if isinstance(outcome, PhysicsError):
-        raise outcome
-    return outcome
+def _raised(outcomes):
+    """The one outcome in `outcomes`, raised if it is a PhysicsError: popped
+    first, so that no frame holds it and its traceback makes no cycle."""
+    if isinstance(outcomes[0], PhysicsError):
+        raise outcomes.pop()
+    return outcomes[0]
 
 
-def solve_lanes(groups) -> list:
-    """Solve groups of (profile, wavelength_nm, polarization) jobs (lanes) as
-    `solve_mode` does, bit for bit: per group, the ModeSolutions in job order
-    up to its first failure, a PhysicsError without traceback, which stops the
-    group's later lanes.  The orders of all lanes are locked at once; each
-    round then evaluates `_rq_rows` once per locked order at the pending
-    vertex of every Nelder-Mead run, and restacks an order once half its rows
-    have ended; a vertex below `_ALPHA_FLOOR` scores 1e6.  The runs that end
-    in a round are finished together at its end, in (group, index) order."""
-    quadrature = cache(_quadrature_of)  # each locked order stays built for the batch
-    results = [[None] * len(jobs) for jobs in groups]
-    failed = [len(jobs) for jobs in groups]  # the index of each group's first failure
-    lanes, starts = [], []  # (group, index in it, polarization) and `_Start` of each lane
-    for g, jobs in enumerate(groups):
-        for k, (profile, wavelength_nm, polarization) in enumerate(jobs):
-            try:
-                starts.append(_grid_start(profile, wavelength_nm))
-            except PhysicsError as error:
-                results[g][k], failed[g] = error.with_traceback(None), k
-                break
-            lanes.append((g, k, polarization))
-
-    def settle(done, outcomes):
-        """Record the failures among the outcomes of lanes `done`, in (group,
-        index) order, and return the (lane, outcome) pairs of the rest that
-        no earlier failure of their group makes moot."""
-        kept = []
-        for i, outcome in zip(done, outcomes):
-            g, k, _ = lanes[i]
-            if k > failed[g]:
-                continue
-            if isinstance(outcome, PhysicsError):
-                results[g][k], failed[g] = outcome, k
-            else:
-                kept.append((i, outcome))
-        return kept
-
-    starts = _locked(starts)
-    runs = {i: _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
-                                  xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-            for i, s in settle(range(len(starts)), starts)}
-    pending = {i: next(run) for i, run in runs.items()}
-    stacks = {}  # order -> (its stacked runs, their objective)
-    while runs:
-        ended = []  # (lane, its optimum) of each run that ends this round
-        # an order's runs leave `runs` only in its own pass, so `live` is never empty
-        for order in {starts[i].order for i in runs}:
-            live = [i for i in runs if starts[i].order == order]
-            stacked, rq = stacks.get(order, ((), None))
-            if 2 * len(live) <= len(stacked) or not stacked:
-                stacked, rq = stacks[order] = live, _rq_rows(
-                    [(starts[i].profile, starts[i].k0, quadrature(starts[i].profile, order))
-                     for i in live])
+def _nelder_mead_optima(starts):
+    """The Nelder-Mead optimum (a_y, a_z) of each locked start, from its grid
+    point.  The runs of each order advance in lock step: one `_rq_rows` of the
+    order's live runs per round, restacked once half its rows have ended; a
+    vertex below `_ALPHA_FLOOR` scores 1e6."""
+    optima = [None] * len(starts)
+    for order in {start.order for start in starts}:
+        runs, lanes = {}, {}  # per start at this order: its run and its `_rq_rows` lane
+        for i, s in enumerate(starts):
+            if s.order == order:
+                runs[i] = _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az],
+                                              [s.ay, s.az * 1.02]],
+                                             xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
+                lanes[i] = s.profile, s.k0, _quadrature_of(s.profile, order)
+        pending, stacked = {i: next(run) for i, run in runs.items()}, []
+        while runs:
+            if 2 * len(runs) <= len(stacked) or not stacked:
+                stacked = list(runs)
+                rq = _rq_rows([lanes[i] for i in stacked])
             xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
             for i, x, value in zip(stacked, xs, rq(xs)):
                 if i in runs:
@@ -660,29 +626,43 @@ def solve_lanes(groups) -> list:
                             1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
                     except StopIteration as done:
                         del runs[i]
-                        ended.append((i, tuple(done.value.x.tolist())))
-        if not ended:
-            continue
-        ended = dict(sorted(ended))  # lanes are numbered in (group, index) order
-        finished = _finished([starts[i] for i in ended], list(ended.values()))
-        for i, (n_eff_sq, _) in settle(ended, finished):
-            (g, k, polarization), start, (ay, az) = lanes[i], starts[i], ended[i]
-            results[g][k] = ModeSolution(float(np.sqrt(n_eff_sq)), ay, az, start.wavelength_nm,
-                                         polarization, start.profile,
-                                         *_norms(start.profile.geometry, ay, az))
-        for i in [i for i in runs if lanes[i][1] > failed[lanes[i][0]]]:
-            del runs[i]  # moot: an earlier lane of its group failed
-    return [row[:k + 1] for row, k in zip(results, failed)]
+                        optima[i] = tuple(done.value.x.tolist())
+    return optima
+
+
+def solve_lanes(jobs) -> list:
+    """Per (profile, wavelength_nm, polarization) job (a lane), its
+    ModeSolution as `solve_mode` gives it, bit for bit, or its PhysicsError
+    without traceback.  Four stages run once each over the lanes still
+    solving: `_grid_start` per lane, `_locked`, `_nelder_mead_optima` and
+    `_finished`."""
+    outcomes = []
+    for profile, wavelength_nm, _ in jobs:
+        try:
+            outcomes.append(_grid_start(profile, wavelength_nm))
+        except PhysicsError as error:
+            outcomes.append(error.with_traceback(None))
+    live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, _Start)]
+    for i, start in zip(live, _locked([outcomes[i] for i in live])):
+        outcomes[i] = start
+    live = [i for i in live if isinstance(outcomes[i], _Start)]
+    starts = [outcomes[i] for i in live]
+    optima = _nelder_mead_optima(starts)
+    for i, start, (ay, az), done in zip(live, starts, optima, _finished(starts, optima)):
+        outcomes[i] = done if isinstance(done, PhysicsError) else ModeSolution(
+            float(np.sqrt(done[0])), ay, az, start.wavelength_nm, jobs[i][2], start.profile,
+            *_norms(start.profile.geometry, ay, az))
+    return outcomes
 
 
 def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
     """`solve_mode(...).n_eff` to rounding, with the same checks, grid start,
     order lock, final refinement and errors, refined by `_newton` instead of
     Nelder-Mead: n_eff is stationary in the trial parameters."""
-    start = _raised(_locked([_grid_start(profile, wavelength_nm)])[0])
+    start = _raised(_locked([_grid_start(profile, wavelength_nm)]))
     scaled = _scaled(profile.lateral_scale, profile.depth_scale, start.order)
     ay, az = _newton(profile, start.k0, scaled, start.ay, start.az)
-    return math.sqrt(_raised(_finished([start], [(ay, az)])[0])[0])
+    return math.sqrt(_raised(_finished([start], [(ay, az)]))[0])
 
 
 def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polarization) -> ModeSolution:
@@ -692,10 +672,7 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
     Raises NoGuidedModeError when the profile cannot confine a mode and
     BoundaryOptimumError when the optimum sticks to the search-box edge.
     """
-    results = solve_lanes([[(profile, wavelength_nm, polarization)]])[0]
-    if isinstance(results[0], PhysicsError):
-        raise results.pop()  # held by no frame, so the traceback makes no cycle
-    return results[0]
+    return _raised(solve_lanes([(profile, wavelength_nm, polarization)]))
 
 
 def field_overlap(a: ModeSolution, b: ModeSolution, c: ModeSolution) -> float:

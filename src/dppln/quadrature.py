@@ -5,6 +5,7 @@ doubling Gauss order converge spectrally.  Node sets are cached per
 (panel edges, order).
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -48,23 +49,26 @@ def refine_rows(evaluate, count, rtol=1e-12, atol=0.0):
     `evaluate(order, rows)` maps a per-panel order and the indices of the
     rows still refining to their estimates.  Each row doubles and stops as
     `refine_scalar` does, so its (value, converged_order) is bit for bit
-    `refine_scalar`'s; a row that does not converge gets its
-    QuadratureConvergenceError, unraised, instead.  Returns one per row.
+    `refine_scalar`'s; a row that does not converge, or whose estimate is not
+    finite, gets its QuadratureConvergenceError, unraised, instead.  Returns
+    one per row.
     """
-    outcomes, rows, order = [None] * count, list(range(count)), START_ORDER
-    previous = evaluate(order, rows) if rows else []  # one estimate per row in `rows`
-    while rows and order <= MAX_ORDER // 2:
-        order *= 2
-        pending = []
-        for row, before, current in zip(rows, previous, evaluate(order, rows)):
-            if abs(current - before) <= rtol * abs(current) + atol:
+    outcomes, previous, rows, order = [None] * count, {}, list(range(count)), START_ORDER
+    while rows:
+        refining = []
+        for row, current in zip(rows, evaluate(order, rows)):
+            if not math.isfinite(current):
+                outcomes[row] = QuadratureConvergenceError(
+                    f"quadrature estimate {current} at order {order} is not finite")
+            elif row in previous and abs(current - previous[row]) <= rtol * abs(current) + atol:
                 outcomes[row] = current, order
+            elif order > MAX_ORDER // 2:
+                outcomes[row] = QuadratureConvergenceError(
+                    f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}")
             else:
-                pending.append((row, current))
-        rows, previous = [row for row, _ in pending], [value for _, value in pending]
-    for row in rows:
-        outcomes[row] = QuadratureConvergenceError(
-            f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}")
+                refining.append(row)
+                previous[row] = current
+        rows, order = refining, 2 * order
     return outcomes
 
 

@@ -24,8 +24,11 @@ from .errors import (
     DownConversionError,
     PhaseMatchingError,
     SpanTooNarrowError,
+    require_finite,
     require_positive,
+    require_within,
 )
+from .mode_solver import MAX_LENGTH_CM
 
 C_UM_PER_FS = 0.299792458
 
@@ -35,10 +38,16 @@ HALF_MAX_ARG = 1.3915573782515102
 # First-harmonic magnitude of the ideal dual-period nonlinearity decomposition.
 IDEAL_HARMONIC_AMPLITUDE = 4.0 / np.pi**2
 
+# Shortest supported poling period in um: a pattern samples 16 cells per
+# shortest period, so at MAX_LENGTH_CM it stays below 1.6 million cells.
+MIN_PERIOD_UM = 1.0
+
 
 def sinc(x):
-    """sin(x)/x with sinc(0) = 1 (unnormalised convention)."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+    """sin(x)/x with sinc(0) = 1 (unnormalised convention); x must be finite."""
+    x = np.asarray(x, dtype=float)
+    require_finite(x=x)
+    return np.sinc(x / np.pi)
 
 
 def angular_frequency(wavelength_nm):
@@ -64,6 +73,8 @@ def qpm_period(n_p, n_s, n_i, pump_nm, signal_nm, idler_nm) -> float:
 
     Lambda = 1 / (n_p/lp - n_s/ls - n_i/li), wavelengths in um.
     """
+    require_positive(n_p=n_p, n_s=n_s, n_i=n_i, pump_nm=pump_nm, signal_nm=signal_nm,
+                     idler_nm=idler_nm)
     denominator = (
         n_p / (pump_nm * 1e-3) - n_s / (signal_nm * 1e-3) - n_i / (idler_nm * 1e-3)
     )
@@ -91,6 +102,9 @@ class SpdcProcess:
     n_idler: float
 
     def __post_init__(self):
+        require_positive(pump_nm=self.pump_nm, signal_nm=self.signal_nm, idler_nm=self.idler_nm,
+                         qpm_period_um=self.qpm_period_um, n_pump=self.n_pump,
+                         n_signal=self.n_signal, n_idler=self.n_idler)
         residual = 1.0 / self.pump_nm - 1.0 / self.signal_nm - 1.0 / self.idler_nm
         if abs(residual) * self.pump_nm > 1e-9:
             raise ConfigurationError(
@@ -98,8 +112,6 @@ class SpdcProcess:
             )
         if not self.signal_nm < self.idler_nm:
             raise ConfigurationError("signal must be the shorter wavelength of the pair")
-        if self.qpm_period_um <= 0.0:
-            raise ConfigurationError("QPM period must be positive")
 
 
 def make_process(pump_nm, signal_nm, pump_pol, signal_pol, idler_pol, n_pump, n_signal, n_idler):
@@ -165,6 +177,7 @@ class CouplingAmplitude:
 def coupling_amplitude(process: SpdcProcess, overlap_per_um: float,
                        delta_k_rad_per_m: float, length_cm: float) -> CouplingAmplitude:
     """Relative amplitude |I| sqrt(ws wi) / (ns ni) * |sinc(dk L/2)|."""
+    require_finite(overlap_per_um=overlap_per_um, delta_k_rad_per_m=delta_k_rad_per_m)
     require_positive(length_cm=length_cm)
     ws = angular_frequency(process.signal_nm)
     wi = angular_frequency(process.idler_nm)
@@ -181,11 +194,23 @@ def coupling_amplitude(process: SpdcProcess, overlap_per_um: float,
     )
 
 
+def _magnitudes(a1: CouplingAmplitude, a2: CouplingAmplitude):
+    """|C1| and |C2| scaled by one power of two, so exactly, to at most 1;
+    a magnitude that is not finite and non-negative is a ConfigurationError
+    naming its amplitude, and two vanishing ones an AmplitudeUndefinedError."""
+    for name, m in (("a1", a1.magnitude), ("a2", a2.magnitude)):
+        if not (math.isfinite(m) and m >= 0.0):
+            raise ConfigurationError(f"{name}.magnitude must be finite and non-negative, "
+                                     f"got {m!r}", name)
+    if a1.magnitude == 0.0 and a2.magnitude == 0.0:
+        raise AmplitudeUndefinedError("both coupling amplitudes vanish")
+    exponent = math.frexp(max(a1.magnitude, a2.magnitude))[1]
+    return math.ldexp(a1.magnitude, -exponent), math.ldexp(a2.magnitude, -exponent)
+
+
 def degree_of_entanglement(a1: CouplingAmplitude, a2: CouplingAmplitude) -> float:
     """gamma = min(|C1|, |C2|) / max(|C1|, |C2|) in [0, 1]."""
-    m1, m2 = a1.magnitude, a2.magnitude
-    if m1 == 0.0 and m2 == 0.0:
-        raise AmplitudeUndefinedError("both coupling amplitudes vanish")
+    m1, m2 = _magnitudes(a1, a2)
     if m1 == m2:
         return 1.0
     return min(m1, m2) / max(m1, m2)
@@ -193,10 +218,8 @@ def degree_of_entanglement(a1: CouplingAmplitude, a2: CouplingAmplitude) -> floa
 
 def state_weights_and_entropy(a1: CouplingAmplitude, a2: CouplingAmplitude):
     """Normalised two-term weights (|C1|^2, |C2|^2) and their entropy in bits."""
-    m1, m2 = a1.magnitude, a2.magnitude
+    m1, m2 = _magnitudes(a1, a2)
     total = m1 * m1 + m2 * m2
-    if total == 0.0:
-        raise AmplitudeUndefinedError("both coupling amplitudes vanish")
     p1 = m1 * m1 / total
     p2 = m2 * m2 / total
     entropy = 0.0
@@ -221,6 +244,13 @@ class Spectrum:
         return 2.0 * np.pi * C_UM_PER_FS * (self.fwhm_nm * 1e-3) / (self.center_nm * 1e-3) ** 2
 
 
+def _center(process: SpdcProcess, axis: str) -> float:
+    """The design wavelength of the "signal" or "idler" axis."""
+    if axis not in ("signal", "idler"):
+        raise ConfigurationError(f"unknown scan axis '{axis}'", "axis")
+    return process.signal_nm if axis == "signal" else process.idler_nm
+
+
 def estimate_fwhm_nm(process: SpdcProcess, axis: str, length_cm: float) -> float:
     """Closed-form FWHM estimate from the design-point mismatch slope.
 
@@ -228,8 +258,8 @@ def estimate_fwhm_nm(process: SpdcProcess, axis: str, length_cm: float) -> float
     slope is d(dk)/d(lam_s) = 2 pi (n_i - n_s) / lam_s^2 on the signal axis
     and 2 pi (n_s - n_i) / lam_i^2 on the idler axis.
     """
+    center = _center(process, axis)
     require_positive(length_cm=length_cm)
-    center = process.signal_nm if axis == "signal" else process.idler_nm
     # rad/m per nm, with the wavelength in um
     slope = 2.0 * np.pi * (process.n_idler - process.n_signal) / (center * 1e-3) ** 2 * 1e3
     if slope == 0.0:
@@ -267,17 +297,16 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
     re-evaluates both per sample through `index_provider`, such as
     `EffectiveIndexSolver.index`.  A span reaching the pump is a configuration error.
     """
-    if axis not in ("signal", "idler"):
-        raise ConfigurationError(f"unknown scan axis '{axis}'")
-    if samples < 101:
-        raise ConfigurationError("a spectrum scan needs at least 101 samples")
+    center = _center(process, axis)
+    if not (isinstance(samples, (int, np.integer)) and samples >= 101):
+        raise ConfigurationError(f"a spectrum scan needs an integer of at least 101 samples, "
+                                 f"got {samples!r}", "samples")
     if index_model not in ("design-point", "dispersive"):
-        raise ConfigurationError(f"unknown index model '{index_model}'")
+        raise ConfigurationError(f"unknown index model '{index_model}'", "index_model")
     if index_model == "dispersive" and index_provider is None:
-        raise ConfigurationError("dispersive scans need an index provider")
+        raise ConfigurationError("dispersive scans need an index provider", "index_provider")
     require_positive(span_nm=span_nm, length_cm=length_cm)
 
-    center = process.signal_nm if axis == "signal" else process.idler_nm
     grid = np.linspace(center - span_nm / 2.0, center + span_nm / 2.0, samples)
     if grid[0] <= process.pump_nm:
         raise ConfigurationError(
@@ -357,6 +386,9 @@ def synthesize_poling(period1_um: float, period2_um: float, length_cm: float) ->
     1 nm.  Raises DegeneratePatternError when the periods coincide.
     """
     require_positive(period1_um=period1_um, period2_um=period2_um, length_cm=length_cm)
+    require_within("period1_um", period1_um, (MIN_PERIOD_UM, math.inf), "um")
+    require_within("period2_um", period2_um, (MIN_PERIOD_UM, math.inf), "um")
+    require_within("length_cm", length_cm, (0.0, MAX_LENGTH_CM), "cm")
     if period1_um == period2_um:
         raise DegeneratePatternError("equal periods produce no beat pattern")
     length_um = length_cm * 1e4
@@ -399,6 +431,7 @@ def synthesize_poling(period1_um: float, period2_um: float, length_cm: float) ->
 
 def poling_fourier_coefficient(pattern: PolingPattern, k_rad_per_um: float) -> float:
     """|(1/L) int d(x) exp(-i K x) dx| by exact piecewise integration."""
+    require_finite(k_rad_per_um=k_rad_per_um)
     edges = pattern.segment_edges()
     signs = pattern.segment_signs()
     if k_rad_per_um == 0.0:

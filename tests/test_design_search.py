@@ -293,10 +293,9 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
                 jobs.append((solver.profile(wavelength, pol), wavelength, pol))
     jobs.append((IndexProfile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 1e-6), 780.0, E))
 
-    # a group per job, then all jobs as one group, which ends at its first failure
-    batch = [group[0] for group in mode_solver.solve_lanes([[job] for job in jobs])]
+    # one outcome per job, the lanes after a failure solved as well
+    batch = mode_solver.solve_lanes(jobs)
     assert len(batch) >= 20 and any(min(x) <= mode_solver._ALPHA_FLOOR for x in vertices)
-    grouped = [_solved(result) for result in mode_solver.solve_lanes([jobs])[0]]
     kinds = set()  # the locked order of each solved lane, the class of each failure
     for job, result in zip(jobs, batch):
         assert not isinstance(result, PhysicsError) or result.__traceback__ is None
@@ -306,7 +305,7 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
     assert {96, BoundaryOptimumError, NoGuidedModeError} <= kinds and kinds & {192, 384}
     first_failure = next(k for k, result in enumerate(batch) if isinstance(result, PhysicsError))
     assert 0 < first_failure < len(jobs) - 1
-    assert grouped == [_solved(result) for result in batch[:first_failure + 1]]
+    assert not all(isinstance(result, PhysicsError) for result in batch[first_failure:])
 
     # whole requests: the first failing wave in role order, a profile's
     # WavelengthRangeError included, as the role-by-role solve gives it
@@ -340,15 +339,19 @@ def _jobs_locking_at_96_and_384():
     return jobs
 
 
-def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypatch):
-    # an order-96 lane fails at its finish while the next lane of its group
-    # is the only run at order 384: that run stops mid-way, and the round
-    # skips its order instead of stacking no rows
+def test_a_lane_after_a_failed_lane_completes_and_its_request_reports_the_first_failure(
+        monkeypatch):
+    # an order-96 lane fails at its finish while the next lane is the only
+    # run at order 384: that run completes as its one-lane solve does; a
+    # request with failures at two waves reports the first in role order
     jobs = _jobs_locking_at_96_and_384()
+    request = request_for(Scheme.TYPE0_EEE, 10.0)
+    nm, solver = _wavelengths(request), EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry)
+    failures = [jobs[0][0]] + [solver.profile(nm[role], E) for role in ("signal_1", "idler_2")]
     finished, steps, evaluations = mode_solver._finished, mode_solver._nelder_mead_steps, []
 
     def failing(starts, points):
-        return [BoundaryOptimumError("the chosen failure") if start.profile == jobs[0][0]
+        return [BoundaryOptimumError("the chosen failure") if start.profile in failures
                 else outcome for start, outcome in zip(starts, finished(starts, points))]
 
     def counted(simplex, **options):
@@ -364,11 +367,15 @@ def test_lock_step_stops_the_only_run_of_an_order_when_its_group_fails(monkeypat
 
     monkeypatch.setattr(mode_solver, "_finished", failing)
     monkeypatch.setattr(mode_solver, "_nelder_mead_steps", counted)
-    [[error]] = mode_solver.solve_lanes([jobs])
+    error, later = mode_solver.solve_lanes(jobs)
     assert (type(error), str(error), error.__traceback__) == (BoundaryOptimumError,
                                                               "the chosen failure", None)
-    assert mode_solver.solve_lanes([jobs[1:]])[0][0] == solve_mode(*jobs[1])
-    assert evaluations[1] < evaluations[2]  # the order-384 run was stopped
+    assert later == solve_mode(*jobs[1])
+    assert evaluations[1] == evaluations[2]  # the order-384 run was not stopped
+    with pytest.raises(BoundaryOptimumError,
+                       match=fr"^signal_1 \({nm['signal_1']:.2f} nm\): the chosen failure$"):
+        solve_modes(request)
+    assert len(evaluations) == 3 + 5  # every wave of the request was solved
 
 
 def _never_converging(monkeypatch, profile):
@@ -415,15 +422,15 @@ def test_batched_refinement_matches_one_lane_refine_scalar(monkeypatch):
             assert outcome == one_lane(lanes[k], points[k])
 
 
-def test_a_lane_that_never_converges_stops_only_its_own_group(monkeypatch):
+def test_a_lane_that_never_converges_fails_only_itself(monkeypatch):
     jobs = _jobs_locking_at_96_and_384()
     other = (IndexProfile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 0.003), 900.0, E)
     expected = [solve_mode(*jobs[0]), solve_mode(*other)]
     _never_converging(monkeypatch, jobs[1][0])
     with pytest.raises(QuadratureConvergenceError, match="within order 3072"):
         mode_solver.effective_index(*jobs[1][:2])
-    (first, error), (second,) = mode_solver.solve_lanes([jobs + [other], [other]])
-    assert [first, second] == expected
+    first, error, *others = mode_solver.solve_lanes(jobs + [other, other])
+    assert [first, *others] == [expected[0], expected[1], expected[1]]
     assert type(error) is QuadratureConvergenceError and error.__traceback__ is None
 
 
@@ -441,7 +448,7 @@ def test_lock_step_batch_locks_every_lane_at_once_without_one_lane_refinements(m
                         lambda *args, **options: calls.append("refine_scalar"))
     monkeypatch.setattr(mode_solver, "_quotients", lambda lanes, order: sizes.append(len(lanes))
                         or quotients(lanes, order))
-    assert mode_solver.solve_lanes([jobs]) == [expected]
+    assert mode_solver.solve_lanes(jobs) == expected
     assert calls == [] and sizes[:2] == [5, 5]
 
 
@@ -554,8 +561,8 @@ def test_find_best_geometry_degenerate_bounds(design_type0_10):
 
 @pytest.mark.parametrize("bounds", [(6.5, 60.0), (0.5, 12.0), (12.0, 6.5), (0.5, 60.0)])
 def test_find_best_geometry_checks_bounds_before_any_design(monkeypatch, bounds):
-    def no_solve(groups):
-        raise AssertionError(f"solve_lanes called on {len(groups)} groups")
+    def no_solve(jobs):
+        raise AssertionError(f"solve_lanes called on {len(jobs)} jobs")
 
     for module in (design_search, mode_solver):
         monkeypatch.setattr(module, "solve_lanes", no_solve)
@@ -602,3 +609,12 @@ def test_find_best_geometry_tracks_table_trend(type0_designs):
     assert best.gamma >= 0.984
     assert geometry.width_um > 10.0 and geometry.depth_um > 10.0
     assert best.gamma >= max(d.gamma for d in type0_designs.values()) - 1e-9
+
+
+@pytest.mark.parametrize("depths, widths, pairing, field", [
+    ([], [8.0], "product", "depths_um"), ([8.0], [], "zip", "widths_um"),
+    ([8.0], [8.0], "diagonal", "pairing")])
+def test_sweep_argument_errors_name_their_field(depths, widths, pairing, field):
+    with pytest.raises(ConfigurationError) as raised:
+        sweep(request_for(Scheme.TYPE0_EEE, 10.0), depths, widths, pairing=pairing)
+    assert raised.value.field == field

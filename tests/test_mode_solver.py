@@ -23,6 +23,7 @@ from dppln import (
     IndexProfile,
     NoGuidedModeError,
     Polarization,
+    QuadratureConvergenceError,
     Scheme,
     WaveguideGeometry,
     design,
@@ -1065,3 +1066,19 @@ def test_solved_n_eff_squared_is_the_rayleigh_quotient_at_its_optimum():
             newton = mode_solver.effective_index(profile, wavelength)
             assert newton**2 == pytest.approx(oracle, rel=1e-14, abs=0.0)
     assert solved >= 10
+
+
+def test_solvers_reject_wavelengths_outside_the_supported_range_and_stop_on_nan(monkeypatch):
+    # before, 1e300 and 1e-300 nm overflowed in the grid start or the
+    # objective, and alpha_y=1e300 ran NaN estimates up to order 3072
+    profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 0.003)
+    low, high = mode_solver.WAVELENGTH_RANGE_NM
+    for bad in (1e-300, 0.5 * low, 2.0 * high, 1e300):
+        for call in (lambda: solve_mode(profile, bad, E),
+                     lambda: mode_solver.effective_index(profile, bad),
+                     lambda: rayleigh_quotient(profile, bad, 1.0, 1.0)):
+            with pytest.raises(ConfigurationError, match="outside the supported range") as raised:
+                call()
+            assert raised.value.field == "wavelength_nm"
+    with pytest.raises(QuadratureConvergenceError, match="^quadrature estimate nan at order 48"):
+        rayleigh_quotient(profile, 780.0, 1e300, 1.0)

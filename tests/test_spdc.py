@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -438,3 +439,67 @@ def test_distinguishability_of_design_signals(design_type0_10):
     )
     assert ok
     assert margin > 0.0
+
+
+@pytest.mark.parametrize("case", ["scan-axis", "fwhm-axis", "scan-few-samples",
+                                  "scan-nan-samples", "scan-float-samples", "scan-index-model",
+                                  "scan-no-provider"])
+def test_scan_and_bandwidth_argument_errors_name_their_field(design_type0_10, case):
+    # before, estimate_fwhm_nm gave the idler width on any axis but "signal",
+    # samples=nan raised TypeError and these errors had no field
+    process = design_type0_10.process_1
+    field, call = {
+        "scan-axis": ("axis", lambda: spectrum_scan(process, "pump", 6.0, 101, 1.0)),
+        "fwhm-axis": ("axis", lambda: estimate_fwhm_nm(process, "pump", 1.0)),
+        "scan-few-samples": ("samples", lambda: spectrum_scan(process, "signal", 6.0, 100, 1.0)),
+        "scan-nan-samples": ("samples",
+                             lambda: spectrum_scan(process, "signal", 6.0, math.nan, 1.0)),
+        "scan-float-samples": ("samples",
+                               lambda: spectrum_scan(process, "signal", 6.0, 101.0, 1.0)),
+        "scan-index-model": ("index_model", lambda: spectrum_scan(process, "signal", 6.0, 101,
+                                                                  1.0, index_model="flat")),
+        "scan-no-provider": ("index_provider", lambda: spectrum_scan(
+            process, "signal", 6.0, 101, 1.0, index_model="dispersive")),
+    }[case]
+    with pytest.raises(ConfigurationError) as raised:
+        call()
+    assert raised.value.field == field
+
+
+def test_entanglement_metrics_reject_a_bad_magnitude_and_scale_exactly(design_type0_10):
+    # before, a NaN magnitude gave gamma = 1 and weights (nan, nan) with zero
+    # entropy, and magnitudes of 1e300 overflowed the weights to nan
+    a1, a2 = design_type0_10.amplitude_1, design_type0_10.amplitude_2
+    for bad in (math.nan, math.inf, -1.0):
+        for metric in (degree_of_entanglement, state_weights_and_entropy):
+            with pytest.raises(ConfigurationError, match="^a2.magnitude must be finite") as raised:
+                metric(a1, dataclasses.replace(a2, magnitude=bad))
+            assert raised.value.field == "a2"
+    # scaling both magnitudes by a power of two changes no bit
+    for scale in (2.0**-1000, 2.0**1000):
+        scaled = [dataclasses.replace(a, magnitude=a.magnitude * scale) for a in (a1, a2)]
+        assert degree_of_entanglement(*scaled) == degree_of_entanglement(a1, a2)
+        assert state_weights_and_entropy(*scaled) == state_weights_and_entropy(a1, a2)
+    with pytest.raises(AmplitudeUndefinedError):
+        state_weights_and_entropy(dataclasses.replace(a1, magnitude=0.0),
+                                  dataclasses.replace(a2, magnitude=0.0))
+
+
+@pytest.mark.parametrize("field, call", [
+    ("n_s", lambda p: qpm_period(p.n_pump, math.nan, p.n_idler, p.pump_nm, p.signal_nm,
+                                 p.idler_nm)),
+    ("pump_nm", lambda p: qpm_period(p.n_pump, p.n_signal, p.n_idler, 0.0, p.signal_nm,
+                                     p.idler_nm)),
+    ("n_i", lambda p: make_process(p.pump_nm, p.signal_nm, E, E, E, p.n_pump, p.n_signal,
+                                   math.nan)),
+    ("overlap_per_um", lambda p: coupling_amplitude(p, math.nan, 0.0, 1.0)),
+    ("delta_k_rad_per_m", lambda p: coupling_amplitude(p, 0.1, math.inf, 1.0)),
+    ("length_cm", lambda p: synthesize_poling(6.8, 6.9, 1e300)),
+    ("period1_um", lambda p: synthesize_poling(1e-300, 6.9, 1.0)),
+])
+def test_periods_and_amplitudes_reject_a_bad_number_by_name(design_type0_10, field, call):
+    # before, these returned nan, raised ZeroDivisionError, built an
+    # SpdcProcess with a nan period or reached np.arange with 1e304 cells
+    with pytest.raises(ConfigurationError) as raised:
+        call(design_type0_10.process_1)
+    assert raised.value.field == field

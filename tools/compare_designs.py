@@ -24,6 +24,8 @@ when a change exceeds its tolerance (relative, except `scan_gain` and
 `design_gain`, which are absolute), when an outcome changes, or when a sweep
 row changes beyond its tolerances.  Every tolerance of zero means bit for
 bit; a deliberate change states the tolerances it is checked at with `--tol`.
+Last it prints the line count of each tree's `src/` Python files and their
+difference, the code-size figure that a change cites.
 """
 
 from __future__ import annotations
@@ -231,6 +233,11 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
     return ok and rows == 0
 
 
+def src_lines(tree: Path) -> int:
+    """The number of lines of the Python files under the tree's `src/`."""
+    return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").rglob("*.py"))
+
+
 def tolerance(text):
     name, _, value = text.partition("=")
     if name not in TOLERANCES:
@@ -249,7 +256,11 @@ def main(argv=None) -> int:
                         metavar="NAME=VALUE", help="override one quantity's tolerance")
     args = parser.parse_args(argv)
     tolerances = {**TOLERANCES, **dict(args.tol)}
-    return 0 if compare(run_tree(args.parent), run_tree(args.change), tolerances) else 1
+    ok = compare(run_tree(args.parent), run_tree(args.change), tolerances)
+    before, after = src_lines(args.parent), src_lines(args.change)
+    print(f"src/ lines: {before} in {args.parent}, {after} in {args.change} "
+          f"({after - before:+d})")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
