@@ -25,6 +25,7 @@ from .dispersion import (
 )
 from .errors import ConfigurationError
 from .mode_solver import WaveguideGeometry
+from .spdc import SCAN_SAMPLES
 
 _SCAN_AXES = ("signal_1", "idler_1", "signal_2", "idler_2")
 _FORMATS = ("text", "records")
@@ -253,7 +254,7 @@ def _scan(data) -> ScanConfig:
     return ScanConfig(
         axis=_choice("scan", data, "axis", _SCAN_AXES, None),
         span_nm=_number("scan", data, "span_nm", minimum=0.0),
-        samples=integer("scan.samples", data.get("samples", 1001), 101, 1_000_000),
+        samples=integer("scan.samples", data.get("samples", 1001), *SCAN_SAMPLES),
         index_model=_choice("scan", data, "index_model", ("design-point", "dispersive"),
                             "design-point"),
     )

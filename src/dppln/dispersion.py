@@ -117,6 +117,7 @@ class IndexIncrementTable:
         table = self.entries.get(pol, ())
         if not table:
             raise ConfigurationError(f"no index-increment table for {pol} polarization")
+        require_positive(wavelength_nm=wavelength_nm)
         lams = np.array([lam for lam, _ in table])
         vals = np.array([dn for _, dn in table])
         # np.interp clamps to the end values outside the tabulated span

@@ -388,11 +388,15 @@ def _wavenumber(wavelength_nm, **alphas):
 def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     """Scalar-wave variational estimate of n_eff^2 for one trial field.
 
-    The quadrature order doubles until the estimate stabilises.
+    The quadrature order doubles until the estimate stabilises.  An alpha so
+    large that the trial field vanishes on every node gives a NaN estimate,
+    which ends the refinement with a QuadratureConvergenceError and no numpy
+    warning.
     """
     k0 = _wavenumber(wavelength_nm, alpha_y=alpha_y, alpha_z=alpha_z)
-    value, _ = refine_scalar(lambda n: _quotient(profile, k0, _quadrature_of(profile, n),
-                                                 alpha_y, alpha_z))
+    with np.errstate(invalid="ignore"):
+        value, _ = refine_scalar(lambda n: _quotient(profile, k0, _quadrature_of(profile, n),
+                                                     alpha_y, alpha_z))
     return value
 
 

@@ -42,6 +42,10 @@ IDEAL_HARMONIC_AMPLITUDE = 4.0 / np.pi**2
 # shortest period, so at MAX_LENGTH_CM it stays below 1.6 million cells.
 MIN_PERIOD_UM = 1.0
 
+# Supported sample counts of a spectrum scan: the fewest that resolve a FWHM,
+# and the most whose float arrays stay at 8 MB each.
+SCAN_SAMPLES = (101, 1_000_000)
+
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalised convention); x must be finite."""
@@ -298,9 +302,10 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
     `EffectiveIndexSolver.index`.  A span reaching the pump is a configuration error.
     """
     center = _center(process, axis)
-    if not (isinstance(samples, (int, np.integer)) and samples >= 101):
-        raise ConfigurationError(f"a spectrum scan needs an integer of at least 101 samples, "
-                                 f"got {samples!r}", "samples")
+    low, high = SCAN_SAMPLES
+    if not (isinstance(samples, (int, np.integer)) and low <= samples <= high):
+        raise ConfigurationError(f"a spectrum scan needs an integer number of samples in "
+                                 f"[{low}, {high}], got {samples!r}", "samples")
     if index_model not in ("design-point", "dispersive"):
         raise ConfigurationError(f"unknown index model '{index_model}'", "index_model")
     if index_model == "dispersive" and index_provider is None:
@@ -382,8 +387,14 @@ class PolingPattern:
 def synthesize_poling(period1_um: float, period2_um: float, length_cm: float) -> PolingPattern:
     """Digitise sgn[cos(2 pi x / L1) - cos(2 pi x / L2)] into domain boundaries.
 
-    Sign flips are bracketed on a sub-period grid and bisected to well below
-    1 nm.  Raises DegeneratePatternError when the periods coincide.
+    The grating is -2 sin(pi x S) sin(pi x D), S = 1/L1 + 1/L2, D = |1/L1 -
+    1/L2|.  Midpoint signs on a grid of 16 cells per shorter period bracket
+    the flips (a midpoint on a zero is skipped), and each boundary is the
+    exact carrier zero k/S or beat zero m/D nearer its bracket's centre: a
+    cell is narrower than either zero spacing.  Two flips in one cell (domains
+    narrower than min(L1, L2)/16, at the beat nodes) are not resolved.  The
+    first sign is that of 1/L2^2 - 1/L1^2, from the small-x expansion.
+    Raises DegeneratePatternError when the periods coincide.
     """
     require_positive(period1_um=period1_um, period2_um=period2_um, length_cm=length_cm)
     require_within("period1_um", period1_um, (MIN_PERIOD_UM, math.inf), "um")
@@ -398,34 +409,21 @@ def synthesize_poling(period1_um: float, period2_um: float, length_cm: float) ->
                                  f"pattern must cover 10 periods of {longest:g} um; use at least "
                                  f"{math.ceil(longest * 1e5) / 1e8:.10g} cm", "length_cm")
 
-    def value(x):
-        return np.cos(2.0 * np.pi * x / period1_um) - np.cos(2.0 * np.pi * x / period2_um)
-
     step = min(period1_um, period2_um) / 16.0
-    n_cells = int(np.ceil(length_um / step))
-    # cell midpoints cannot land on the lattice zeros of the beat envelope
-    mid = (np.arange(n_cells + 1) + 0.5) * step
+    mid = (np.arange(int(np.ceil(length_um / step)) + 1) + 0.5) * step
     mid = mid[mid < length_um]
-    signs = np.sign(value(mid))
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-
-    lo = mid[flips].copy()
-    hi = mid[flips + 1].copy()
-    f_lo = value(lo)
-    for _ in range(48):
-        m = 0.5 * (lo + hi)
-        f_m = value(m)
-        take_left = f_lo * f_m <= 0.0
-        hi = np.where(take_left, m, hi)
-        lo = np.where(take_left, lo, m)
-        f_lo = np.where(take_left, f_lo, f_m)
-    boundaries = 0.5 * (lo + hi)
-
-    first_sign = int(np.sign(value(min(0.5 * boundaries[0], 0.5 * step)))) if len(boundaries) else 1
+    value = np.cos(2.0 * np.pi * mid / period1_um) - np.cos(2.0 * np.pi * mid / period2_um)
+    mid, positive = mid[value != 0.0], value[value != 0.0] > 0.0
+    flips = np.nonzero(positive[:-1] != positive[1:])[0]
+    centre = 0.5 * (mid[flips] + mid[flips + 1])
+    carrier = 1.0 / period1_um + 1.0 / period2_um
+    beat = abs(1.0 / period1_um - 1.0 / period2_um)
+    carrier_zero, beat_zero = np.rint(centre * carrier) / carrier, np.rint(centre * beat) / beat
     return PolingPattern(
-        boundaries_um=boundaries,
+        boundaries_um=np.where(abs(carrier_zero - centre) <= abs(beat_zero - centre),
+                               carrier_zero, beat_zero),
         length_um=length_um,
-        first_sign=first_sign if first_sign != 0 else 1,
+        first_sign=-1 if period1_um < period2_um else 1,
     )
 
 

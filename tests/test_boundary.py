@@ -1,6 +1,7 @@
 """The library boundary under bad numbers: each float argument of the public
-functions of `dppln`, and of the classes that carry their inputs, set in turn
-to nan, +-inf, 0, -1, 1e300 or 1e-300, gives a finite result or a
+functions of `dppln`, of the classes that carry their inputs and of the
+wavelength methods of the dispersion tables and `EffectiveIndexSolver`, set in
+turn to nan, +-inf, 0, -1, 1e300 or 1e-300, gives a finite result or a
 ToolkitError, and no quadrature refinement evaluates an order above 384."""
 
 import dataclasses
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import request_for
-from dppln import (DesignRequest, IndexProfile, Material, Polarization, Scheme, SpdcProcess,
+from dppln import (DEFAULT_INCREMENTS, DEFAULT_MATERIAL, ZELMON_1997, DesignRequest,
+                   EffectiveIndexSolver, IndexProfile, Material, Polarization, Scheme, SpdcProcess,
                    ToolkitError, WaveguideGeometry, coupling_amplitude, degree_of_entanglement,
                    design, estimate_fwhm_nm, find_best_geometry, idler_wavelength, make_process,
                    phase_mismatch, poling_fourier_coefficient, qpm_period, rayleigh_quotient, sinc,
@@ -37,6 +39,7 @@ def _calls():
     fields = {field.name: getattr(process, field.name) for field in dataclasses.fields(process)}
     numbers = {name: value for name, value in fields.items() if isinstance(value, float)}
     pattern = synthesize_poling(6.8, 6.9, 0.1)
+    solver = EffectiveIndexSolver(DEFAULT_MATERIAL, geometry)
 
     def amplitudes(metric):
         return lambda m1, m2: metric(dataclasses.replace(a1, magnitude=m1),
@@ -53,6 +56,13 @@ def _calls():
                           dict(pump_nm=519.0, signal1_nm=780.0, signal2_nm=775.0)),
         "SpdcProcess": (partial(SpdcProcess, **fields), numbers),
         "solve_mode": (partial(solve_mode, profile, polarization=E), dict(wavelength_nm=780.0)),
+        "IndexIncrementTable.increment": (partial(DEFAULT_INCREMENTS.increment, E),
+                                          dict(wavelength_nm=780.0)),
+        "SellmeierModel.index": (partial(ZELMON_1997.index, E), dict(wavelength_nm=780.0)),
+        "EffectiveIndexSolver.profile": (partial(solver.profile, pol=E),
+                                         dict(wavelength_nm=780.0)),
+        "EffectiveIndexSolver.index": (partial(solver.index, pol=E), dict(wavelength_nm=780.0)),
+        "EffectiveIndexSolver.solve": (partial(solver.solve, pol=E), dict(wavelength_nm=780.0)),
         "rayleigh_quotient": (partial(rayleigh_quotient, profile),
                               dict(wavelength_nm=780.0, alpha_y=1.0, alpha_z=1.0)),
         "idler_wavelength": (idler_wavelength, dict(pump_nm=519.0, signal_nm=780.0)),

@@ -442,8 +442,8 @@ def test_distinguishability_of_design_signals(design_type0_10):
 
 
 @pytest.mark.parametrize("case", ["scan-axis", "fwhm-axis", "scan-few-samples",
-                                  "scan-nan-samples", "scan-float-samples", "scan-index-model",
-                                  "scan-no-provider"])
+                                  "scan-many-samples", "scan-nan-samples", "scan-float-samples",
+                                  "scan-index-model", "scan-no-provider"])
 def test_scan_and_bandwidth_argument_errors_name_their_field(design_type0_10, case):
     # before, estimate_fwhm_nm gave the idler width on any axis but "signal",
     # samples=nan raised TypeError and these errors had no field
@@ -452,6 +452,8 @@ def test_scan_and_bandwidth_argument_errors_name_their_field(design_type0_10, ca
         "scan-axis": ("axis", lambda: spectrum_scan(process, "pump", 6.0, 101, 1.0)),
         "fwhm-axis": ("axis", lambda: estimate_fwhm_nm(process, "pump", 1.0)),
         "scan-few-samples": ("samples", lambda: spectrum_scan(process, "signal", 6.0, 100, 1.0)),
+        "scan-many-samples": ("samples",
+                              lambda: spectrum_scan(process, "signal", 6.0, 1_000_001, 1.0)),
         "scan-nan-samples": ("samples",
                              lambda: spectrum_scan(process, "signal", 6.0, math.nan, 1.0)),
         "scan-float-samples": ("samples",

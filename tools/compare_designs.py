@@ -13,17 +13,22 @@ other than the one it scored is caught.  For the five waves of each tree's
 shipped `configs/*.yaml` it records `solve_mode` (n_eff and the two norms;
 alpha_y and alpha_z as `solve_mode_alpha`) and `rayleigh_quotient` at four
 fixed trial points, so the one-lane objective and refinement are checked as
-well as the stacked ones.  It also sweeps the same grid through `sweep()` for
+well as the stacked ones.  It records `synthesize_poling` at each config's
+phase-matched periods and length, and for 20 seeded (period1, period2,
+length) triples: periods in [1, 20] um, lengths in [0.05, 2] cm covering 10
+of the longer period.  It also sweeps the same grid through `sweep()` for
 both schemes, serially and with `max_workers=2`, so the batched row path is
 checked as well as `design()`; a row's geometry and error text are compared
 exactly, its gamma and periods under the `gamma` and `period` tolerances.
 The script prints the largest change of each quantity, the number of designs
 whose spectrum gains changed in any byte, every request whose error class or text
-changed, and every sweep row that changed beyond its tolerances.  It exits 1
-when a change exceeds its tolerance (relative, except `scan_gain` and
-`design_gain`, which are absolute), when an outcome changes, or when a sweep
-row changes beyond its tolerances.  Every tolerance of zero means bit for
-bit; a deliberate change states the tolerances it is checked at with `--tol`.
+changed, every poling pattern whose boundary count or first sign changed, and
+every sweep row that changed beyond its tolerances.  It exits 1 when a change
+exceeds its tolerance (relative, except `scan_gain`, `design_gain` and the
+`poling` boundaries in um, which are absolute), when an outcome or a
+pattern's count or first sign changes, or when a sweep row changes beyond
+its tolerances.  Every tolerance of zero means bit for bit; a deliberate
+change states the tolerances it is checked at with `--tol`.
 Last it prints the line count of each tree's `src/` Python files and their
 difference, the code-size figure that a change cites.
 """
@@ -60,6 +65,7 @@ TOLERANCES = {
     "solve_mode": 0.0,
     "solve_mode_alpha": 0.0,
     "rayleigh_quotient": 0.0,
+    "poling": 0.0,
 }
 
 CHILD = r"""
@@ -69,11 +75,11 @@ import numpy as np
 from dppln import idler_wavelength
 from dppln.config import load_config
 from dppln.design_search import (DesignRequest, EffectiveIndexSolver, ROLES, Scheme, design,
-                                 find_best_geometry, sweep)
+                                 find_best_geometry, phase_match, solve_modes, sweep)
 from dppln.dispersion import DEFAULT_MATERIAL
 from dppln.errors import ToolkitError
 from dppln.mode_solver import WaveguideGeometry, rayleigh_quotient
-from dppln.spdc import estimate_fwhm_nm, spectrum_scan
+from dppln.spdc import estimate_fwhm_nm, spectrum_scan, synthesize_poling
 
 def request(scheme, width, depth):
     return DesignRequest(scheme, 519.0, 780.0, 775.0, WaveguideGeometry(width, depth, 1.0))
@@ -129,10 +135,25 @@ for scheme in Scheme:
         sweeps[f"{scheme.value} max_workers={workers}"] = [
             [row.depth_um, row.width_um, row.gamma, row.period1_um, row.period2_um, row.error]
             for row in result.rows]
+def poling(period1, period2, length_cm):
+    pattern = synthesize_poling(period1, period2, length_cm)
+    return {"first_sign": pattern.first_sign,
+            "boundaries": base64.b64encode(pattern.boundaries_um.tobytes()).decode()}
+
+polings = {}
+rng = np.random.default_rng(18)
+while len(polings) < 20:
+    period1, period2 = rng.uniform(1.0, 20.0, 2).tolist()
+    length = float(rng.uniform(0.05, 2.0))
+    if length * 1e4 >= 10.0 * max(period1, period2):
+        polings[f"{period1!r} {period2!r} {length!r}"] = poling(period1, period2, length)
 modes = {}
 for path in sorted(Path("configs").glob("*.yaml")):
     config = load_config(str(path))
     request = config.request()
+    matched = phase_match(request, solve_modes(request, config.material))
+    polings[path.name] = poling(matched.period1_um, matched.period2_um,
+                                request.geometry.length_cm)
     solver = EffectiveIndexSolver(config.material, request.geometry)
     nm = {"pump": request.pump_nm, "signal_1": request.signal1_nm,
           "signal_2": request.signal2_nm}
@@ -152,7 +173,7 @@ for path in sorted(Path("configs").glob("*.yaml")):
                                   for ay, az in ((0.3, 0.3), (1.0, 1.0), (1.7, 0.6), (4.0, 2.5))],
         }
 json.dump({"designs": designs, "scans": scans, "searches": searches, "modes": modes,
-           "sweeps": sweeps}, sys.stdout)
+           "sweeps": sweeps, "polings": polings}, sys.stdout)
 """
 
 
@@ -167,7 +188,8 @@ def run_tree(tree: Path) -> dict:
 
 
 def gains(encoded):
-    """The float64 gain arrays of a design, from their base64 bytes."""
+    """The float64 arrays (a design's gains, a pattern's boundaries) of their
+    base64 bytes."""
     return [np.frombuffer(base64.b64decode(text)) for text in encoded]
 
 
@@ -213,6 +235,16 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
                 if name == "design_gain":
                     changed_gains += values != after[name]
                 largest[name] = max(largest[name], change(name, values, after[name]))
+    for key, before in parent["polings"].items():
+        after = changed["polings"][key]
+        old, new = gains([before["boundaries"], after["boundaries"]])
+        if before["first_sign"] != after["first_sign"] or len(old) != len(new):
+            ok = False
+            print(f"changed poling pattern  {key}\n  before: {len(old)} boundaries, first sign "
+                  f"{before['first_sign']}\n  after:  {len(new)} boundaries, first sign "
+                  f"{after['first_sign']}")
+        elif len(old):
+            largest["poling"] = max(largest["poling"], float(np.max(np.abs(new - old))))
     rows = 0
     for key, before in parent["sweeps"].items():
         for row, after in zip(before, changed["sweeps"][key]):
@@ -220,12 +252,12 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
                 rows += 1
                 print(f"changed sweep row  {key}\n  before: {row}\n  after:  {after}")
     print(f"{len(parent['designs'])} designs, {len(parent['scans'])} dispersive scans, "
-          f"{len(parent['searches'])} searches and {len(parent['modes'])} config waves "
-          f"compared; {errors} requests fail")
+          f"{len(parent['searches'])} searches, {len(parent['modes'])} config waves and "
+          f"{len(parent['polings'])} poling patterns compared; {errors} requests fail")
     for name, value in largest.items():
         flag = "" if value <= tolerances[name] else f"  ABOVE {tolerances[name]:g}"
         ok = ok and not flag
-        kind = "absolute" if name.endswith("_gain") else "relative"
+        kind = "absolute" if name.endswith("_gain") or name == "poling" else "relative"
         print(f"{name:<17} largest {kind} change {value:.3g}{flag}")
     print(f"designs whose spectrum gains changed in any byte: {changed_gains}")
     print(f"{len(parent['sweeps'])} sweeps of {len(before)} rows compared; rows changed beyond "
