@@ -208,17 +208,12 @@ def _sellmeier(material) -> SellmeierModel:
         if key not in mapping:
             raise ConfigurationError(f"material.sellmeier: missing '{key}' terms")
         terms[pol] = _pairs(f"material.sellmeier.{key}", mapping[key], "[[B, C_um2], ...]")
-    valid = _numbers("material.sellmeier.valid_range_nm",
-                     mapping.get("valid_range_nm", [400.0, 5000.0]))
-    if len(valid) != 2 or valid[0] >= valid[1]:
-        raise ConfigurationError(
-            f"material.sellmeier.valid_range_nm: expected [low_nm, high_nm] with "
-            f"low < high, got {valid!r}"
-        )
-    return SellmeierModel(
+    return _field_error(
+        "material.sellmeier", SellmeierModel,
         name=str(mapping.get("name", "material.sellmeier")),
         temperature_c=_number("material", material, "temperature_c", default=25.0),
-        valid_range_nm=valid,
+        valid_range_nm=_numbers("material.sellmeier.valid_range_nm",
+                                mapping.get("valid_range_nm", [400.0, 5000.0])),
         terms=terms,
     )
 

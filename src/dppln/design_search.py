@@ -14,7 +14,8 @@ from typing import Mapping
 import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
-from .errors import ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError
+from .errors import (ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError,
+                     require_positive)
 from .mode_solver import (MAX_LENGTH_CM, SIZE_RANGE_UM, IndexProfile, ModeSolution,
                           WaveguideGeometry, effective_index, field_overlap, solve_lanes,
                           solve_mode)
@@ -59,6 +60,8 @@ class DesignRequest:
     geometry: WaveguideGeometry
 
     def __post_init__(self):
+        require_positive(pump_nm=self.pump_nm, signal1_nm=self.signal1_nm,
+                         signal2_nm=self.signal2_nm)
         if self.signal1_nm == self.signal2_nm:
             raise ConfigurationError("the two signal wavelengths must differ", "signal2_nm")
         for name, field, lam in (("signal_1", "signal1_nm", self.signal1_nm),

@@ -55,7 +55,14 @@ class SellmeierModel:
     valid_range_nm: tuple[float, float]
     terms: Mapping[Polarization, SellmeierTerms]
 
+    def __post_init__(self):
+        valid = self.valid_range_nm
+        if not (len(valid) == 2 and all(map(math.isfinite, valid)) and valid[0] < valid[1]):
+            raise ConfigurationError(
+                f"expected [low_nm, high_nm] with low < high, got {valid!r}", "valid_range_nm")
+
     def index(self, pol: Polarization, wavelength_nm: float) -> float:
+        require_positive(wavelength_nm=wavelength_nm)
         lo, hi = self.valid_range_nm
         if not (lo <= wavelength_nm <= hi):
             raise WavelengthRangeError(

@@ -31,7 +31,7 @@ solving: `_grid_start` (the scaled quotient on a 16x16 grid in [0.2, 5]^2),
 `_rq_rows`, a direct quadrature at the locked order whose rounding fixes the
 design numbers) and `_finished` (the box-edge test and the final n_eff^2).
 `effective_index` refines by safeguarded Newton steps on the scaled quotient
-instead (Nocedal & Wright, Numerical Optimization, ch. 3).
+at GRID_ORDER, unlocked (Nocedal & Wright, Numerical Optimization, ch. 3).
 `rayleigh_quotient`, the adaptive direct quadrature, is its oracle.
 """
 
@@ -54,7 +54,7 @@ from .errors import (
     require_positive,
     require_within,
 )
-from .quadrature import panel_nodes, refine_rows, refine_scalar
+from .quadrature import panel_nodes, refine, refine_scalar
 
 ALPHA_MIN = 0.2
 ALPHA_MAX = 5.0
@@ -204,8 +204,8 @@ class _Scaled:
         self.y_exponent, self.z_exponent = _read_only(-2.0 * u2), _read_only(-2.0 * v2)
 
     def moments(self, sy, sz):
-        """The moments at s_y = a_y^2, s_z = a_z^2 (floats, or (L, 1, 1) arrays
-        of L lanes), one ddot each, so a lane's do not depend on the others."""
+        """The moments at s_y = a_y^2, s_z = a_z^2, one ddot each: floats, or
+        (L, 1, 1) arrays of L points (only `grid_terms` passes arrays)."""
         return (np.vecdot(self.y_rows, np.exp(sy * self.y_exponent)),
                 np.vecdot(self.z_rows, np.exp(sz * self.z_exponent)))
 
@@ -249,26 +249,6 @@ def _ratios(sy, y_moments, sz, z_moments):
             _ratio((E0 - 4.0 * sz * E1 + 4.0 * sz * sz * E2,
                     -6.0 * E1 + 16.0 * sz * E2 - 8.0 * sz * sz * E3,
                     28.0 * E2 - 48.0 * sz * E3 + 16.0 * sz * sz * E4), Az))
-
-
-def _quotients(lanes, order):
-    """n_eff^2 at one order for lanes (profile, k0, a_y, a_z): the moments of
-    each material's lanes in one stacked evaluation, the rest in floats."""
-    values, materials = [None] * len(lanes), {}
-    for i, (profile, _, ay, az) in enumerate(lanes):
-        materials.setdefault((profile.lateral_scale, profile.depth_scale), []).append(
-            (i, ay * ay, az * az))
-    for (lateral_scale, depth_scale), rows in materials.items():
-        s, scaled = np.array(rows)[:, 1:, None], _scaled(lateral_scale, depth_scale, order)
-        y_moments, z_moments = scaled.moments(s[:, :1], s[:, 1:])
-        for (i, sy, sz), (M0, M1, _, _, G0, _, _), (E0, E1, E2, _, _, H1, _, _) in zip(
-                rows, y_moments.tolist(), z_moments.tolist()):  # the values of `_ratios`
-            p, k0, *_ = lanes[i]
-            values[i] = (p.bulk_index**2 + 2.0 * p.bulk_index * p.increment * (G0 / M0) * (H1 / E1)
-                         - 4.0 * sy * sy * M1 / M0 / (k0 * p.geometry.width_um) ** 2
-                         - (E0 - 4.0 * sz * E1 + 4.0 * sz * sz * E2) / E1
-                         / (k0 * p.geometry.depth_um) ** 2)
-    return values
 
 
 def _rq_rows(lanes):
@@ -331,20 +311,19 @@ def _quotient(profile, k0, quad, alpha_y, alpha_z):
     return _rq_rows([(profile, k0, quad)])([(alpha_y, alpha_z)])[0]
 
 
-def _rq_taylor(profile, k0, scaled, x):
-    """The quotient at x = (ln a_y, ln a_z) from the `_Scaled` rows, with its
-    gradient and Hessian in x."""
-    sy, sz = math.exp(2.0 * x[0]), math.exp(2.0 * x[1])
+def _rq_taylor(profile, k0, scaled, sy, sz):
+    """The quotient at s_y = a_y^2, s_z = a_z^2 from the `_Scaled` rows, with
+    its gradient and Hessian in x = (ln a_y, ln a_z)."""
     y_moments, z_moments = scaled.moments(sy, sz)
     P, r, Q, t = _ratios(sy, y_moments.tolist(), sz, z_moments.tolist())
     nb, dn, geometry = profile.bulk_index, profile.increment, profile.geometry
-    c, ky, kz = 2.0 * nb * dn, (k0 * geometry.width_um) ** -2, (k0 * geometry.depth_um) ** -2
-    value = nb**2 + c * P[0] * Q[0] - ky * r[0] - kz * t[0]
+    c, ky, kz = 2.0 * nb * dn, (k0 * geometry.width_um) ** 2, (k0 * geometry.depth_um) ** 2
+    value = nb**2 + c * P[0] * Q[0] - r[0] / ky - t[0] / kz
     # d/dx = 2 s d/ds, so d2/dx2 = 4 s d/ds + 4 s^2 d2/ds2
-    gy = 2.0 * sy * (c * P[1] * Q[0] - ky * r[1])
-    gz = 2.0 * sz * (c * P[0] * Q[1] - kz * t[1])
-    hyy = 2.0 * gy + 4.0 * sy * sy * (c * P[2] * Q[0] - ky * r[2])
-    hzz = 2.0 * gz + 4.0 * sz * sz * (c * P[0] * Q[2] - kz * t[2])
+    gy = 2.0 * sy * (c * P[1] * Q[0] - r[1] / ky)
+    gz = 2.0 * sz * (c * P[0] * Q[1] - t[1] / kz)
+    hyy = 2.0 * gy + 4.0 * sy * sy * (c * P[2] * Q[0] - r[2] / ky)
+    hzz = 2.0 * gz + 4.0 * sz * sz * (c * P[0] * Q[2] - t[2] / kz)
     return value, gy, gz, hyy, 4.0 * sy * sz * c * P[1] * Q[1], hzz
 
 
@@ -354,7 +333,7 @@ def _newton(profile, k0, scaled, ay, az):
     halved while the quotient falls by more than rounding.  Stops at a step
     of 1e-10 or below `_ALPHA_FLOOR`; the iteration cap is only a bound."""
     x = (math.log(ay), math.log(az))
-    now = _rq_taylor(profile, k0, scaled, x)
+    now = _rq_taylor(profile, k0, scaled, math.exp(2.0 * x[0]), math.exp(2.0 * x[1]))
     for _ in range(100):
         value, gy, gz, hyy, hyz, hzz = now
         det = hyy * hzz - hyz * hyz
@@ -366,7 +345,8 @@ def _newton(profile, k0, scaled, ay, az):
         t = min(1.0, 0.5 / size) if concave else 0.5 / size
         while t * size > 1e-10:
             trial_x = (x[0] + t * d[0], x[1] + t * d[1])
-            trial = _rq_taylor(profile, k0, scaled, trial_x)
+            trial = _rq_taylor(profile, k0, scaled, math.exp(2.0 * trial_x[0]),
+                               math.exp(2.0 * trial_x[1]))
             if trial[0] >= value - 4.0 * math.ulp(value):  # a few ulp of fall is rounding
                 break
             t *= 0.5
@@ -548,9 +528,10 @@ def _grid_start(profile, wavelength_nm):
 
 
 def _refined(starts, points):
-    """`refine_rows` of n_eff^2 at each start's (a_y, a_z): `_quotients` per order."""
-    return refine_rows(lambda order, rows: _quotients(
-        [(starts[i].profile, starts[i].k0, *points[i]) for i in rows], order), len(starts))
+    """Per start, `refine` of n_eff^2 by `_rq_taylor` at its (a_y, a_z)."""
+    return [refine(lambda order: _rq_taylor(
+        s.profile, s.k0, _scaled(s.profile.lateral_scale, s.profile.depth_scale, order),
+        ay * ay, az * az)[0]) for s, (ay, az) in zip(starts, points)]
 
 
 def _locked(starts):
@@ -661,10 +642,12 @@ def solve_lanes(jobs) -> list:
 
 def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
     """`solve_mode(...).n_eff` to rounding, with the same checks, grid start,
-    order lock, final refinement and errors, refined by `_newton` instead of
-    Nelder-Mead: n_eff is stationary in the trial parameters."""
-    start = _raised(_locked([_grid_start(profile, wavelength_nm)]))
-    scaled = _scaled(profile.lateral_scale, profile.depth_scale, start.order)
+    final refinement and errors, refined by `_newton` on the GRID_ORDER rows
+    instead of Nelder-Mead at a locked order: n_eff is stationary in the
+    trial parameters, so the working order only has to place the optimum.
+    A QuadratureConvergenceError comes only from the final refinement."""
+    start = _grid_start(profile, wavelength_nm)
+    scaled = _scaled(profile.lateral_scale, profile.depth_scale, GRID_ORDER)
     ay, az = _newton(profile, start.k0, scaled, start.ay, start.az)
     return math.sqrt(_raised(_finished([start], [(ay, az)]))[0])
 

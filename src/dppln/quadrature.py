@@ -2,7 +2,8 @@
 
 Integrands here are smooth (Gaussians, erf products), so fixed panels with
 doubling Gauss order converge spectrally.  Node sets are cached per
-(panel edges, order).
+(panel edges, order).  `refine` returns a failed refinement's error and
+`refine_scalar` raises it.
 """
 
 import math
@@ -43,44 +44,32 @@ def panel_nodes(edges, order):
     return x, w
 
 
-def refine_rows(evaluate, count, rtol=1e-12, atol=0.0):
-    """`refine_scalar` for `count` estimates at once.
-
-    `evaluate(order, rows)` maps a per-panel order and the indices of the
-    rows still refining to their estimates.  Each row doubles and stops as
-    `refine_scalar` does, so its (value, converged_order) is bit for bit
-    `refine_scalar`'s; a row that does not converge, or whose estimate is not
-    finite, gets its QuadratureConvergenceError, unraised, instead.  Returns
-    one per row.
-    """
-    outcomes, previous, rows, order = [None] * count, {}, list(range(count)), START_ORDER
-    while rows:
-        refining = []
-        for row, current in zip(rows, evaluate(order, rows)):
-            if not math.isfinite(current):
-                outcomes[row] = QuadratureConvergenceError(
-                    f"quadrature estimate {current} at order {order} is not finite")
-            elif row in previous and abs(current - previous[row]) <= rtol * abs(current) + atol:
-                outcomes[row] = current, order
-            elif order > MAX_ORDER // 2:
-                outcomes[row] = QuadratureConvergenceError(
-                    f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}")
-            else:
-                refining.append(row)
-                previous[row] = current
-        rows, order = refining, 2 * order
-    return outcomes
-
-
-def refine_scalar(evaluate, rtol=1e-12, atol=0.0):
+def refine(evaluate, rtol=1e-12, atol=0.0):
     """Double the Gauss order from START_ORDER until `evaluate(order)` stabilises.
 
     `evaluate` maps a per-panel order to a scalar estimate.  Convergence is
     declared when two successive estimates agree to `rtol` relative (plus
     `atol` absolute, so values collapsing to zero still converge).  Returns
-    (value, converged_order); the one-row case of `refine_rows`.
+    (value, converged_order), or, unraised, the QuadratureConvergenceError of
+    the first estimate that is not finite or of no convergence by MAX_ORDER.
     """
-    (outcome,) = refine_rows(lambda order, rows: [evaluate(order)], 1, rtol, atol)
+    previous, order = None, START_ORDER
+    while True:
+        current = evaluate(order)
+        if not math.isfinite(current):
+            return QuadratureConvergenceError(
+                f"quadrature estimate {current} at order {order} is not finite")
+        if previous is not None and abs(current - previous) <= rtol * abs(current) + atol:
+            return current, order
+        if order > MAX_ORDER // 2:
+            return QuadratureConvergenceError(
+                f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}")
+        previous, order = current, 2 * order
+
+
+def refine_scalar(evaluate, rtol=1e-12, atol=0.0):
+    """`refine`, raised: its (value, converged_order), or its error raised."""
+    outcome = refine(evaluate, rtol, atol)
     if isinstance(outcome, QuadratureConvergenceError):
         raise outcome
     return outcome

@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import request_for
-from dppln import (DEFAULT_INCREMENTS, DEFAULT_MATERIAL, ZELMON_1997, DesignRequest,
-                   EffectiveIndexSolver, IndexProfile, Material, Polarization, Scheme, SpdcProcess,
-                   ToolkitError, WaveguideGeometry, coupling_amplitude, degree_of_entanglement,
-                   design, estimate_fwhm_nm, find_best_geometry, idler_wavelength, make_process,
-                   phase_mismatch, poling_fourier_coefficient, qpm_period, rayleigh_quotient, sinc,
-                   solve_mode, spectrum_scan, state_weights_and_entropy, sweep, synthesize_poling)
+from dppln import (DEFAULT_INCREMENTS, DEFAULT_MATERIAL, ZELMON_1997, ConfigurationError,
+                   DesignRequest, EffectiveIndexSolver, IndexProfile, Material, Polarization,
+                   Scheme, SpdcProcess, ToolkitError, WaveguideGeometry, coupling_amplitude,
+                   degree_of_entanglement, design, estimate_fwhm_nm, find_best_geometry,
+                   idler_wavelength, make_process, phase_mismatch, poling_fourier_coefficient,
+                   qpm_period, rayleigh_quotient, sinc, solve_mode, spectrum_scan,
+                   state_weights_and_entropy, sweep, synthesize_poling)
 from dppln import mode_solver, quadrature
 
 BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300)
@@ -115,12 +116,11 @@ def _finite(value):
 
 
 def _counted(orders):
-    """`quadrature.refine_rows` recording each Gauss order it evaluates."""
-    refine_rows = quadrature.refine_rows
+    """`quadrature.refine` recording each Gauss order it evaluates."""
+    refine = quadrature.refine
 
-    def counted(evaluate, count, *args, **options):
-        return refine_rows(lambda order, rows: orders.append(order) or evaluate(order, rows),
-                           count, *args, **options)
+    def counted(evaluate, *args, **options):
+        return refine(lambda order: orders.append(order) or evaluate(order), *args, **options)
 
     return counted
 
@@ -136,8 +136,8 @@ def test_a_bad_number_gives_a_finite_result_or_a_toolkit_error(name, argument, b
     with pytest.MonkeyPatch.context() as patch:
         counted = _counted(orders)
         # mode_solver holds its own reference; refine_scalar calls quadrature's
-        patch.setattr(quadrature, "refine_rows", counted)
-        patch.setattr(mode_solver, "refine_rows", counted)
+        patch.setattr(quadrature, "refine", counted)
+        patch.setattr(mode_solver, "refine", counted)
         try:
             result = call(**{**numbers, argument: bad})
         except ToolkitError:
@@ -145,6 +145,19 @@ def test_a_bad_number_gives_a_finite_result_or_a_toolkit_error(name, argument, b
         else:
             assert _finite(result), result
     assert max(orders, default=0) <= MAX_REFINED_ORDER
+
+
+@pytest.mark.parametrize("name", ["SellmeierModel.index", "IndexIncrementTable.increment",
+                                  "EffectiveIndexSolver.profile", "EffectiveIndexSolver.index",
+                                  "EffectiveIndexSolver.solve"])
+@pytest.mark.parametrize("bad", BAD[:5])
+def test_a_wavelength_that_is_not_finite_and_positive_is_a_configuration_error(name, bad):
+    # before, the Sellmeier range test made nan, +-inf, 0 and -1 nm a
+    # WavelengthRangeError, a physics error, at every slot but the increment's
+    call, _ = CALLS[name]
+    with pytest.raises(ConfigurationError) as raised:
+        call(wavelength_nm=bad)
+    assert raised.value.field == "wavelength_nm"
 
 
 def test_the_bad_numbers_reach_every_slot_and_the_refinements_are_counted():
@@ -161,6 +174,6 @@ def test_the_bad_numbers_reach_every_slot_and_the_refinements_are_counted():
     assert seen == set(map(repr, BAD))
     orders = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mode_solver, "refine_rows", _counted(orders))
+        patch.setattr(mode_solver, "refine", _counted(orders))
         solve_mode(IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 0.003), 780.0, E)
     assert orders == [48, 96] * 2

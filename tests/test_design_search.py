@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import gc
+import math
 import os
 import re
 
@@ -63,6 +64,11 @@ def test_request_validation():
         with pytest.raises(ConfigurationError, match="shorter wavelength") as raised:
             DesignRequest(Scheme.TYPE0_EEE, 519.0, 780.0, signal2, geometry)
         assert raised.value.field == "signal2_nm"
+    # a bad pump is named before the down-conversion test reads it
+    for pump in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="^pump_nm must be finite") as raised:
+            DesignRequest(Scheme.TYPE0_EEE, pump, 780.0, 775.0, geometry)
+        assert raised.value.field == "pump_nm"
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -379,21 +385,22 @@ def test_a_lane_after_a_failed_lane_completes_and_its_request_reports_the_first_
 
 
 def _never_converging(monkeypatch, profile):
-    """Patch `_quotients` so that the lanes of `profile` gain 1/order and
-    never converge; every other lane keeps its values."""
-    quotients = mode_solver._quotients
+    """Patch `_rq_taylor` so that the quotients of `profile` gain 1/order and
+    never converge; every other profile keeps its values."""
+    rq_taylor = mode_solver._rq_taylor
 
-    def noisy(lanes, order):
-        return [v + (1.0 / order if lane[0] is profile else 0.0)
-                for v, lane in zip(quotients(lanes, order), lanes)]
+    def noisy(p, k0, scaled, sy, sz):
+        value, *derivatives = rq_taylor(p, k0, scaled, sy, sz)
+        order = len(scaled.y_exponent) // 2
+        return (value + 1.0 / order if p is profile else value), *derivatives
 
-    monkeypatch.setattr(mode_solver, "_quotients", noisy)
+    monkeypatch.setattr(mode_solver, "_rq_taylor", noisy)
 
 
-def test_batched_refinement_matches_one_lane_refine_scalar(monkeypatch):
-    # the stacked order lock and final refinement give each lane the
-    # (value, order) of refine_scalar over its own one-lane quotient: lanes
-    # that lock at 96 and at 384, at their grid points and off them
+def test_refinement_gives_each_lane_refine_scalar_over_rq_taylor(monkeypatch):
+    # the order lock and final refinement give each lane the (value, order)
+    # of refine_scalar over its own `_rq_taylor` quotient: lanes that lock at
+    # 96 and at 384, at their grid points and off them
     jobs = _jobs_locking_at_96_and_384()
     jobs += [(IndexProfile(WaveguideGeometry(w, 9.0, 1.0), 2.2, 0.003), 1000.0, E)
              for w in (5.0, 14.0)]
@@ -403,8 +410,10 @@ def test_batched_refinement_matches_one_lane_refine_scalar(monkeypatch):
               + [(1.0, 1.0)] * len(starts))
 
     def one_lane(start, point):
-        return refine_scalar(lambda n: mode_solver._quotients([(start.profile, start.k0, *point)],
-                                                              n)[0])
+        profile, (ay, az) = start.profile, point
+        return refine_scalar(lambda n: mode_solver._rq_taylor(
+            profile, start.k0, mode_solver._scaled(profile.lateral_scale, profile.depth_scale, n),
+            ay * ay, az * az)[0])
 
     batched = mode_solver._refined(lanes, points)
     assert batched == [one_lane(*lane) for lane in zip(lanes, points)]
@@ -434,22 +443,38 @@ def test_a_lane_that_never_converges_fails_only_itself(monkeypatch):
     assert type(error) is QuadratureConvergenceError and error.__traceback__ is None
 
 
-def test_lock_step_batch_locks_every_lane_at_once_without_one_lane_refinements(monkeypatch):
-    # the order lock evaluates all the lanes of a batch in one `_quotients` per
-    # order, and no one-lane quotient or refine_scalar closure is built
+def test_effective_index_never_locks_an_order(monkeypatch):
+    # Newton works on the GRID_ORDER rows and only the final refinement
+    # settles an order, yet each n_eff is solve_mode's to 2 ulp: lanes that
+    # lock at 96, 384 and (a narrow channel wall at 1551 nm) 192
+    narrow = dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
+    profile = EffectiveIndexSolver(narrow, WaveguideGeometry(10.0, 8.0, 1.0)).profile(1551.03, E)
+    jobs = _jobs_locking_at_96_and_384() + [(profile, 1551.03, E)]
+    assert _locked_order(profile, 1551.03) == 192
+    expected = [solve_mode(*job).n_eff for job in jobs]
+
+    def locked(starts):
+        raise AssertionError("effective_index locked an order")
+
+    monkeypatch.setattr(mode_solver, "_locked", locked)
+    for (profile, wavelength, _), n_eff in zip(jobs, expected):
+        assert abs(mode_solver.effective_index(profile, wavelength) - n_eff) <= 2 * math.ulp(n_eff)
+
+
+def test_lock_step_batch_builds_no_one_lane_objective_or_refine_scalar(monkeypatch):
+    # a batch solves its lanes without the one-lane Nelder-Mead objective or
+    # refine_scalar, which only rayleigh_quotient and field_overlap call
     request = request_for(Scheme.TYPE2_CROSS, 9.0)
     solver, nm = EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry), _wavelengths(request)
     jobs = [(solver.profile(nm[role], pol), nm[role], pol)
             for role, pol in request.scheme.polarizations().items()]
     expected = [solve_mode(*job) for job in jobs]
-    calls, sizes, quotients = [], [], mode_solver._quotients
+    calls = []
     monkeypatch.setattr(mode_solver, "_quotient", lambda *args: calls.append("_quotient"))
     monkeypatch.setattr(mode_solver, "refine_scalar",
                         lambda *args, **options: calls.append("refine_scalar"))
-    monkeypatch.setattr(mode_solver, "_quotients", lambda lanes, order: sizes.append(len(lanes))
-                        or quotients(lanes, order))
     assert mode_solver.solve_lanes(jobs) == expected
-    assert calls == [] and sizes[:2] == [5, 5]
+    assert calls == []
 
 
 def test_a_profile_error_of_a_later_wave_waits_for_the_earlier_waves():

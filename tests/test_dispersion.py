@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_out_of_range_wavelength_names_interval():
         ZELMON_1997.index(E, 300.0)
     with pytest.raises(WavelengthRangeError):
         ZELMON_1997.index(O, 6000.0)
+
+
+@pytest.mark.parametrize("valid", [(5000.0, 400.0), (400.0, 400.0), (math.nan, 400.0),
+                                   (400.0, math.inf), (400.0,)])
+def test_sellmeier_model_checks_its_valid_range(valid):
+    # before, such a model was built and then refused every wavelength
+    with pytest.raises(ConfigurationError, match=r"^expected \[low_nm, high_nm\] with low < "
+                                                 r"high, got \(") as raised:
+        SellmeierModel("x", 25.0, valid, ZELMON_1997.terms)
+    assert raised.value.field == "valid_range_nm"
 
 
 def test_tabulated_increments_returned_exactly():

@@ -661,9 +661,9 @@ def test_minimize_rejects_a_simplex_that_is_not_three_by_two():
 
 @pytest.mark.parametrize("order", [48, 96, 192])
 def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
-    # the Nelder-Mead objective against the scaled moment-row quotient (one
-    # lane and stacked, and the Newton value) and the grid quotient, and
-    # int Y^2, int Z^2 from the scaled rows against direct quadrature
+    # the Nelder-Mead objective against the scaled moment-row quotient of the
+    # refinement and Newton and the grid quotient, and int Y^2, int Z^2 from
+    # the scaled rows against direct quadrature
     rng = np.random.default_rng(4242 + order)
     lo, hi = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX
     corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
@@ -673,13 +673,10 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
         scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, order)
         w, h = profile.geometry.width_um, profile.geometry.depth_um
         points = corners + rng.uniform(lo, hi, size=(100, 2)).tolist()
-        stacked = mode_solver._quotients([(profile, k0, ay, az) for ay, az in points], order)
-        for (ay, az), value in zip(points, stacked):
-            moment = mode_solver._rq_taylor(profile, k0, scaled, (math.log(ay), math.log(az)))[0]
+        for ay, az in points:
+            moment = mode_solver._rq_taylor(profile, k0, scaled, ay * ay, az * az)[0]
             scalar = mode_solver._quotient(profile, k0, quad, ay, az)
             assert scalar == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
-            assert scalar == pytest.approx(value, rel=1e-14, abs=0.0), (ay, az)
-            assert mode_solver._quotients([(profile, k0, ay, az)], order) == [value]
             y_moments, z_moments = scaled.moments(ay * ay, az * az)
             direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
             direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
@@ -689,9 +686,8 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
         nb, dn = profile.bulk_index, profile.increment
         PQ, r, t = scaled.grid_terms
         grid = nb**2 + 2.0 * nb * dn * PQ - (r / w**2 + t / h**2) / k0**2
-        logs = np.log(mode_solver.GRID_ALPHAS).tolist()
-        moment = [[mode_solver._rq_taylor(profile, k0, scaled, (x, y))[0] for y in logs]
-                  for x in logs]
+        s = (mode_solver.GRID_ALPHAS**2).tolist()
+        moment = [[mode_solver._rq_taylor(profile, k0, scaled, sy, sz)[0] for sz in s] for sy in s]
         assert np.allclose(grid, moment, rtol=1e-14, atol=0.0)
 
 
@@ -941,7 +937,8 @@ def test_newton_derivatives_match_central_differences():
         locked = mode_solver._quadrature_of(profile, start.order)
         scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, start.order)
         for x in [(math.log(ay), math.log(az))] + rng.uniform(-1.0, 1.0, size=(3, 2)).tolist():
-            value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(profile, k0, scaled, x)
+            value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(
+                profile, k0, scaled, math.exp(2.0 * x[0]), math.exp(2.0 * x[1]))
 
             def rq(dy, dz):
                 return mode_solver._quotient(profile, k0, locked, math.exp(x[0] + dy),

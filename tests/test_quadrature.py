@@ -4,7 +4,7 @@ from scipy.special import erf
 
 from dppln import DesignRequest, Scheme, WaveguideGeometry, design, mode_solver
 from dppln.errors import QuadratureConvergenceError
-from dppln.quadrature import panel_nodes, refine_rows, refine_scalar
+from dppln.quadrature import panel_nodes, refine, refine_scalar
 
 
 def test_panel_nodes_integrate_gaussian():
@@ -43,18 +43,19 @@ def test_refine_scalar_raises_when_not_converging():
         refine_scalar(lambda order: 1.0 + 1.0 / order)
 
 
-def test_refine_rows_ends_a_row_at_its_first_non_finite_estimate():
-    # the finite rows keep refine_scalar's (value, order); before, a NaN row
-    # doubled to order 3072
-    def evaluate(order, rows):
-        calls.append((order, list(rows)))
-        return [[1.0 + 2.0**-order, np.nan, 1.0 + 1.0 / order, np.inf][row] for row in rows]
+def test_refine_ends_at_its_first_non_finite_estimate_and_returns_its_error():
+    # a converging estimate keeps refine_scalar's (value, order); before, a
+    # NaN estimate doubled to order 3072
+    def recorded(estimate):
+        calls = []
+        return refine(lambda order: calls.append(order) or estimate(order)), calls
 
-    calls = []
-    first, nan, slow, inf = refine_rows(evaluate, 4)
-    assert first == refine_scalar(lambda order: 1.0 + 2.0**-order)
+    first, calls = recorded(lambda order: 1.0 + 2.0**-order)
+    assert first == refine_scalar(lambda order: 1.0 + 2.0**-order) and calls == [48, 96]
+    slow, _ = recorded(lambda order: 1.0 + 1.0 / order)
     assert isinstance(slow, QuadratureConvergenceError) and "3072" in str(slow)
-    for outcome, text in ((nan, "nan"), (inf, "inf")):
-        assert isinstance(outcome, QuadratureConvergenceError)
+    assert slow.__traceback__ is None
+    for estimate, text in ((np.nan, "nan"), (np.inf, "inf")):
+        outcome, calls = recorded(lambda order: estimate)
+        assert isinstance(outcome, QuadratureConvergenceError) and calls == [48]
         assert str(outcome) == f"quadrature estimate {text} at order 48 is not finite"
-    assert calls[0] == (48, [0, 1, 2, 3]) and calls[1] == (96, [0, 2])

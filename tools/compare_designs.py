@@ -6,17 +6,19 @@ Each tree runs in one child interpreter with its own `src` on the path.  The
 child designs the 13x13 `geomspace(2, 20)` um grid for both schemes (338
 requests at the paper's 519 -> 780/775 nm, 1 cm) and the four 101-sample
 dispersive scans (the two shipped geometries, process 1, signal and idler
-axes, 3 x the estimated FWHM), then runs `find_best_geometry` over (6.5, 12) um
-for both schemes and records the geometry, gamma and four design-spectrum FWHM
-of the design it returns, so a search that returns the spectra of a design
-other than the one it scored is caught.  For the five waves of each tree's
-shipped `configs/*.yaml` it records `solve_mode` (n_eff and the two norms;
-alpha_y and alpha_z as `solve_mode_alpha`) and `rayleigh_quotient` at four
-fixed trial points, so the one-lane objective and refinement are checked as
-well as the stacked ones.  It records `synthesize_poling` at each config's
-phase-matched periods and length, and for 20 seeded (period1, period2,
-length) triples: periods in [1, 20] um, lengths in [0.05, 2] cm covering 10
-of the longer period.  It also sweeps the same grid through `sweep()` for
+axes, 3 x the estimated FWHM, recording every n_eff they request from
+`EffectiveIndexSolver.index` as `effective_index`), then runs
+`find_best_geometry` over (6.5, 12) um for both schemes and records the
+geometry, gamma and four design-spectrum FWHM of the design it returns, so a
+search that returns the spectra of a design other than the one it scored is
+caught.  For the five waves of each tree's shipped `configs/*.yaml` it
+records `solve_mode` (n_eff and the two norms; alpha_y and alpha_z as
+`solve_mode_alpha`), `effective_index` and `rayleigh_quotient` at four fixed
+trial points, so the one-lane objective and refinement and the Newton path
+are checked as well as the batched solves.  It records `synthesize_poling` at
+each config's phase-matched periods and length, and for 20 seeded
+(period1, period2, length) triples: periods in [1, 20] um, lengths in
+[0.05, 2] cm covering 10 of the longer period.  It also sweeps the same grid through `sweep()` for
 both schemes, serially and with `max_workers=2`, so the batched row path is
 checked as well as `design()`; a row's geometry and error text are compared
 exactly, its gamma and periods under the `gamma` and `period` tolerances.
@@ -64,6 +66,7 @@ TOLERANCES = {
     "search_fwhm": 0.0,
     "solve_mode": 0.0,
     "solve_mode_alpha": 0.0,
+    "effective_index": 0.0,
     "rayleigh_quotient": 0.0,
     "poling": 0.0,
 }
@@ -115,12 +118,18 @@ for scheme, size in ((Scheme.TYPE0_EEE, 10.0), (Scheme.TYPE2_CROSS, 6.5)):
     result = design(request(scheme, size, size))
     solver = EffectiveIndexSolver(DEFAULT_MATERIAL, result.request.geometry)
     for axis in ("signal", "idler"):
-        process = result.process_1
+        process, indices = result.process_1, []
+
+        def provider(wavelength_nm, pol):
+            indices.append(solver.index(wavelength_nm, pol))
+            return indices[-1]
+
         span = 3.0 * estimate_fwhm_nm(process, axis, 1.0)
-        spectrum = spectrum_scan(process, axis, span, 101, 1.0, index_provider=solver.index,
+        spectrum = spectrum_scan(process, axis, span, 101, 1.0, index_provider=provider,
                                  index_model="dispersive")
         scans[f"{scheme.value} {axis}"] = {"scan_fwhm": [spectrum.fwhm_nm],
-                                           "scan_gain": spectrum.gain.tolist()}
+                                           "scan_gain": spectrum.gain.tolist(),
+                                           "effective_index": indices}
 
 searches = {}
 for scheme in Scheme:
@@ -169,6 +178,7 @@ for path in sorted(Path("configs").glob("*.yaml")):
         modes[key] = {
             "solve_mode": [mode.n_eff, mode.y_norm, mode.z_norm],
             "solve_mode_alpha": [mode.alpha_y, mode.alpha_z],
+            "effective_index": [solver.index(nm[role], pol)],
             "rayleigh_quotient": [rayleigh_quotient(mode.profile, nm[role], ay, az)
                                   for ay, az in ((0.3, 0.3), (1.0, 1.0), (1.7, 0.6), (4.0, 2.5))],
         }
