@@ -36,13 +36,15 @@ def require_positive(**values):
                                      name)
 
 
-def require_within(name, value, bounds, unit, field=None):
+def require_within(name, value, bounds, unit="", field=None):
     """Raise a ConfigurationError, with `field` (default `name`), when `value`
-    is outside the closed range `bounds` = (low, high) or is NaN."""
+    is outside the closed range `bounds` = (low, high) or is NaN; a pure
+    number has no `unit`."""
     low, high = bounds
     if not low <= value <= high:
-        raise ConfigurationError(f"{name} {value:g} {unit} outside the supported range "
-                                 f"[{low:g}, {high:g}] {unit}", field or name)
+        unit = f" {unit}" if unit else ""
+        raise ConfigurationError(f"{name} {value:g}{unit} outside the supported range "
+                                 f"[{low:g}, {high:g}]{unit}", field or name)
 
 
 def require_finite(**values):

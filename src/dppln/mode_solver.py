@@ -21,15 +21,16 @@ double until successive estimates agree (see `quadrature`).  In u = y/w and
 v = z/h (the b-V scaling of Kogelnik & Ramaswamy, Appl. Opt. 13, 1857
 (1974)), n_eff^2 = n_b^2 + 2 n_b dn P Q - r/(k0 w)^2 - t/(k0 h)^2, where the
 moment ratios P, r of a_y and Q, t of a_z depend on the diffusion scales
-alone (`_Scaled`, once per material and order).  The norms are closed forms:
-y_norm^2 = w sqrt(pi/(2 a_y^2)) erf(5 sqrt(2) a_y), z_norm^2 = h [sqrt(pi)/(4
-c^1.5) erf(8 sqrt(c)) - 4 exp(-64 c)/c], c = 2 a_z^2.  `solve_lanes` solves
-many modes (lanes) in four stages, each run once over the lanes still
-solving: `_grid_start` (the scaled quotient on a 16x16 grid in [0.2, 5]^2),
-`_locked` (the Gauss order at the grid point), `_nelder_mead_optima` (Nelder
-& Mead, Comput. J. 7, 308 (1965), SciPy's non-adaptive trajectory on
-`_rq_rows`, a direct quadrature at the locked order whose rounding fixes the
-design numbers) and `_finished` (the box-edge test and the final n_eff^2).
+alone (`_Scaled`, once per material and order).  The norms and overlaps
+(`field_overlap`) are closed forms: y_norm^2 = w sqrt(pi/(2 a_y^2)) erf(5
+sqrt(2) a_y), z_norm^2 = h [sqrt(pi)/(4 c^1.5) erf(8 sqrt(c)) - 4 exp(-64
+c)/c], c = 2 a_z^2.  `solve_lanes` solves many modes (lanes) in four stages,
+each run once over the lanes still solving: `_grid_start` (the scaled
+quotient on a 16x16 grid in [0.2, 5]^2), `_locked` (the Gauss order at the
+grid point), `_nelder_mead_optima` (Nelder & Mead, Comput. J. 7, 308 (1965),
+SciPy's non-adaptive trajectory on `_rq_rows`, a direct quadrature at the
+locked order whose rounding fixes the design numbers) and `_finished` (the
+box-edge test and the final n_eff^2).
 `effective_index` refines by safeguarded Newton steps on the scaled quotient
 at GRID_ORDER, unlocked (Nocedal & Wright, Numerical Optimization, ch. 3).
 `rayleigh_quotient`, the adaptive direct quadrature, is its oracle.
@@ -254,28 +255,19 @@ def _ratios(sy, y_moments, sz, z_moments):
 def _rq_rows(lanes):
     """The Nelder-Mead objective by direct quadrature for lanes (profile, k0,
     _Quadrature) of one Gauss order: [(a_y, a_z) per lane] -> [n_eff^2 per
-    lane].  Several lanes are rows of stacked arrays, one lane keeps 1-D
-    arrays and floats; either way lane i's arithmetic is the same bit for bit
-    (elementwise ufuncs, one ddot per row).  The y nodes, weights and g(y)
-    are exact mirror images, so the y integrands are computed on the first
-    half of the nodes and mirrored into full rows; one scale s = -2 a^2 per
-    axis serves the exponent and, squared, the derivative factor.  The
-    scratch arrays are the function's own."""
-    one = len(lanes) == 1
-
-    def lanewise(values, shape=(len(lanes), -1)):
-        return values[0] if one else np.array(values).reshape(shape)
-
+    lane].  The lanes are rows of stacked arrays, and lane i's arithmetic is
+    the same bit for bit whatever the stack (elementwise ufuncs, one ddot per
+    row).  The y nodes, weights and g(y) are exact mirror images, so the y
+    integrands are computed on the first half of the nodes and mirrored into
+    full rows; one scale s = -2 a^2 per axis serves the exponent and,
+    squared, the derivative factor.  The scratch arrays are the function's own."""
     half = len(lanes[0][2].y) // 2
-    y, y2, g, wy, z2, zh2, f, wz = (lanewise(arrays) for arrays in zip(*(
+    y, y2, g, wy, z2, zh2, f, wz = (np.array(arrays) for arrays in zip(*(
         (q.y[:half], q.y2[:half], q.g[:half], q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
-    w2, h2 = ([getattr(q, axis)**2 for *_, q in lanes] for axis in "wh")
-    if one:
-        w2, h2 = w2[0], h2[0]
-    else:  # full rows, which divide faster than broadcast columns
-        w2, h2 = (np.repeat(v, rows.shape[-1]).reshape(rows.shape)
-                  for v, rows in ((w2, y), (h2, z2)))
-    nb2, c, k02 = (lanewise(values, -1) for values in zip(*(
+    # full rows of w^2 and h^2, which divide faster than broadcast columns
+    w2, h2 = (np.repeat([getattr(q, axis)**2 for *_, q in lanes],
+                        rows.shape[-1]).reshape(rows.shape) for axis, rows in (("w", y), ("h", z2)))
+    nb2, c, k02 = (np.array(values) for values in zip(*(
         (p.bulk_index**2, 2.0 * p.bulk_index * p.increment, k0**2) for p, k0, _ in lanes)))
     # the integrands Y^2, g Y^2, (dY/dy)^2 and Z^2, f Z^2, (dZ/dz)^2, dotted at once
     Y, Z = np.empty((3,) + wy.shape), np.empty((3,) + z2.shape)
@@ -283,12 +275,8 @@ def _rq_rows(lanes):
     t, envelope = np.empty(z2.shape), np.empty(z2.shape)
 
     def rq(points):
-        if one:  # -2 a_y^2 and -2 a_z^2: floats for one lane, else (lanes, 1) columns
-            ((ay, az),) = points
-            sy, sz = -2.0 * (ay * ay), -2.0 * (az * az)
-        else:
-            a = np.array(points)
-            sy, sz = (-2.0 * (a * a)).T[:, :, None]
+        a = np.array(points)
+        sy, sz = (-2.0 * (a * a)).T[:, :, None]  # -2 a_y^2 and -2 a_z^2, (lanes, 1) columns
         np.exp(np.divide(np.multiply(y2, sy, out=ys), w2, out=ys), out=Y_half[0])
         np.multiply(Y_half[0], g, out=Y_half[1])
         np.square(np.divide(np.multiply(y, sy, out=ys), w2, out=ys), out=ys)
@@ -301,13 +289,13 @@ def _rq_rows(lanes):
         np.square(np.add(1.0, t, out=t), out=t)
         np.divide(np.multiply(envelope, t, out=t), h2, out=Z[2])
         (Ay, Gy, Dy), (Az, Fz, Dz) = np.vecdot(Y, wy), np.vecdot(Z, wz)
-        return np.atleast_1d(nb2 + c * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k02).tolist()
+        return (nb2 + c * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k02).tolist()
 
     return rq
 
 
 def _quotient(profile, k0, quad, alpha_y, alpha_z):
-    """`_rq_rows` for one lane at one point."""
+    """`_rq_rows` for one lane, a one-row stack, at one point."""
     return _rq_rows([(profile, k0, quad)])([(alpha_y, alpha_z)])[0]
 
 
@@ -369,12 +357,12 @@ def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     """Scalar-wave variational estimate of n_eff^2 for one trial field.
 
     The quadrature order doubles until the estimate stabilises.  An alpha so
-    large that the trial field vanishes on every node gives a NaN estimate,
-    which ends the refinement with a QuadratureConvergenceError and no numpy
-    warning.
+    large that its square overflows or the trial field vanishes on every node
+    gives a NaN estimate, which ends the refinement with a
+    QuadratureConvergenceError and no numpy warning.
     """
     k0 = _wavenumber(wavelength_nm, alpha_y=alpha_y, alpha_z=alpha_z)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         value, _ = refine_scalar(lambda n: _quotient(profile, k0, _quadrature_of(profile, n),
                                                      alpha_y, alpha_z))
     return value
@@ -482,7 +470,9 @@ class ModeSolution:
     """Fundamental-mode solution at one wavelength and polarization.
 
     `y_norm`/`z_norm` are the L2 norms of the un-normalised trial factors on
-    the truncated domain, so `field` integrates to unit power there.
+    the truncated domain, so `field` integrates to unit power there.  The
+    alphas must lie in [ALPHA_MIN, ALPHA_MAX] and the other numbers be finite
+    and positive, or a ConfigurationError names the field.
     """
 
     n_eff: float
@@ -493,6 +483,12 @@ class ModeSolution:
     profile: IndexProfile
     y_norm: float
     z_norm: float
+
+    def __post_init__(self):
+        for name in ("alpha_y", "alpha_z"):
+            require_within(name, getattr(self, name), (ALPHA_MIN, ALPHA_MAX))
+        require_positive(n_eff=self.n_eff, wavelength_nm=self.wavelength_nm,
+                         y_norm=self.y_norm, z_norm=self.z_norm)
 
     def y_factor(self, y):
         w = self.profile.geometry.width_um
@@ -663,22 +659,20 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
 
 
 def field_overlap(a: ModeSolution, b: ModeSolution, c: ModeSolution) -> float:
-    """Transverse overlap integral int e_a e_b e_c dy dz in 1/um.
+    """Transverse overlap integral int e_a e_b e_c dy dz in 1/um of three
+    solved modes on the truncated box, in closed form: with S_y and S_z the
+    sums of alpha_y^2 and alpha_z^2 over the modes, the y integral of the
+    product is w sqrt(pi/S_y) erf(5 sqrt(S_y)), the z integral h [1 - (1 +
+    64 S_z) exp(-64 S_z)]/(2 S_z^2), and the six norms divide them.
 
-    The three solutions must share one geometry; the value is symmetric in
-    its arguments because the integrand is a plain product.
+    The three modes must share one geometry; the value is symmetric in its
+    arguments to rounding, as the sums commute only to rounding.
     """
-    geometries = {m.profile.geometry for m in (a, b, c)}
-    if len(geometries) != 1:
+    if len({m.profile.geometry for m in (a, b, c)}) != 1:
         raise ConsistencyError("overlap requires all three modes on one geometry")
-    geometry = a.profile.geometry
-
-    def evaluate(order):
-        y, wy = panel_nodes(_y_edges(geometry.width_um), order)
-        z, wz = panel_nodes(_z_edges(geometry.depth_um), order)
-        iy = wy.dot(a.y_factor(y) * b.y_factor(y) * c.y_factor(y))
-        iz = wz.dot(a.z_factor(z) * b.z_factor(z) * c.z_factor(z))
-        return iy * iz
-
-    value, _ = refine_scalar(evaluate, rtol=1e-11, atol=1e-16)
-    return float(value)
+    w, h = a.profile.geometry.width_um, a.profile.geometry.depth_um
+    sy = a.alpha_y * a.alpha_y + b.alpha_y * b.alpha_y + c.alpha_y * c.alpha_y
+    sz = a.alpha_z * a.alpha_z + b.alpha_z * b.alpha_z + c.alpha_z * c.alpha_z
+    iy = w * math.sqrt(math.pi / sy) * math.erf(5.0 * math.sqrt(sy))
+    iz = h * (1.0 - (1.0 + 64.0 * sz) * math.exp(-64.0 * sz)) / (2.0 * sz * sz)
+    return iy * iz / (a.y_norm * b.y_norm * c.y_norm * a.z_norm * b.z_norm * c.z_norm)

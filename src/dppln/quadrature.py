@@ -16,6 +16,7 @@ from .errors import QuadratureConvergenceError
 
 START_ORDER = 48
 MAX_ORDER = 3072
+RTOL = 1e-12  # the relative agreement of two successive estimates that converge
 
 
 @lru_cache(maxsize=256)
@@ -24,7 +25,7 @@ def _leggauss(order):
 
 
 # Two axes for each of the 8 (shape, order) entries of mode_solver._quadrature:
-# the hits are field_overlap re-reading the nodes a solve has just built.
+# a hit is a shape's nodes read again, for other diffusion scales or after an eviction.
 @lru_cache(maxsize=16)
 def panel_nodes(edges, order):
     """Concatenated Gauss-Legendre nodes/weights for each panel of `edges`.
@@ -44,12 +45,11 @@ def panel_nodes(edges, order):
     return x, w
 
 
-def refine(evaluate, rtol=1e-12, atol=0.0):
+def refine(evaluate):
     """Double the Gauss order from START_ORDER until `evaluate(order)` stabilises.
 
     `evaluate` maps a per-panel order to a scalar estimate.  Convergence is
-    declared when two successive estimates agree to `rtol` relative (plus
-    `atol` absolute, so values collapsing to zero still converge).  Returns
+    declared when two successive estimates agree to RTOL relative.  Returns
     (value, converged_order), or, unraised, the QuadratureConvergenceError of
     the first estimate that is not finite or of no convergence by MAX_ORDER.
     """
@@ -59,17 +59,17 @@ def refine(evaluate, rtol=1e-12, atol=0.0):
         if not math.isfinite(current):
             return QuadratureConvergenceError(
                 f"quadrature estimate {current} at order {order} is not finite")
-        if previous is not None and abs(current - previous) <= rtol * abs(current) + atol:
+        if previous is not None and abs(current - previous) <= RTOL * abs(current):
             return current, order
         if order > MAX_ORDER // 2:
             return QuadratureConvergenceError(
-                f"quadrature did not converge to rtol={rtol:g} within order {MAX_ORDER}")
+                f"quadrature did not converge to rtol={RTOL:g} within order {MAX_ORDER}")
         previous, order = current, 2 * order
 
 
-def refine_scalar(evaluate, rtol=1e-12, atol=0.0):
+def refine_scalar(evaluate):
     """`refine`, raised: its (value, converged_order), or its error raised."""
-    outcome = refine(evaluate, rtol, atol)
+    outcome = refine(evaluate)
     if isinstance(outcome, QuadratureConvergenceError):
         raise outcome
     return outcome

@@ -30,9 +30,7 @@ from dppln import (
 from conftest import TABLE_SIZES, request_for
 from dppln.design_search import design
 from test_mode_solver import (
-    GaussianStubMode,
-    TRIPLE_GAUSSIAN_OVERLAP,
-    TRIPLE_GAUSSIAN_SIGMA,
+    adaptive_overlap_oracle,
     dense_overlap_oracle,
     dense_rq_oracle,
     random_profiles,
@@ -185,15 +183,10 @@ def test_criterion_6_oracle_suites(design_type0_10):
         checks.append((abs(overlap / overlap_oracle - 1.0) <= 1e-6,
                        f"overlap vs dense grid off by "
                        f"{abs(overlap / overlap_oracle - 1.0):.2e} on profile {index}"))
-
-    from dppln import WaveguideGeometry
-
-    stub_geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    gaussians = [GaussianStubMode(stub_geometry, TRIPLE_GAUSSIAN_SIGMA) for _ in range(3)]
-    triple = field_overlap(*gaussians)
-    checks.append((abs(triple / TRIPLE_GAUSSIAN_OVERLAP - 1.0) <= 1e-9,
-                   f"triple-Gaussian overlap off by "
-                   f"{abs(triple / TRIPLE_GAUSSIAN_OVERLAP - 1.0):.2e}"))
+        adaptive = adaptive_overlap_oracle(*modes)
+        checks.append((abs(overlap / adaptive - 1.0) <= 3e-14,
+                       f"overlap vs adaptive quadrature off by "
+                       f"{abs(overlap / adaptive - 1.0):.2e} on profile {index}"))
 
     pattern = synthesize_poling(
         design_type0_10.period1_um, design_type0_10.period2_um, 1.0

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import request_for
 from dppln import (DEFAULT_INCREMENTS, DEFAULT_MATERIAL, ZELMON_1997, ConfigurationError,
-                   DesignRequest, EffectiveIndexSolver, IndexProfile, Material, Polarization,
-                   Scheme, SpdcProcess, ToolkitError, WaveguideGeometry, coupling_amplitude,
-                   degree_of_entanglement, design, estimate_fwhm_nm, find_best_geometry,
+                   DesignRequest, EffectiveIndexSolver, IndexProfile, Material, ModeSolution,
+                   Polarization, Scheme, SpdcProcess, ToolkitError, WaveguideGeometry,
+                   coupling_amplitude, degree_of_entanglement, design, estimate_fwhm_nm,
+                   field_overlap, find_best_geometry,
                    idler_wavelength, make_process, phase_mismatch, poling_fourier_coefficient,
                    qpm_period, rayleigh_quotient, sinc, solve_mode, spectrum_scan,
                    state_weights_and_entropy, sweep, synthesize_poling)
@@ -41,6 +42,8 @@ def _calls():
     numbers = {name: value for name, value in fields.items() if isinstance(value, float)}
     pattern = synthesize_poling(6.8, 6.9, 0.1)
     solver = EffectiveIndexSolver(DEFAULT_MATERIAL, geometry)
+    pump, signal, idler = (matched.modes[role] for role in ("pump", "signal_1", "idler_1"))
+    mode = {field.name: getattr(signal, field.name) for field in dataclasses.fields(signal)}
 
     def amplitudes(metric):
         return lambda m1, m2: metric(dataclasses.replace(a1, magnitude=m1),
@@ -56,6 +59,9 @@ def _calls():
         "DesignRequest": (partial(DesignRequest, Scheme.TYPE0_EEE, geometry=geometry),
                           dict(pump_nm=519.0, signal1_nm=780.0, signal2_nm=775.0)),
         "SpdcProcess": (partial(SpdcProcess, **fields), numbers),
+        "ModeSolution": (lambda **values: field_overlap(pump, ModeSolution(**{**mode, **values}),
+                                                        idler),
+                         {name: value for name, value in mode.items() if isinstance(value, float)}),
         "solve_mode": (partial(solve_mode, profile, polarization=E), dict(wavelength_nm=780.0)),
         "IndexIncrementTable.increment": (partial(DEFAULT_INCREMENTS.increment, E),
                                           dict(wavelength_nm=780.0)),
@@ -158,6 +164,19 @@ def test_a_wavelength_that_is_not_finite_and_positive_is_a_configuration_error(n
     with pytest.raises(ConfigurationError) as raised:
         call(wavelength_nm=bad)
     assert raised.value.field == "wavelength_nm"
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_a_mode_solution_names_its_bad_number_or_gives_a_finite_overlap(bad):
+    call, numbers = CALLS["ModeSolution"]
+    assert set(numbers) == {"n_eff", "alpha_y", "alpha_z", "wavelength_nm", "y_norm", "z_norm"}
+    for name in numbers:
+        try:
+            overlap = call(**{**numbers, name: bad})
+        except ConfigurationError as error:
+            assert error.field == name, error
+        else:
+            assert math.isfinite(overlap), (name, overlap)
 
 
 def test_the_bad_numbers_reach_every_slot_and_the_refinements_are_counted():

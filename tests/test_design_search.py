@@ -463,7 +463,7 @@ def test_effective_index_never_locks_an_order(monkeypatch):
 
 def test_lock_step_batch_builds_no_one_lane_objective_or_refine_scalar(monkeypatch):
     # a batch solves its lanes without the one-lane Nelder-Mead objective or
-    # refine_scalar, which only rayleigh_quotient and field_overlap call
+    # refine_scalar, which only rayleigh_quotient calls
     request = request_for(Scheme.TYPE2_CROSS, 9.0)
     solver, nm = EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry), _wavelengths(request)
     jobs = [(solver.profile(nm[role], pol), nm[role], pol)

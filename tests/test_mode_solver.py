@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import erf as scipy_erf
 
-from dppln import mode_solver
+from dppln import mode_solver, quadrature
 from dppln import (
     DEFAULT_MATERIAL,
     BoundaryOptimumError,
@@ -36,11 +36,6 @@ from conftest import PUMP_NM, SIGNAL1_NM, SIGNAL2_NM, request_for
 
 E = Polarization.EXTRAORDINARY
 
-# Hand-derived closed form for the overlap of three identical unit-norm
-# isotropic Gaussians of width sigma: I = 2 / (3 sqrt(pi) sigma).
-TRIPLE_GAUSSIAN_SIGMA = 1.25
-TRIPLE_GAUSSIAN_OVERLAP = 0.30090111122547002
-
 
 def dense_rq_oracle(profile, wavelength_nm, alpha_y, alpha_z, n=2001):
     """High-resolution trapezoid evaluation of the Rayleigh quotient."""
@@ -62,6 +57,23 @@ def dense_rq_oracle(profile, wavelength_nm, alpha_y, alpha_z, n=2001):
     numerator = np.trapezoid(np.trapezoid(k0**2 * n_sq * E2 - grad2, z, axis=1), y)
     denominator = k0**2 * np.trapezoid(np.trapezoid(E2, z, axis=1), y)
     return numerator / denominator
+
+
+def adaptive_overlap_oracle(a, b, c):
+    """The triple-field overlap by adaptive direct quadrature: the product of
+    the normalised fields on the panel nodes, its Gauss order doubling until
+    two estimates agree to 1e-11 relative plus 1e-16 absolute."""
+    geometry = a.profile.geometry
+    previous, order = None, quadrature.START_ORDER
+    while order <= quadrature.MAX_ORDER:
+        y, wy = quadrature.panel_nodes(mode_solver._y_edges(geometry.width_um), order)
+        z, wz = quadrature.panel_nodes(mode_solver._z_edges(geometry.depth_um), order)
+        current = (wy.dot(a.y_factor(y) * b.y_factor(y) * c.y_factor(y))
+                   * wz.dot(a.z_factor(z) * b.z_factor(z) * c.z_factor(z)))
+        if previous is not None and abs(current - previous) <= 1e-11 * abs(current) + 1e-16:
+            return float(current)
+        previous, order = current, 2 * order
+    raise AssertionError("the adaptive overlap did not converge")
 
 
 def dense_overlap_oracle(a, b, c, n=2001):
@@ -91,27 +103,6 @@ def random_profiles(count, seed=20240811):
             )
         )
     return profiles
-
-
-class GaussianStubMode:
-    """Separable unit-norm Gaussian field standing in for a ModeSolution."""
-
-    def __init__(self, geometry, sigma, y_center=0.0, z_center=None):
-        self.profile = IndexProfile(geometry, 2.2, 0.003)
-        self.sigma = sigma
-        self.y_center = y_center
-        self.z_center = 4.0 * geometry.depth_um if z_center is None else z_center
-
-    def _norm(self):
-        return (np.pi * self.sigma**2) ** 0.25
-
-    def y_factor(self, y):
-        u = np.asarray(y, dtype=float) - self.y_center
-        return np.exp(-(u**2) / (2.0 * self.sigma**2)) / self._norm()
-
-    def z_factor(self, z):
-        u = np.asarray(z, dtype=float) - self.z_center
-        return np.exp(-(u**2) / (2.0 * self.sigma**2)) / self._norm()
 
 
 @pytest.fixture(scope="module")
@@ -335,11 +326,17 @@ def test_boundary_error_names_coordinate_and_edge(size_um, wave, edge):
         design(request)
 
 
-def test_field_overlap_matches_closed_form_triple_gaussian():
-    geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    modes = [GaussianStubMode(geometry, TRIPLE_GAUSSIAN_SIGMA) for _ in range(3)]
-    value = field_overlap(*modes)
-    assert value == pytest.approx(TRIPLE_GAUSSIAN_OVERLAP, rel=1e-9)
+def test_field_overlap_matches_the_adaptive_quadrature(design_type0_10, design_type2_65):
+    # the closed form against the adaptive direct quadrature it replaced, on
+    # the pump/signal/idler trios of both shipped configs and of random profiles
+    trios = [(d.modes["pump"], d.modes[s], d.modes[i]) for d in (design_type0_10, design_type2_65)
+             for s, i in (("signal_1", "idler_1"), ("signal_2", "idler_2"))]
+    idler = idler_wavelength(PUMP_NM, SIGNAL1_NM)
+    trios += [tuple(solve_mode(profile, nm, E) for nm in (PUMP_NM, SIGNAL1_NM, idler))
+              for profile in random_profiles(5)]
+    for trio in trios:
+        assert field_overlap(*trio) == pytest.approx(adaptive_overlap_oracle(*trio),
+                                                     rel=3e-14, abs=0.0)
 
 
 def test_field_overlap_permutation_symmetric(design_type0_10):
@@ -350,17 +347,9 @@ def test_field_overlap_permutation_symmetric(design_type0_10):
         assert field_overlap(*trio) == pytest.approx(reference, rel=1e-12)
 
 
-def test_field_overlap_vanishes_for_displaced_field():
-    geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    near = GaussianStubMode(geometry, 1.0)
-    far = GaussianStubMode(geometry, 1.0, y_center=40.0)
-    value = field_overlap(near, near, far)
-    assert abs(value) < 1e-12
-
-
 def test_field_overlap_requires_common_geometry():
-    a = GaussianStubMode(WaveguideGeometry(10.0, 10.0, 1.0), 1.0)
-    b = GaussianStubMode(WaveguideGeometry(12.0, 12.0, 1.0), 1.0)
+    a, b = (solve_mode(IndexProfile(WaveguideGeometry(size, size, 1.0), 2.2, 0.003), 780.0, E)
+            for size in (10.0, 12.0))
     with pytest.raises(ConsistencyError):
         field_overlap(a, a, b)
 
@@ -799,22 +788,6 @@ def test_mirrored_objective_is_bit_identical_to_the_full_node_kernel(count):
             alphas[rng.random(size=(count, 2)) < 0.3] = rng.choice(special)
             points = [tuple(point) for point in alphas.tolist()]
             assert mirrored(points) == full(points), (order, points)
-
-
-def test_field_overlap_is_bit_identical_to_matmul_oracle(design_type0_10):
-    modes = design_type0_10.modes
-    trio = (modes["pump"], modes["signal_2"], modes["idler_2"])
-    geometry = trio[0].profile.geometry
-
-    def evaluate(order):
-        y, wy = mode_solver.panel_nodes(mode_solver._y_edges(geometry.width_um), order)
-        z, wz = mode_solver.panel_nodes(mode_solver._z_edges(geometry.depth_um), order)
-        iy = wy @ (trio[0].y_factor(y) * trio[1].y_factor(y) * trio[2].y_factor(y))
-        iz = wz @ (trio[0].z_factor(z) * trio[1].z_factor(z) * trio[2].z_factor(z))
-        return iy * iz
-
-    value, _ = mode_solver.refine_scalar(evaluate, rtol=1e-11, atol=1e-16)
-    assert field_overlap(*trio) == float(value)
 
 
 def test_solve_mode_threads_sharing_a_quadrature_match_serial():

@@ -252,6 +252,42 @@ def test_entropy_monotone_in_gamma():
     assert entropies[-1] == 1.0
 
 
+def reduced_signal_eigenvalues(a1, a2):
+    """Eigenvalues, ascending, of the signal's reduced density matrix of the
+    normalised state C1|s1,i1> + C2|s2,i2> in the 2x2 frequency-bin product
+    space, basis |s_j, i_k> at index 2 j + k."""
+    state = np.array([a1.complex_value(), 0.0, 0.0, a2.complex_value()])
+    state /= np.linalg.norm(state)
+    rho = np.outer(state, state.conj()).reshape(2, 2, 2, 2)
+    return np.linalg.eigvalsh(np.einsum("ikjk->ij", rho))
+
+
+def test_weights_entropy_and_gamma_are_those_of_the_two_pair_state(design_type0_10,
+                                                                    design_type2_65):
+    # the maximally entangled state, both shipped designs and seeded random
+    # pairs with phases: eigenvalues of the traced-out state against the weights,
+    # their entropy and sqrt(lambda_min / lambda_max) against gamma
+    equal = synthetic_amplitude(0.7)
+    pairs = [(equal, equal)]
+    rng = np.random.default_rng(4747)
+    process = synthetic_process()
+    for overlap_1, overlap_2, dk_1, dk_2 in rng.uniform(-1.0, 1.0, size=(20, 4)).tolist():
+        pairs.append((coupling_amplitude(process, overlap_1, 300.0 * dk_1, 1.0),
+                      coupling_amplitude(process, overlap_2, 300.0 * dk_2, 1.0)))
+    cases = [(a1, a2, state_weights_and_entropy(a1, a2)[1], degree_of_entanglement(a1, a2))
+             for a1, a2 in pairs]
+    cases += [(d.amplitude_1, d.amplitude_2, d.entropy_bits, d.gamma)
+              for d in (design_type0_10, design_type2_65)]
+    assert cases[0][2:] == (1.0, 1.0)
+    for a1, a2, entropy, gamma in cases:
+        low, high = reduced_signal_eigenvalues(a1, a2)
+        weights, _ = state_weights_and_entropy(a1, a2)
+        assert sorted(weights) == pytest.approx([low, high], rel=0.0, abs=1e-12)
+        oracle = -sum(p * math.log2(p) for p in (low, high) if p > 0.0)
+        assert entropy == pytest.approx(oracle, rel=0.0, abs=1e-12)
+        assert gamma == pytest.approx(math.sqrt(low / high), rel=0.0, abs=1e-12)
+
+
 def test_spectrum_center_gain_and_symmetry(design_type0_10):
     process = design_type0_10.process_1
     spectrum = spectrum_scan(process, "signal", 6.0, 1001, 1.0)

@@ -54,12 +54,12 @@ TOLERANCES = {
     "alpha_z": 0.0,
     "period": 0.0,
     "fwhm": 0.0,
-    "y_norm": 1e-14,
-    "z_norm": 1e-14,
-    "overlap": 1e-14,
-    "gamma": 1e-14,
-    "scan_fwhm": 1e-12,
-    "scan_gain": 1e-11,
+    "y_norm": 0.0,
+    "z_norm": 0.0,
+    "overlap": 0.0,
+    "gamma": 0.0,
+    "scan_fwhm": 0.0,
+    "scan_gain": 0.0,
     "design_gain": 0.0,
     "search_geometry": 0.0,
     "search_gamma": 0.0,
