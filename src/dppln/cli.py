@@ -2,8 +2,10 @@
 
 Subcommands: index, design, sweep, spectrum, poling.  Every command reads a
 YAML config (see `config`) and builds a payload; `main` writes it either as a
-human-readable report (text) or as machine-readable JSON (records).  Output
-is fully deterministic: the same config produces byte-identical output.
+human-readable report (text) or as machine-readable JSON (records).  The
+config says what to compute; the command line says only how to run it:
+`--format`, `--out` and, for `sweep`, `--parallel`.  Output is fully
+deterministic: the same config produces byte-identical output.
 Exit codes: 0 success, 2 configuration error, 3 physics error.
 """
 
@@ -13,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, csv_numbers, integer, load_config
+from .config import RunConfig, integer, load_config
 from .design_search import ROLES, EffectiveIndexSolver, design, phase_match, solve_modes, sweep
 from .errors import ConfigurationError, PhysicsError
 from .spdc import spectrum_scan, synthesize_poling
@@ -115,22 +117,22 @@ def text_design(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
+# sweep() field at fault -> the config fields it came from
+_SWEEP_FIELDS = {"depths_um": "sweep.depths_um", "widths_um": "sweep.widths_um",
+                 "pairing": "sweep.depths_um, sweep.widths_um"}
+
+
 def cmd_sweep(config: RunConfig, args) -> dict:
     template = config.request()
     block = config.require_sweep()
-    depths = block.depths_um if args.depths is None else csv_numbers("--depths", args.depths)
-    widths = block.widths_um if args.widths is None else csv_numbers("--widths", args.widths)
     workers = None if args.parallel is None else integer("--parallel", args.parallel, 1)
-    lists = {"depths_um": "sweep.depths_um" if args.depths is None else "--depths",
-             "widths_um": "sweep.widths_um" if args.widths is None else "--widths"}
-    lists["pairing"] = ", ".join(lists.values())
     try:
-        result = sweep(template, depths, widths, material=config.material,
+        result = sweep(template, block.depths_um, block.widths_um, material=config.material,
                        pairing=block.pairing, max_workers=workers)
     except ConfigurationError as error:
-        if error.field not in lists:
+        if error.field not in _SWEEP_FIELDS:
             raise
-        raise ConfigurationError(f"{lists[error.field]}: {error}") from None
+        raise ConfigurationError(f"{_SWEEP_FIELDS[error.field]}: {error}") from None
     rows = [
         dict(
             depth_um=row.depth_um,
@@ -233,14 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the YAML run config")
-        cmd.add_argument("--out", default=None, help="write output to this file")
-        cmd.add_argument("--format", choices=("text", "records"), default=None,
-                         help="override the output block's format")
+        cmd.add_argument("--out", default=None, help="write output to this file, not stdout")
+        cmd.add_argument("--format", choices=("text", "records"), default="text",
+                         help="text report or 9-significant-digit JSON records")
         if name == "sweep":
-            cmd.add_argument("--depths", default=None,
-                             help="comma-separated depths in um (overrides config)")
-            cmd.add_argument("--widths", default=None,
-                             help="comma-separated widths in um (overrides config)")
             cmd.add_argument("--parallel", type=int, default=None,
                              help="number of worker processes")
     return parser
@@ -251,17 +249,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     build, render, _ = _COMMANDS[args.command]
     try:
-        config = load_config(args.config)
-        fmt = args.format or config.output.format
-        out_path = args.out or config.output.path
-        payload = build(config, args)
-        if fmt == "records":
+        payload = build(load_config(args.config), args)
+        if args.format == "records":
             content = json.dumps(_machine(payload), indent=2) + "\n"
         else:
             content = render(payload)
-        if out_path:
+        if args.out:
             try:
-                with open(out_path, "w", encoding="utf-8") as handle:
+                with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(content)
             except OSError as error:
                 raise ConfigurationError(f"cannot write output file: {error}")

@@ -1,15 +1,16 @@
 """Run configuration: a single YAML file with material / geometry / process /
-scan / sweep / output blocks.
+scan / sweep blocks.
 
+The config says what to compute; how to run it is the command line's.
 Wavelengths are nm, transverse sizes um, interaction lengths cm, indices
 dimensionless.  Only the blocks a subcommand needs must be present; missing
-blocks are reported by name.
+blocks are reported by name, unknown fields as such.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -23,12 +24,11 @@ from .dispersion import (
     Polarization,
     SellmeierModel,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, real
 from .mode_solver import WaveguideGeometry
 from .spdc import SCAN_SAMPLES
 
 _SCAN_AXES = ("signal_1", "idler_1", "signal_2", "idler_2")
-_FORMATS = ("text", "records")
 _SELLMEIER_SETS = tuple(sorted(SELLMEIER_MODELS))
 
 
@@ -48,12 +48,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    format: str = "text"
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     material: Material = DEFAULT_MATERIAL
     geometry: WaveguideGeometry | None = None
@@ -63,7 +57,6 @@ class RunConfig:
     signal2_nm: float | None = None
     scan: ScanConfig | None = None
     sweep: SweepConfig | None = None
-    output: OutputConfig = field(default_factory=OutputConfig)
 
     def request(self) -> DesignRequest:
         """DesignRequest from the geometry and process blocks."""
@@ -102,7 +95,8 @@ def _block(data, name, known):
 
 
 def _finite(value):
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(real(value)))
 
 
 def _number(block, mapping, key, minimum=None, default=None):
@@ -145,15 +139,6 @@ def integer(field, value, low, high=None):
     return value
 
 
-def csv_numbers(flag, text):
-    """A comma-separated list from the command line, read like a config list."""
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError:
-        raise ConfigurationError(f"{flag}: expected comma-separated numbers, got {text!r}")
-    return _numbers(flag, values)
-
-
 def _pairs(field, rows, layout):
     """A list of two-number rows as a tuple of float pairs; `layout` names the
     expected row shape in the error."""
@@ -187,19 +172,11 @@ def _increment_table(data) -> IndexIncrementTable:
 
 
 def _sellmeier(material) -> SellmeierModel:
-    """The named or custom Sellmeier set of the material block, at its
-    temperature."""
+    """The named or custom Sellmeier set of the material block."""
     if not isinstance(material.get("sellmeier"), dict):
-        model = SELLMEIER_MODELS[
+        return SELLMEIER_MODELS[
             _choice("material", material, "sellmeier", _SELLMEIER_SETS, "zelmon1997")
         ]
-        temperature = _number("material", material, "temperature_c", default=model.temperature_c)
-        if temperature != model.temperature_c:
-            raise ConfigurationError(
-                f"material.temperature_c: set '{model.name}' is tabulated at "
-                f"{model.temperature_c:g} C, not {temperature:g} C"
-            )
-        return model
     mapping = _block(material["sellmeier"], "material.sellmeier",
                      ("name", "ordinary", "extraordinary", "valid_range_nm"))
     terms = {}
@@ -211,7 +188,6 @@ def _sellmeier(material) -> SellmeierModel:
     return _field_error(
         "material.sellmeier", SellmeierModel,
         name=str(mapping.get("name", "material.sellmeier")),
-        temperature_c=_number("material", material, "temperature_c", default=25.0),
         valid_range_nm=_numbers("material.sellmeier.valid_range_nm",
                                 mapping.get("valid_range_nm", [400.0, 5000.0])),
         terms=terms,
@@ -219,7 +195,7 @@ def _sellmeier(material) -> SellmeierModel:
 
 
 def _material(data) -> Material:
-    data = _block(data, "material", ("sellmeier", "temperature_c", "index_increments", "profile"))
+    data = _block(data, "material", ("sellmeier", "index_increments", "profile"))
     increments = DEFAULT_INCREMENTS
     if "index_increments" in data:
         increments = _increment_table(data["index_increments"])
@@ -267,17 +243,9 @@ def _sweep(data) -> SweepConfig:
     )
 
 
-def _output(data) -> OutputConfig:
-    data = _block(data, "output", ("format", "path"))
-    path = data.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ConfigurationError(f"output.path: expected a string, got {path!r}")
-    return OutputConfig(format=_choice("output", data, "format", _FORMATS, "text"), path=path)
-
-
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed YAML mapping into a RunConfig."""
-    data = _block(data, "config", ("material", "geometry", "process", "scan", "sweep", "output"))
+    data = _block(data, "config", ("material", "geometry", "process", "scan", "sweep"))
 
     material = _material(data["material"]) if "material" in data else DEFAULT_MATERIAL
     geometry = _geometry(data["geometry"]) if "geometry" in data else None
@@ -300,7 +268,6 @@ def parse_config(data: dict) -> RunConfig:
         signal2_nm=s2,
         scan=_scan(data["scan"]) if "scan" in data else None,
         sweep=_sweep(data["sweep"]) if "sweep" in data else None,
-        output=_output(data["output"]) if "output" in data else OutputConfig(),
     )
 
 
@@ -318,6 +285,10 @@ def load_config(path: str) -> RunConfig:
         mark = getattr(error, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigurationError(f"YAML parse error{where}: {error}")
+    except RecursionError:
+        raise ConfigurationError("YAML parse error: the config nests too deeply")
+    except ValueError as error:  # a scalar Python cannot hold, e.g. an int of 5000 digits
+        raise ConfigurationError(f"YAML parse error: {error}")
     if data is None:
         raise ConfigurationError("config file is empty")
     return parse_config(data)

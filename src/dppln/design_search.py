@@ -15,7 +15,7 @@ import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import (ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError,
-                     require_positive)
+                     real, require_positive)
 from .mode_solver import (MAX_LENGTH_CM, SIZE_RANGE_UM, IndexProfile, ModeSolution,
                           WaveguideGeometry, effective_index, field_overlap, solve_lanes,
                           solve_mode)
@@ -387,8 +387,8 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
     lo, hi = bounds_um
     low, high = SIZE_RANGE_UM
     if not low <= lo <= hi <= high:  # checked before any design is solved
-        raise ConfigurationError(f"bounds ({lo:g}, {hi:g}) um must satisfy {low:g} <= lo <= hi "
-                                 f"<= {high:g} um", "bounds_um")
+        raise ConfigurationError(f"bounds ({real(lo):g}, {real(hi):g}) um must satisfy "
+                                 f"{low:g} <= lo <= hi <= {high:g} um", "bounds_um")
     # (depth, width) rounded -> (gamma, phase-matched design); a failure scores -inf
     scored: dict[tuple[float, float], tuple[float, DualPolingDesign | None]] = {}
 
@@ -412,9 +412,8 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
         raise NoFeasibleDesignError("no geometry in the search grid produced a design")
     depth = best().request.geometry.depth_um
     width = _golden_section(lambda w: score((depth, w)), lo, hi, SEARCH_TOL_UM)
-    depth = _golden_section(lambda d: score((d, width)), lo, hi, SEARCH_TOL_UM)
-    score((depth, width))
-    # the refined point competes against every evaluated candidate, so a
-    # boundary optimum is never lost to the golden-section interior
+    _golden_section(lambda d: score((d, width)), lo, hi, SEARCH_TOL_UM)
+    # each golden section scores every point it may return, and the best of all
+    # scored points wins, so a boundary optimum is never lost to the interior
     result = design_spectra(best())
     return result.request.geometry, result

@@ -8,10 +8,10 @@ Conventions
 
 The default Sellmeier coefficients are the congruent-melt values of
 Zelmon, Small and Jundt, J. Opt. Soc. Am. B 14, 3319 (1997), measured at
-21 C and commonly applied at room temperature (here tagged 25 C); they are
-valid from 0.4 to 5.0 um.  Alternative coefficient sets can be registered
-and selected through the run configuration, which also carries the
-temperature tag of the set.
+21 C and commonly applied at room temperature; they are valid from 0.4 to
+5.0 um.  A set carries no temperature: it is used as tabulated.  Alternative
+coefficient sets can be registered, or written out in the run
+configuration.
 
 The titanium-indiffusion surface increments for extraordinary polarization
 are tabulated at the five operating wavelengths of the dual-poling designs.
@@ -51,7 +51,6 @@ class SellmeierModel:
     """Three-pole Sellmeier expansion per polarization for a uniaxial crystal."""
 
     name: str
-    temperature_c: float
     valid_range_nm: tuple[float, float]
     terms: Mapping[Polarization, SellmeierTerms]
 
@@ -86,7 +85,6 @@ class SellmeierModel:
 
 ZELMON_1997 = SellmeierModel(
     name="zelmon1997",
-    temperature_c=25.0,
     valid_range_nm=(400.0, 5000.0),
     terms={
         Polarization.ORDINARY: ((2.6734, 0.01764), (1.2290, 0.05914), (12.614, 474.60)),

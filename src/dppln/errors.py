@@ -24,13 +24,31 @@ class ConfigurationError(ToolkitError):
         self.field = field
 
 
+def real(value):
+    """`value` read as a float, or a list or array of numbers as a float array;
+    an integer too large for a float reads as +-inf, never an OverflowError.
+    Every check of a number in this package reads it through here."""
+    if isinstance(value, (np.ndarray, list, tuple)):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:  # read element by element
+            return np.vectorize(real, otypes=[float])(np.asarray(value, dtype=object))
+    if isinstance(value, (str, bytes)):  # float() would parse it
+        raise TypeError(f"expected a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # only an integer overflows
+        return math.inf if value > 0 else -math.inf
+
+
 def require_positive(**values):
     """Raise a ConfigurationError naming the first value that is not finite
     and positive; a list or array value is checked element by element."""
     for name, value in values.items():
-        if isinstance(value, (np.ndarray, list, tuple)):  # its first bad element, or a pass
-            array = np.ravel(value).astype(float)
-            value = next(iter(array[~(np.isfinite(array) & (array > 0.0))].tolist()), 1.0)
+        value = real(value)
+        if isinstance(value, np.ndarray):  # its first bad element, or a pass
+            value = np.ravel(value)
+            value = next(iter(value[~(np.isfinite(value) & (value > 0.0))].tolist()), 1.0)
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigurationError(f"{name} must be finite and positive, got {float(value)!r}",
                                      name)
@@ -41,6 +59,7 @@ def require_within(name, value, bounds, unit="", field=None):
     is outside the closed range `bounds` = (low, high) or is NaN; a pure
     number has no `unit`."""
     low, high = bounds
+    value = real(value)
     if not low <= value <= high:
         unit = f" {unit}" if unit else ""
         raise ConfigurationError(f"{name} {value:g}{unit} outside the supported range "
@@ -51,7 +70,7 @@ def require_finite(**values):
     """Raise a ConfigurationError naming the first value that is not finite; a
     list or array value is checked element by element."""
     for name, value in values.items():
-        bad = np.ravel(value).astype(float)
+        bad = np.ravel(real(value))
         bad = bad[~np.isfinite(bad)]
         if bad.size:
             raise ConfigurationError(f"{name} must be finite, got {float(bad[0])!r}", name)

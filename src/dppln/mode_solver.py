@@ -52,6 +52,7 @@ from .errors import (
     ConsistencyError,
     NoGuidedModeError,
     PhysicsError,
+    real,
     require_positive,
     require_within,
 )
@@ -107,9 +108,10 @@ class WaveguideGeometry:
     length_cm: float
 
     def __post_init__(self):
-        if not (0.0 < self.length_cm <= MAX_LENGTH_CM):
+        length = real(self.length_cm)
+        if not (0.0 < length <= MAX_LENGTH_CM):
             raise ConfigurationError(
-                f"length {self.length_cm:g} cm outside the supported range (0, "
+                f"length {length:g} cm outside the supported range (0, "
                 f"{MAX_LENGTH_CM:g}] cm",
                 "length_cm",
             )
@@ -128,7 +130,7 @@ class IndexProfile:
     depth_scale: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.bulk_index) and self.bulk_index >= 1.0):
+        if not (math.isfinite(real(self.bulk_index)) and self.bulk_index >= 1.0):
             raise ConfigurationError(
                 f"bulk_index must be finite and at least 1, got {self.bulk_index!r}", "bulk_index")
         require_positive(increment=self.increment, lateral_scale=self.lateral_scale,

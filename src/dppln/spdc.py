@@ -24,6 +24,7 @@ from .errors import (
     DownConversionError,
     PhaseMatchingError,
     SpanTooNarrowError,
+    real,
     require_finite,
     require_positive,
     require_within,
@@ -49,7 +50,7 @@ SCAN_SAMPLES = (101, 1_000_000)
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalised convention); x must be finite."""
-    x = np.asarray(x, dtype=float)
+    x = real(x)
     require_finite(x=x)
     return np.sinc(x / np.pi)
 
@@ -144,7 +145,7 @@ def phase_mismatch(process: SpdcProcess, signal_nm, index_provider=None):
     is re-evaluated through `index_provider(wavelength_nm, pol)`, one call
     per wavelength.  Zero at the design point by construction of the period.
     """
-    signal_nm = np.asarray(signal_nm, dtype=float)
+    signal_nm = np.asarray(real(signal_nm))
     idler_nm = idler_wavelength(process.pump_nm, signal_nm)
     if index_provider is None:
         n_signal, n_idler = process.n_signal, process.n_idler
@@ -203,7 +204,7 @@ def _magnitudes(a1: CouplingAmplitude, a2: CouplingAmplitude):
     a magnitude that is not finite and non-negative is a ConfigurationError
     naming its amplitude, and two vanishing ones an AmplitudeUndefinedError."""
     for name, m in (("a1", a1.magnitude), ("a2", a2.magnitude)):
-        if not (math.isfinite(m) and m >= 0.0):
+        if not (math.isfinite(real(m)) and m >= 0.0):
             raise ConfigurationError(f"{name}.magnitude must be finite and non-negative, "
                                      f"got {m!r}", name)
     if a1.magnitude == 0.0 and a2.magnitude == 0.0:

@@ -1,8 +1,9 @@
 """The library boundary under bad numbers: each float argument of the public
 functions of `dppln`, of the classes that carry their inputs and of the
 wavelength methods of the dispersion tables and `EffectiveIndexSolver`, set in
-turn to nan, +-inf, 0, -1, 1e300 or 1e-300, gives a finite result or a
-ToolkitError, and no quadrature refinement evaluates an order above 384."""
+turn to nan, +-inf, 0, -1, 1e300, 1e-300 or an integer too large for a float
+(+-10**400), gives a finite result or a ToolkitError, and no quadrature
+refinement evaluates an order above 384."""
 
 import dataclasses
 import math
@@ -24,7 +25,7 @@ from dppln import (DEFAULT_INCREMENTS, DEFAULT_MATERIAL, ZELMON_1997, Configurat
                    state_weights_and_entropy, sweep, synthesize_poling)
 from dppln import mode_solver, quadrature
 
-BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300)
+BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400, -10**400)
 # The highest Gauss order a refinement may evaluate on any of these inputs.
 MAX_REFINED_ORDER = 384
 
@@ -180,7 +181,7 @@ def test_a_mode_solution_names_its_bad_number_or_gives_a_finite_overlap(bad):
 
 
 def test_the_bad_numbers_reach_every_slot_and_the_refinements_are_counted():
-    # Hypothesis exhausts the seven values, and the counter sees the orders
+    # Hypothesis exhausts the nine values, and the counter sees the orders
     # of a solve: the order lock and the final refinement, both locking at 96
     seen = set()
 

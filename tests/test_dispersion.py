@@ -36,7 +36,7 @@ def test_sellmeier_matches_independent_evaluation():
     ids=["negative", "pole", "overflow", "below-one"],
 )
 def test_sellmeier_rejects_nonpositive_or_infinite_square(terms, wavelength_nm, shown):
-    model = SellmeierModel("bad", 25.0, (400.0, 5000.0), {E: terms})
+    model = SellmeierModel("bad", (400.0, 5000.0), {E: terms})
     with pytest.raises(ConfigurationError) as caught:
         model.index(E, wavelength_nm)
     message = str(caught.value)
@@ -74,7 +74,7 @@ def test_sellmeier_model_checks_its_valid_range(valid):
     # before, such a model was built and then refused every wavelength
     with pytest.raises(ConfigurationError, match=r"^expected \[low_nm, high_nm\] with low < "
                                                  r"high, got \(") as raised:
-        SellmeierModel("x", 25.0, valid, ZELMON_1997.terms)
+        SellmeierModel("x", valid, ZELMON_1997.terms)
     assert raised.value.field == "valid_range_nm"
 
 

@@ -1,23 +1,35 @@
-"""The names the benchmark's tracer patches exist on the real modules.
+"""The surface of dppln the benchmark calls exists on the real modules.
 
 `perfbench/tracing.py` replaces attributes of dppln's modules by name for the
-duration of a traced request; a rename in `src/` would break the benchmark
-without failing any other test.  This loads the tracer by file path, as the
-benchmark does, and checks each of its targets.
+duration of a traced request, and the workloads call the CLI and the library
+with fixed flags and keywords; a rename or deletion in `src/` would break the
+benchmark without failing any other test.  This loads the benchmark's modules
+by file path, as the benchmark does, and checks each of its targets.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 from dppln import cli, design_search, dispersion, mode_solver, quadrature, spdc
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+INPUTS = _load("inputs")
 
 
 def test_every_patched_name_is_an_own_attribute_of_its_owner():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     modules = dict(mode_solver=mode_solver, design_search=design_search, spdc=spdc,
                    dispersion=dispersion, cli=cli, quadrature=quadrature)
     table = tracing.patches(tracing.Tracer(), modules)
@@ -25,3 +37,24 @@ def test_every_patched_name_is_an_own_attribute_of_its_owner():
     for owner, attr, _ in table:
         assert attr in owner.__dict__, (owner, attr)
     assert callable(quadrature.panel_nodes.cache_info)
+
+
+@pytest.mark.parametrize("command", INPUTS.CLI_COMMANDS)
+@pytest.mark.parametrize("fmt", INPUTS.CLI_FORMATS)
+def test_the_parser_takes_the_benchmark_cli_call(command, fmt):
+    # the flags of the cli workload, the selftest and the reference writer
+    args = cli.build_parser().parse_args(
+        [command, "--config", INPUTS.CONFIGS[0], "--format", fmt, "--out", "out.txt"])
+    assert (args.command, args.config, args.format, args.out) == (
+        command, INPUTS.CONFIGS[0], fmt, "out.txt")
+
+
+@pytest.mark.parametrize("function, keywords", [
+    (design_search.sweep, ("max_workers",)),
+    (spdc.spectrum_scan, ("index_provider", "index_model")),
+])
+def test_the_library_takes_the_benchmark_keywords(function, keywords):
+    parameters = inspect.signature(function).parameters
+    for keyword in keywords:
+        assert parameters[keyword].kind in (inspect.Parameter.KEYWORD_ONLY,
+                                            inspect.Parameter.POSITIONAL_OR_KEYWORD), keyword
