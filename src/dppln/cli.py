@@ -15,9 +15,9 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, integer, load_config
+from .config import RunConfig, load_config
 from .design_search import ROLES, EffectiveIndexSolver, design, phase_match, solve_modes, sweep
-from .errors import ConfigurationError, PhysicsError
+from .errors import ConfigurationError, PhysicsError, require_integer
 from .spdc import spectrum_scan, synthesize_poling
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ _SWEEP_FIELDS = {"depths_um": "sweep.depths_um", "widths_um": "sweep.widths_um",
 def cmd_sweep(config: RunConfig, args) -> dict:
     template = config.request()
     block = config.require_sweep()
-    workers = None if args.parallel is None else integer("--parallel", args.parallel, 1)
+    workers = None if args.parallel is None else require_integer("--parallel", args.parallel, 1)
     try:
         result = sweep(template, block.depths_um, block.widths_um, material=config.material,
                        pairing=block.pairing, max_workers=workers)

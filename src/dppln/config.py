@@ -24,7 +24,7 @@ from .dispersion import (
     Polarization,
     SellmeierModel,
 )
-from .errors import ConfigurationError, real
+from .errors import ConfigurationError, real, require_integer
 from .mode_solver import WaveguideGeometry
 from .spdc import SCAN_SAMPLES
 
@@ -130,15 +130,6 @@ def _choice(block, mapping, key, allowed, default):
     return value
 
 
-def integer(field, value, low, high=None):
-    """An integer in [low, high], or at least `low` when `high` is None."""
-    if (not isinstance(value, int) or isinstance(value, bool) or value < low
-            or (high is not None and value > high)):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigurationError(f"{field}: expected an integer {bounds}, got {value!r}")
-    return value
-
-
 def _pairs(field, rows, layout):
     """A list of two-number rows as a tuple of float pairs; `layout` names the
     expected row shape in the error."""
@@ -225,7 +216,7 @@ def _scan(data) -> ScanConfig:
     return ScanConfig(
         axis=_choice("scan", data, "axis", _SCAN_AXES, None),
         span_nm=_number("scan", data, "span_nm", minimum=0.0),
-        samples=integer("scan.samples", data.get("samples", 1001), *SCAN_SAMPLES),
+        samples=require_integer("scan.samples", data.get("samples", 1001), *SCAN_SAMPLES),
         index_model=_choice("scan", data, "index_model", ("design-point", "dispersive"),
                             "design-point"),
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import (ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError,
-                     real, require_positive)
+                     real, require_integer, require_positive)
 from .mode_solver import (MAX_LENGTH_CM, SIZE_RANGE_UM, IndexProfile, ModeSolution,
                           WaveguideGeometry, effective_index, field_overlap, solve_lanes,
                           solve_mode)
@@ -305,16 +305,16 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     """One `phase_match` per geometry; row failures are recorded, not raised.
 
     `pairing` "product" crosses the two lists (row-major: depth outer);
-    "zip" pairs them element-wise.  A list, pairing or `max_workers` below 1
-    raises a `ConfigurationError` that names its parameter in `field`.  Rows are returned in input
-    order; with `max_workers` > 1 they are computed in parallel processes, at
-    most one per row and per CPU.  The rows' modes are solved in contiguous
+    "zip" pairs them element-wise.  A bad list or pairing, or a `max_workers`
+    that is not an integer of at least 1, raises a `ConfigurationError` that
+    names its parameter in `field`.  Rows are returned in input order; with
+    `max_workers` > 1 they are computed in parallel processes, at most one
+    per row and per CPU.  The rows' modes are solved in contiguous
     batches of at most SWEEP_BATCH_ROWS rows; a row's numbers do not depend
     on its batch, so the rows do not depend on `max_workers`.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ConfigurationError(f"max_workers must be at least 1, got {max_workers}",
-                                 "max_workers")
+    if max_workers is not None:
+        require_integer("max_workers", max_workers, 1)
     depths = list(depths_um)
     widths = list(widths_um)
     if not depths or not widths:

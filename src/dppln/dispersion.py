@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, WavelengthRangeError, require_positive
+from .errors import ConfigurationError, WavelengthRangeError, real, require_positive
 
 
 class Polarization(Enum):
@@ -48,17 +48,23 @@ SellmeierTerms = tuple[tuple[float, float], ...]
 
 @dataclass(frozen=True)
 class SellmeierModel:
-    """Three-pole Sellmeier expansion per polarization for a uniaxial crystal."""
+    """Three-pole Sellmeier expansion per polarization for a uniaxial crystal.
+    The range and every term must be finite, or a ConfigurationError names
+    `valid_range_nm` or `terms`."""
 
     name: str
     valid_range_nm: tuple[float, float]
     terms: Mapping[Polarization, SellmeierTerms]
 
     def __post_init__(self):
-        valid = self.valid_range_nm
-        if not (len(valid) == 2 and all(map(math.isfinite, valid)) and valid[0] < valid[1]):
-            raise ConfigurationError(
-                f"expected [low_nm, high_nm] with low < high, got {valid!r}", "valid_range_nm")
+        valid = real(tuple(self.valid_range_nm))
+        if not (valid.shape == (2,) and np.isfinite(valid).all() and valid[0] < valid[1]):
+            raise ConfigurationError(f"expected [low_nm, high_nm] with low < high, got "
+                                     f"{tuple(valid.tolist())!r}", "valid_range_nm")
+        for pol, terms in self.terms.items():
+            if not all(len(term) == 2 and np.isfinite(real(term)).all() for term in terms):
+                raise ConfigurationError(f"{pol} terms of Sellmeier set '{self.name}' must be "
+                                         f"pairs of finite numbers (B, C_um2)", "terms")
 
     def index(self, pol: Polarization, wavelength_nm: float) -> float:
         require_positive(wavelength_nm=wavelength_nm)
@@ -68,6 +74,9 @@ class SellmeierModel:
                 f"{wavelength_nm:g} nm outside the valid range "
                 f"[{lo:g}, {hi:g}] nm of Sellmeier set '{self.name}'"
             )
+        if pol not in self.terms:
+            raise ConfigurationError(
+                f"Sellmeier set '{self.name}' has no terms for {pol} polarization", pol.value)
         lam2 = (wavelength_nm * 1e-3) ** 2
         n2 = 1.0
         try:
@@ -100,19 +109,24 @@ class IndexIncrementTable:
     """Surface index increment vs wavelength, piecewise linear with end clamping.
 
     `entries` maps each polarization to an ascending tuple of
-    (wavelength_nm, delta_n) support points.
+    (wavelength_nm, delta_n) support points at finite wavelengths; a bad
+    table is a ConfigurationError naming its polarization.
     """
 
     entries: Mapping[Polarization, tuple[tuple[float, float], ...]]
 
     def __post_init__(self):
         for pol, table in self.entries.items():
-            lams = [lam for lam, _ in table]
+            lams = [real(lam) for lam, _ in table]
+            bad = [lam for lam in lams if not math.isfinite(lam)]
+            if bad:
+                raise ConfigurationError(
+                    f"{pol} increment table wavelength {bad[0]:g} nm is not finite", pol.value)
             if any(b <= a for a, b in zip(lams, lams[1:])):
                 raise ConfigurationError(
                     f"{pol} increment table must be strictly ascending in wavelength", pol.value
                 )
-            for lam, dn in table:
+            for lam, dn in zip(lams, (real(dn) for _, dn in table)):
                 if not (0.0 < dn < 0.01):
                     raise ConfigurationError(
                         f"{pol} increment {dn:g} at {lam:g} nm outside (0, 0.01)", pol.value

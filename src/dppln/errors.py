@@ -66,6 +66,16 @@ def require_within(name, value, bounds, unit="", field=None):
                                  f"[{low:g}, {high:g}]{unit}", field or name)
 
 
+def require_integer(field, value, low, high=None):
+    """`value` when it is an integer in [low, high], or at least `low` when
+    `high` is None; else a ConfigurationError naming `field`."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low
+            or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigurationError(f"{field}: expected an integer {bounds}, got {value!r}", field)
+    return value
+
+
 def require_finite(**values):
     """Raise a ConfigurationError naming the first value that is not finite; a
     list or array value is checked element by element."""

@@ -24,16 +24,16 @@ moment ratios P, r of a_y and Q, t of a_z depend on the diffusion scales
 alone (`_Scaled`, once per material and order).  The norms and overlaps
 (`field_overlap`) are closed forms: y_norm^2 = w sqrt(pi/(2 a_y^2)) erf(5
 sqrt(2) a_y), z_norm^2 = h [sqrt(pi)/(4 c^1.5) erf(8 sqrt(c)) - 4 exp(-64
-c)/c], c = 2 a_z^2.  `solve_lanes` solves many modes (lanes) in four stages,
+c)/c], c = 2 a_z^2.  `solve_lanes` solves many modes (lanes) in three stages,
 each run once over the lanes still solving: `_grid_start` (the scaled
-quotient on a 16x16 grid in [0.2, 5]^2), `_locked` (the Gauss order at the
-grid point), `_nelder_mead_optima` (Nelder & Mead, Comput. J. 7, 308 (1965),
-SciPy's non-adaptive trajectory on `_rq_rows`, a direct quadrature at the
-locked order whose rounding fixes the design numbers) and `_finished` (the
-box-edge test and the final n_eff^2).
-`effective_index` refines by safeguarded Newton steps on the scaled quotient
-at GRID_ORDER, unlocked (Nocedal & Wright, Numerical Optimization, ch. 3).
-`rayleigh_quotient`, the adaptive direct quadrature, is its oracle.
+quotient on a 16x16 grid in [0.2, 5]^2), `_nelder_mead_optima` (Nelder &
+Mead, Comput. J. 7, 308 (1965), SciPy's non-adaptive trajectory on
+`_rq_rows`, a direct quadrature at GRID_ORDER whose rounding fixes the
+design numbers) and `_finished` (the box-edge test and the adaptive final
+n_eff^2).  `effective_index` runs the same three stages with safeguarded
+Newton steps on the scaled quotient at GRID_ORDER in the middle (Nocedal &
+Wright, Numerical Optimization, ch. 3).  `rayleigh_quotient`, the adaptive
+direct quadrature, is its oracle.
 """
 
 from __future__ import annotations
@@ -87,16 +87,20 @@ def _erf(x):
 
 
 def _channel(y, w, lateral_scale):
-    """g(y) of a channel of width w with erf walls of scale lateral_scale * w."""
+    """g(y) of a channel of width w with erf walls of scale lateral_scale * w;
+    a scale so small that the arguments overflow gives the exact erf(+-inf)."""
     wd = lateral_scale * w
-    return 0.5 * (_erf((w / 2 + y) / wd) + _erf((w / 2 - y) / wd))
+    with np.errstate(over="ignore"):
+        return 0.5 * (_erf((w / 2 + y) / wd) + _erf((w / 2 - y) / wd))
 
 
 def _decay(z, h, depth_scale):
-    """f(z) = exp(-(z / (depth_scale * h))^2) for z >= 0, zero in the cover."""
+    """f(z) = exp(-(z / (depth_scale * h))^2) for z >= 0, zero in the cover;
+    a scale so small that the square overflows gives the exact exp(-inf)."""
     hz = depth_scale * h
     z = np.asarray(z, dtype=float)
-    return np.where(z >= 0.0, np.exp(-((z / hz) ** 2)), 0.0)
+    with np.errstate(over="ignore"):
+        return np.where(z >= 0.0, np.exp(-((z / hz) ** 2)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -507,8 +511,8 @@ class ModeSolution:
         return self.y_factor(y) * self.z_factor(z)
 
 
-# One mode solve after its start: grid point and the order locked for a smooth refinement.
-_Start = namedtuple("_Start", "profile wavelength_nm k0 order ay az")
+# One mode solve after its start: the grid point its refinement starts from.
+_Start = namedtuple("_Start", "profile wavelength_nm k0 ay az")
 
 
 def _grid_start(profile, wavelength_nm):
@@ -522,20 +526,7 @@ def _grid_start(profile, wavelength_nm):
     ky, kz = (k0 * geometry.width_um) ** -2, (k0 * geometry.depth_um) ** -2
     grid = nb * nb + 2.0 * nb * dn * PQ - ky * r - kz * t
     iy, iz = divmod(int(np.argmax(grid)), GRID_POINTS)
-    return _Start(profile, wavelength_nm, k0, None, *GRID_ALPHAS[[iy, iz]].tolist())
-
-
-def _refined(starts, points):
-    """Per start, `refine` of n_eff^2 by `_rq_taylor` at its (a_y, a_z)."""
-    return [refine(lambda order: _rq_taylor(
-        s.profile, s.k0, _scaled(s.profile.lateral_scale, s.profile.depth_scale, order),
-        ay * ay, az * az)[0]) for s, (ay, az) in zip(starts, points)]
-
-
-def _locked(starts):
-    """Each grid start with its converged order, or its QuadratureConvergenceError."""
-    return [outcome if isinstance(outcome, PhysicsError) else start._replace(order=outcome[1])
-            for start, outcome in zip(starts, _refined(starts, [(s.ay, s.az) for s in starts]))]
+    return _Start(profile, wavelength_nm, k0, *GRID_ALPHAS[[iy, iz]].tolist())
 
 
 def _edge_error(ay, az):
@@ -551,17 +542,18 @@ def _edge_error(ay, az):
 
 
 def _finished(starts, points):
-    """Per lane, the edge test, then the adaptive (n_eff^2, order) at its
-    refined point (a_y, a_z), or its PhysicsError."""
-    outcomes = [_edge_error(*point) for point in points]
-    inside = [i for i, error in enumerate(outcomes) if error is None]
-    for i, outcome in zip(inside, _refined([starts[i] for i in inside],
-                                           [points[i] for i in inside])):
-        if not isinstance(outcome, PhysicsError) and outcome[0] <= starts[i].profile.bulk_index**2:
+    """Per lane, the edge test, then `refine`'s adaptive (n_eff^2, order) of
+    `_rq_taylor` at its refined point (a_y, a_z), or its PhysicsError."""
+    outcomes = []
+    for s, (ay, az) in zip(starts, points):
+        outcome = _edge_error(ay, az) or refine(lambda order: _rq_taylor(
+            s.profile, s.k0, _scaled(s.profile.lateral_scale, s.profile.depth_scale, order),
+            ay * ay, az * az)[0])
+        if not isinstance(outcome, PhysicsError) and outcome[0] <= s.profile.bulk_index**2:
             outcome = NoGuidedModeError(
-                f"no confined mode at {starts[i].wavelength_nm:g} nm: variational n_eff^2 "
+                f"no confined mode at {s.wavelength_nm:g} nm: variational n_eff^2 "
                 f"{outcome[0]:.9f} does not exceed the bulk value")
-        outcomes[i] = outcome
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -583,42 +575,37 @@ def _raised(outcomes):
 
 
 def _nelder_mead_optima(starts):
-    """The Nelder-Mead optimum (a_y, a_z) of each locked start, from its grid
-    point.  The runs of each order advance in lock step: one `_rq_rows` of the
-    order's live runs per round, restacked once half its rows have ended; a
-    vertex below `_ALPHA_FLOOR` scores 1e6."""
+    """The Nelder-Mead optimum (a_y, a_z) of each start, from its grid point,
+    on `_rq_rows` at GRID_ORDER.  The runs advance in lock step: one
+    `_rq_rows` of the live runs per round, restacked once half its rows have
+    ended; a vertex below `_ALPHA_FLOOR` scores 1e6."""
     optima = [None] * len(starts)
-    for order in {start.order for start in starts}:
-        runs, lanes = {}, {}  # per start at this order: its run and its `_rq_rows` lane
-        for i, s in enumerate(starts):
-            if s.order == order:
-                runs[i] = _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az],
-                                              [s.ay, s.az * 1.02]],
-                                             xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-                lanes[i] = s.profile, s.k0, _quadrature_of(s.profile, order)
-        pending, stacked = {i: next(run) for i, run in runs.items()}, []
-        while runs:
-            if 2 * len(runs) <= len(stacked) or not stacked:
-                stacked = list(runs)
-                rq = _rq_rows([lanes[i] for i in stacked])
-            xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
-            for i, x, value in zip(stacked, xs, rq(xs)):
-                if i in runs:
-                    try:
-                        pending[i] = runs[i].send(
-                            1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
-                    except StopIteration as done:
-                        del runs[i]
-                        optima[i] = tuple(done.value.x.tolist())
+    lanes = [(s.profile, s.k0, _quadrature_of(s.profile, GRID_ORDER)) for s in starts]
+    runs = {i: _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
+                                  xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
+            for i, s in enumerate(starts)}
+    pending, stacked = {i: next(run) for i, run in runs.items()}, []
+    while runs:
+        if 2 * len(runs) <= len(stacked) or not stacked:
+            stacked = list(runs)
+            rq = _rq_rows([lanes[i] for i in stacked])
+        xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
+        for i, x, value in zip(stacked, xs, rq(xs)):
+            if i in runs:
+                try:
+                    pending[i] = runs[i].send(
+                        1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
+                except StopIteration as done:
+                    del runs[i]
+                    optima[i] = tuple(done.value.x.tolist())
     return optima
 
 
 def solve_lanes(jobs) -> list:
     """Per (profile, wavelength_nm, polarization) job (a lane), its
     ModeSolution as `solve_mode` gives it, bit for bit, or its PhysicsError
-    without traceback.  Four stages run once each over the lanes still
-    solving: `_grid_start` per lane, `_locked`, `_nelder_mead_optima` and
-    `_finished`."""
+    without traceback.  Three stages run once each over the lanes still
+    solving: `_grid_start` per lane, `_nelder_mead_optima` and `_finished`."""
     outcomes = []
     for profile, wavelength_nm, _ in jobs:
         try:
@@ -626,9 +613,6 @@ def solve_lanes(jobs) -> list:
         except PhysicsError as error:
             outcomes.append(error.with_traceback(None))
     live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, _Start)]
-    for i, start in zip(live, _locked([outcomes[i] for i in live])):
-        outcomes[i] = start
-    live = [i for i in live if isinstance(outcomes[i], _Start)]
     starts = [outcomes[i] for i in live]
     optima = _nelder_mead_optima(starts)
     for i, start, (ay, az), done in zip(live, starts, optima, _finished(starts, optima)):
@@ -639,11 +623,10 @@ def solve_lanes(jobs) -> list:
 
 
 def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
-    """`solve_mode(...).n_eff` to rounding, with the same checks, grid start,
-    final refinement and errors, refined by `_newton` on the GRID_ORDER rows
-    instead of Nelder-Mead at a locked order: n_eff is stationary in the
-    trial parameters, so the working order only has to place the optimum.
-    A QuadratureConvergenceError comes only from the final refinement."""
+    """`solve_mode(...).n_eff` to rounding, with the same checks, errors and
+    three stages, refined by `_newton` on the GRID_ORDER rows of `_Scaled`
+    instead of Nelder-Mead on `_rq_rows`: n_eff is stationary in the trial
+    parameters, so the working order only has to place the optimum."""
     start = _grid_start(profile, wavelength_nm)
     scaled = _scaled(profile.lateral_scale, profile.depth_scale, GRID_ORDER)
     ay, az = _newton(profile, start.k0, scaled, start.ay, start.az)

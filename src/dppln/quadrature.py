@@ -24,8 +24,10 @@ def _leggauss(order):
     return leggauss(order)
 
 
-# Two axes for each of the 8 (shape, order) entries of mode_solver._quadrature:
-# a hit is a shape's nodes read again, for other diffusion scales or after an eviction.
+# Two axes for each of the 8 (shape, order) entries of mode_solver._quadrature, which
+# the Nelder-Mead objective reads at GRID_ORDER only and rayleigh_quotient at every
+# order it doubles to: a hit is a shape's nodes read again, for other diffusion scales
+# or after an eviction.
 @lru_cache(maxsize=16)
 def panel_nodes(edges, order):
     """Concatenated Gauss-Legendre nodes/weights for each panel of `edges`.

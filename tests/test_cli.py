@@ -518,3 +518,15 @@ def test_valid_request_exits_0_or_3_and_reruns_identically(scheme, width, depth,
         assert re.match(rf"physics error: ({'|'.join(WAVES_AND_PROCESSES)}) \(", err), err
     else:
         assert code == 0 and json.loads(out)["gamma"] > 0.0
+
+
+@pytest.mark.parametrize("profile", [{"depth_scale": 1.0e-300}, {"lateral_scale": 1e-310}],
+                         ids=["depth-scale-1e-300", "lateral-scale-1e-310"])
+def test_tiny_profile_scale_fails_as_physics_without_a_numpy_warning(tmp_path, capsys, profile):
+    # before, the depth decay printed "overflow encountered in square" and
+    # the channel wall "overflow encountered in divide"; pytest turns
+    # RuntimeWarnings into errors
+    config = write_config(tmp_path, material={"sellmeier": "zelmon1997", "profile": profile})
+    code, out, err = run(["design", "--config", config], capsys)
+    assert code == 3, err
+    assert "Warning" not in err

@@ -179,7 +179,7 @@ def test_sweep_zip_and_product_shapes():
         sweep(template, [], [8.0])
     with pytest.raises(ConfigurationError):
         sweep(template, [8.0], [8.0], pairing="diagonal")
-    for max_workers in (0, -1):  # as the CLI rejects --parallel 0
+    for max_workers in (0, -1, math.nan, 1.5):  # as the CLI rejects --parallel 0
         with pytest.raises(ConfigurationError, match="max_workers") as raised:
             sweep(template, [8.0], [8.0], max_workers=max_workers)
         assert raised.value.field == "max_workers"
@@ -265,10 +265,11 @@ def _wavelengths(request):
             "idler_2": idler_wavelength(request.pump_nm, request.signal2_nm)}
 
 
-def _locked_order(profile, wavelength_nm):
-    """The Gauss order `solve_lanes` locks a lane at."""
-    (start,) = mode_solver._locked([mode_solver._grid_start(profile, wavelength_nm)])
-    return start.order
+def _final_order(mode):
+    """The Gauss order at which the final refinement of a solved mode's n_eff^2 settles."""
+    start = mode_solver._grid_start(mode.profile, mode.wavelength_nm)
+    ((_, order),) = mode_solver._finished([start], [(mode.alpha_y, mode.alpha_z)])
+    return order
 
 
 def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
@@ -302,12 +303,11 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
     # one outcome per job, the lanes after a failure solved as well
     batch = mode_solver.solve_lanes(jobs)
     assert len(batch) >= 20 and any(min(x) <= mode_solver._ALPHA_FLOOR for x in vertices)
-    kinds = set()  # the locked order of each solved lane, the class of each failure
+    kinds = set()  # the final order of each solved lane, the class of each failure
     for job, result in zip(jobs, batch):
         assert not isinstance(result, PhysicsError) or result.__traceback__ is None
         assert _solved(result) == _outcome(lambda: solve_mode(*job)), job
-        kinds.add(type(result) if isinstance(result, PhysicsError)
-                  else _locked_order(*job[:2]))
+        kinds.add(type(result) if isinstance(result, PhysicsError) else _final_order(result))
     assert {96, BoundaryOptimumError, NoGuidedModeError} <= kinds and kinds & {192, 384}
     first_failure = next(k for k, result in enumerate(batch) if isinstance(result, PhysicsError))
     assert 0 < first_failure < len(jobs) - 1
@@ -336,21 +336,21 @@ def test_lock_step_batch_matches_one_lane_solves(monkeypatch):
     assert failures == [BoundaryOptimumError, WavelengthRangeError]
 
 
-def _jobs_locking_at_96_and_384():
+def _jobs_settling_at_96_and_384():
     narrow = dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
     jobs = [(EffectiveIndexSolver(material, WaveguideGeometry(size, 0.8 * size, 1.0))
              .profile(780.0, pol), 780.0, pol)
             for material, size, pol in ((DEFAULT_MATERIAL, 10.0, O), (narrow, 6.5, E))]
-    assert [_locked_order(*job[:2]) for job in jobs] == [96, 384]
+    assert [_final_order(solve_mode(*job)) for job in jobs] == [96, 384]
     return jobs
 
 
 def test_a_lane_after_a_failed_lane_completes_and_its_request_reports_the_first_failure(
         monkeypatch):
-    # an order-96 lane fails at its finish while the next lane is the only
-    # run at order 384: that run completes as its one-lane solve does; a
-    # request with failures at two waves reports the first in role order
-    jobs = _jobs_locking_at_96_and_384()
+    # a lane fails at its finish while the next lane, of another material,
+    # still runs: that run completes as its one-lane solve does; a request
+    # with failures at two waves reports the first in role order
+    jobs = _jobs_settling_at_96_and_384()
     request = request_for(Scheme.TYPE0_EEE, 10.0)
     nm, solver = _wavelengths(request), EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry)
     failures = [jobs[0][0]] + [solver.profile(nm[role], E) for role in ("signal_1", "idler_2")]
@@ -377,7 +377,7 @@ def test_a_lane_after_a_failed_lane_completes_and_its_request_reports_the_first_
     assert (type(error), str(error), error.__traceback__) == (BoundaryOptimumError,
                                                               "the chosen failure", None)
     assert later == solve_mode(*jobs[1])
-    assert evaluations[1] == evaluations[2]  # the order-384 run was not stopped
+    assert evaluations[1] == evaluations[2]  # the later run was not stopped
     with pytest.raises(BoundaryOptimumError,
                        match=fr"^signal_1 \({nm['signal_1']:.2f} nm\): the chosen failure$"):
         solve_modes(request)
@@ -398,10 +398,10 @@ def _never_converging(monkeypatch, profile):
 
 
 def test_refinement_gives_each_lane_refine_scalar_over_rq_taylor(monkeypatch):
-    # the order lock and final refinement give each lane the (value, order)
-    # of refine_scalar over its own `_rq_taylor` quotient: lanes that lock at
+    # the final refinement gives each lane the (value, order) of
+    # refine_scalar over its own `_rq_taylor` quotient: lanes that settle at
     # 96 and at 384, at their grid points and off them
-    jobs = _jobs_locking_at_96_and_384()
+    jobs = _jobs_settling_at_96_and_384()
     jobs += [(IndexProfile(WaveguideGeometry(w, 9.0, 1.0), 2.2, 0.003), 1000.0, E)
              for w in (5.0, 14.0)]
     starts = [mode_solver._grid_start(profile, nm) for profile, nm, _ in jobs]
@@ -415,14 +415,13 @@ def test_refinement_gives_each_lane_refine_scalar_over_rq_taylor(monkeypatch):
             profile, start.k0, mode_solver._scaled(profile.lateral_scale, profile.depth_scale, n),
             ay * ay, az * az)[0])
 
-    batched = mode_solver._refined(lanes, points)
+    batched = mode_solver._finished(lanes, points)
     assert batched == [one_lane(*lane) for lane in zip(lanes, points)]
     assert [order for _, order in batched[:2]] == [96, 384]
-    assert [s.order for s in mode_solver._locked(starts)] == [o for _, o in batched[:4]]
 
     # a lane that never converges gets its own QuadratureConvergenceError
     _never_converging(monkeypatch, jobs[1][0])
-    batched = mode_solver._refined(lanes, points)
+    batched = mode_solver._finished(lanes, points)
     for k, outcome in enumerate(batched):
         if k % len(starts) == 1:
             assert isinstance(outcome, QuadratureConvergenceError)
@@ -432,7 +431,8 @@ def test_refinement_gives_each_lane_refine_scalar_over_rq_taylor(monkeypatch):
 
 
 def test_a_lane_that_never_converges_fails_only_itself(monkeypatch):
-    jobs = _jobs_locking_at_96_and_384()
+    # its refinement fails in `_finished`, after its Nelder-Mead run
+    jobs = _jobs_settling_at_96_and_384()
     other = (IndexProfile(WaveguideGeometry(8.0, 8.0, 1.0), 2.2, 0.003), 900.0, E)
     expected = [solve_mode(*jobs[0]), solve_mode(*other)]
     _never_converging(monkeypatch, jobs[1][0])
@@ -443,20 +443,20 @@ def test_a_lane_that_never_converges_fails_only_itself(monkeypatch):
     assert type(error) is QuadratureConvergenceError and error.__traceback__ is None
 
 
-def test_effective_index_never_locks_an_order(monkeypatch):
+def test_effective_index_runs_no_nelder_mead(monkeypatch):
     # Newton works on the GRID_ORDER rows and only the final refinement
     # settles an order, yet each n_eff is solve_mode's to 2 ulp: lanes that
-    # lock at 96, 384 and (a narrow channel wall at 1551 nm) 192
+    # settle at 96, 384 and (a narrow channel wall at 1551 nm) 192
     narrow = dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
     profile = EffectiveIndexSolver(narrow, WaveguideGeometry(10.0, 8.0, 1.0)).profile(1551.03, E)
-    jobs = _jobs_locking_at_96_and_384() + [(profile, 1551.03, E)]
-    assert _locked_order(profile, 1551.03) == 192
+    jobs = _jobs_settling_at_96_and_384() + [(profile, 1551.03, E)]
+    assert _final_order(solve_mode(profile, 1551.03, E)) == 192
     expected = [solve_mode(*job).n_eff for job in jobs]
 
-    def locked(starts):
-        raise AssertionError("effective_index locked an order")
+    def nelder_mead(starts):
+        raise AssertionError("effective_index ran Nelder-Mead")
 
-    monkeypatch.setattr(mode_solver, "_locked", locked)
+    monkeypatch.setattr(mode_solver, "_nelder_mead_optima", nelder_mead)
     for (profile, wavelength, _), n_eff in zip(jobs, expected):
         assert abs(mode_solver.effective_index(profile, wavelength) - n_eff) <= 2 * math.ulp(n_eff)
 
@@ -518,10 +518,10 @@ def test_sweep_solves_its_rows_in_bounded_contiguous_batches(monkeypatch):
     assert [(row.depth_um, row.width_um) for row in rows] == pairs
 
 
-def test_a_sweep_builds_scaled_rows_once_and_quadratures_only_at_locked_orders(monkeypatch):
+def test_a_sweep_builds_scaled_rows_once_and_quadratures_only_at_grid_order(monkeypatch):
     # a 16x16 sweep builds the scaled rows once per (scales, order) and one
-    # per-geometry _Quadrature per (geometry, locked order) that a
-    # Nelder-Mead run reads: none for the grid, the lock or the final n_eff
+    # per-geometry _Quadrature per geometry that a Nelder-Mead run reads, at
+    # GRID_ORDER: none for the grid or the final n_eff
     keys, read = [], set()
     scaled, quadrature, rq_rows = mode_solver._scaled, mode_solver._quadrature, mode_solver._rq_rows
     scaled.cache_clear()
@@ -533,7 +533,8 @@ def test_a_sweep_builds_scaled_rows_once_and_quadratures_only_at_locked_orders(m
     rows = sweep(request_for(Scheme.TYPE2_CROSS, 10.0), sizes, sizes).rows
     assert len(rows) == 256 and sum(row.error is None for row in rows) > 100
     assert scaled.cache_info().misses == len(set(keys)) <= 5
-    assert quadrature.cache_info().misses == len(read) < 256 * 2
+    assert {order for _, order in read} == {mode_solver.GRID_ORDER}
+    assert quadrature.cache_info().misses == len(read) <= 256
     # the n_eff path of dispersive scans builds no per-geometry quadrature at all
     quadrature.cache_clear()
     EffectiveIndexSolver(DEFAULT_MATERIAL, WaveguideGeometry(9.0, 7.0, 1.0)).index(780.0, E)

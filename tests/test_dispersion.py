@@ -69,9 +69,10 @@ def test_out_of_range_wavelength_names_interval():
 
 
 @pytest.mark.parametrize("valid", [(5000.0, 400.0), (400.0, 400.0), (math.nan, 400.0),
-                                   (400.0, math.inf), (400.0,)])
+                                   (400.0, math.inf), (400.0,), (400, 10**400)])
 def test_sellmeier_model_checks_its_valid_range(valid):
-    # before, such a model was built and then refused every wavelength
+    # before, such a model was built and then refused every wavelength, and
+    # an integer too large for a float raised OverflowError
     with pytest.raises(ConfigurationError, match=r"^expected \[low_nm, high_nm\] with low < "
                                                  r"high, got \(") as raised:
         SellmeierModel("x", valid, ZELMON_1997.terms)
@@ -113,3 +114,27 @@ def test_increment_table_validation():
     with pytest.raises(ConfigurationError) as caught:
         IndexIncrementTable({O: ((519.0, 0.003), (780.0, 0.02))})
     assert caught.value.field == "ordinary"
+    # before, a NaN support point interpolated to nan and 10**400 overflowed
+    for lam in (math.nan, math.inf, 10**400):
+        for dn in (0.002, 10**400):
+            with pytest.raises(ConfigurationError, match="^extraordinary increment table "
+                                                         "wavelength (nan|inf) nm is not finite$"
+                               ) as caught:
+                IndexIncrementTable({E: ((500.0, 0.003), (lam, dn))})
+            assert caught.value.field == "extraordinary"
+
+
+def test_sellmeier_model_names_a_bad_term_or_a_missing_polarization():
+    # before, a term too large for a float raised OverflowError in `index`
+    # and a polarization without terms raised KeyError
+    for term in ((10**400, 0.02), (2.98, math.nan), (2.98,)):
+        with pytest.raises(ConfigurationError, match="^extraordinary terms of Sellmeier set "
+                                                     "'x' must be pairs of finite") as raised:
+            SellmeierModel("x", (400.0, 5000.0), {E: (term,)})
+        assert raised.value.field == "terms"
+    model = SellmeierModel("x", (400.0, 5000.0), {E: ZELMON_1997.terms[E]})
+    with pytest.raises(ConfigurationError, match="^Sellmeier set 'x' has no terms for ordinary "
+                                                 "polarization$") as raised:
+        model.index(O, 780.0)
+    assert raised.value.field == "ordinary"
+

@@ -822,10 +822,11 @@ def test_solve_mode_threads_sharing_a_quadrature_match_serial():
         assert results[index] == serial[index] * 3
 
 
-def test_mode_norms_are_the_locked_order_moments():
+def test_mode_norms_are_the_direct_quadrature_moments():
     # y_norm and z_norm of solve_mode, in closed form: int Y^2 and int Z^2 by
-    # direct quadrature at the order the final refinement settles on and at
-    # order 768, and the closed forms over the whole box at random alphas
+    # direct quadrature at GRID_ORDER, at the order the final refinement
+    # settles on and at order 768, and the closed forms over the whole box at
+    # random alphas
     solved = 0
     for profile in random_profiles(4):
         wavelength = 1000.0
@@ -835,10 +836,10 @@ def test_mode_norms_are_the_locked_order_moments():
             continue
         solved += 1
         ay, az = mode.alpha_y, mode.alpha_z
-        (start,) = mode_solver._locked([mode_solver._grid_start(profile, wavelength)])
+        start = mode_solver._grid_start(profile, wavelength)
         ((_, final),) = mode_solver._finished([start], [(ay, az)])
         w, h = profile.geometry.width_um, profile.geometry.depth_um
-        for order in (final, 768):
+        for order in (mode_solver.GRID_ORDER, final, 768):
             quad = mode_solver._quadrature_of(profile, order)
             direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
             direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
@@ -900,21 +901,21 @@ def test_runtime_modules_import_no_scipy():
 
 def test_newton_derivatives_match_central_differences():
     # gradient and Hessian in (ln a_y, ln a_z) of the scaled moment rows
-    # against central differences of the Nelder-Mead objective at the order
-    # the refinement locks
+    # against central differences of the Nelder-Mead objective, both at
+    # GRID_ORDER
     rng = np.random.default_rng(77)
+    order = mode_solver.GRID_ORDER
     for profile in random_profiles(4):
-        (start,) = mode_solver._locked(
-            [mode_solver._grid_start(profile, float(rng.uniform(600.0, 1600.0)))])
+        start = mode_solver._grid_start(profile, float(rng.uniform(600.0, 1600.0)))
         k0, ay, az = start.k0, start.ay, start.az
-        locked = mode_solver._quadrature_of(profile, start.order)
-        scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, start.order)
+        quad = mode_solver._quadrature_of(profile, order)
+        scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, order)
         for x in [(math.log(ay), math.log(az))] + rng.uniform(-1.0, 1.0, size=(3, 2)).tolist():
             value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(
                 profile, k0, scaled, math.exp(2.0 * x[0]), math.exp(2.0 * x[1]))
 
             def rq(dy, dz):
-                return mode_solver._quotient(profile, k0, locked, math.exp(x[0] + dy),
+                return mode_solver._quotient(profile, k0, quad, math.exp(x[0] + dy),
                                              math.exp(x[1] + dz))
 
             assert value == pytest.approx(rq(0.0, 0.0), rel=1e-15, abs=0.0)
@@ -985,21 +986,12 @@ def direct_grid_start(profile, k0):
     return float(mode_solver.GRID_ALPHAS[iy]), float(mode_solver.GRID_ALPHAS[iz])
 
 
-def direct_lock(profile, k0, ay, az):
-    """The order at which the profile's own direct quadrature converges."""
-    def quotient(order):
-        quad = mode_solver._quadrature_of(profile, order)
-        return mode_solver._quotient(profile, k0, quad, ay, az)
-
-    return mode_solver.refine_scalar(quotient)[1]
-
-
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_scaled_grid_start_and_order_lock_match_direct_quadrature(scheme):
-    # the inputs of every Nelder-Mead run: the grid point and the locked order
-    # from the scaled rows equal those of the profile's own direct quadrature,
-    # on the 13x13 geomspace(2, 20) grid x 5 roles, for the default and a
-    # narrow channel wall, and on random profiles
+def test_scaled_grid_start_matches_direct_quadrature(scheme):
+    # the start of every Nelder-Mead run: the grid point from the scaled rows
+    # equals that of the profile's own direct quadrature, on the 13x13
+    # geomspace(2, 20) grid x 5 roles, for the default and a narrow channel
+    # wall, and on random profiles
     wavelengths = {"pump": PUMP_NM, "signal_1": SIGNAL1_NM, "signal_2": SIGNAL2_NM,
                    "idler_1": idler_wavelength(PUMP_NM, SIGNAL1_NM),
                    "idler_2": idler_wavelength(PUMP_NM, SIGNAL2_NM)}
@@ -1010,14 +1002,10 @@ def test_scaled_grid_start_and_order_lock_match_direct_quadrature(scheme):
                 solver = EffectiveIndexSolver(material, WaveguideGeometry(width, depth, 1.0))
                 lanes += [(solver.profile(wavelengths[role], pol), wavelengths[role])
                           for role, pol in scheme.polarizations().items()]
-    starts = [mode_solver._grid_start(*lane) for lane in lanes]
-    orders = set()
-    for start, locked in zip(starts, mode_solver._locked(starts)):
-        point = direct_grid_start(start.profile, start.k0)
-        assert (start.ay, start.az) == point, start.profile
-        assert locked.order == direct_lock(start.profile, start.k0, *point), start.profile
-        orders.add(locked.order)
-    assert len(lanes) == 1698 and {96, 192, 384} <= orders
+    for lane in lanes:
+        start = mode_solver._grid_start(*lane)
+        assert (start.ay, start.az) == direct_grid_start(start.profile, start.k0), start.profile
+    assert len(lanes) == 1698
 
 
 def test_solved_n_eff_squared_is_the_rayleigh_quotient_at_its_optimum():
@@ -1036,6 +1024,39 @@ def test_solved_n_eff_squared_is_the_rayleigh_quotient_at_its_optimum():
             newton = mode_solver.effective_index(profile, wavelength)
             assert newton**2 == pytest.approx(oracle, rel=1e-14, abs=0.0)
     assert solved >= 10
+
+
+def test_narrow_channel_wall_optimum_is_newtons_at_order_768():
+    # on a channel wall of lateral_scale 0.02, whose quotient converges only
+    # at orders 192 to 384, Nelder-Mead on the GRID_ORDER rows still places
+    # the optimum of the order-768 quotient, found by _newton, to 1e-6 in
+    # alpha, and n_eff^2 is rayleigh_quotient's there
+    narrow = replace(DEFAULT_MATERIAL, lateral_scale=0.02)
+    scaled = mode_solver._scaled(0.02, narrow.depth_scale, 768)
+    wavelengths = {"pump": PUMP_NM, "signal_1": SIGNAL1_NM, "signal_2": SIGNAL2_NM,
+                   "idler_1": idler_wavelength(PUMP_NM, SIGNAL1_NM),
+                   "idler_2": idler_wavelength(PUMP_NM, SIGNAL2_NM)}
+    sizes = np.geomspace(2.0, 20.0, 7).tolist()
+    solved = 0
+    for scheme in Scheme:
+        for width in sizes:
+            for depth in sizes:
+                solver = EffectiveIndexSolver(narrow, WaveguideGeometry(width, depth, 1.0))
+                for role, pol in scheme.polarizations().items():
+                    profile, wavelength = solver.profile(wavelengths[role], pol), wavelengths[role]
+                    try:
+                        mode = solve_mode(profile, wavelength, pol)
+                    except (BoundaryOptimumError, NoGuidedModeError):
+                        continue
+                    solved += 1
+                    start = mode_solver._grid_start(profile, wavelength)
+                    ay, az = mode_solver._newton(profile, start.k0, scaled, start.ay, start.az)
+                    where = (scheme, width, depth, role)
+                    assert mode.alpha_y == pytest.approx(ay, rel=1e-6, abs=0.0), where
+                    assert mode.alpha_z == pytest.approx(az, rel=1e-6, abs=0.0), where
+                    oracle = rayleigh_quotient(profile, wavelength, mode.alpha_y, mode.alpha_z)
+                    assert mode.n_eff**2 == pytest.approx(oracle, rel=1e-12, abs=0.0), where
+    assert solved > 300
 
 
 def test_solvers_reject_wavelengths_outside_the_supported_range_and_stop_on_nan(monkeypatch):

@@ -22,6 +22,10 @@ each config's phase-matched periods and length, and for 20 seeded
 both schemes, serially and with `max_workers=2`, so the batched row path is
 checked as well as `design()`; a row's geometry and error text are compared
 exactly, its gamma and periods under the `gamma` and `period` tolerances.
+It also phase-matches the 7x7 `geomspace(2, 20)` um grid for both schemes on
+narrow channel walls (`lateral_scale=0.02`, where the quotient converges
+only at orders 192 to 384) and checks the five n_eff, alpha_y and alpha_z,
+the two overlaps and gamma of each under the one quantity `narrow_wall`.
 The script prints the largest change of each quantity, the number of designs
 whose spectrum gains changed in any byte, every request whose error class or text
 changed, every poling pattern whose boundary count or first sign changed, and
@@ -69,10 +73,11 @@ TOLERANCES = {
     "effective_index": 0.0,
     "rayleigh_quotient": 0.0,
     "poling": 0.0,
+    "narrow_wall": 0.0,
 }
 
 CHILD = r"""
-import base64, json, sys
+import base64, dataclasses, json, sys
 from pathlib import Path
 import numpy as np
 from dppln import idler_wavelength
@@ -182,8 +187,23 @@ for path in sorted(Path("configs").glob("*.yaml")):
             "rayleigh_quotient": [rayleigh_quotient(mode.profile, nm[role], ay, az)
                                   for ay, az in ((0.3, 0.3), (1.0, 1.0), (1.7, 0.6), (4.0, 2.5))],
         }
+narrow, material = {}, dataclasses.replace(DEFAULT_MATERIAL, lateral_scale=0.02)
+for scheme in Scheme:
+    for width in np.geomspace(2.0, 20.0, 7).tolist():
+        for depth in np.geomspace(2.0, 20.0, 7).tolist():
+            key = f"{scheme.value} lateral_scale=0.02 w={width:.6g} d={depth:.6g}"
+            wall = DesignRequest(scheme, 519.0, 780.0, 775.0, WaveguideGeometry(width, depth, 1.0))
+            try:
+                result = phase_match(wall, solve_modes(wall, material))
+            except ToolkitError as error:
+                narrow[key] = {"error": f"{type(error).__name__}: {error}"}
+                continue
+            modes_of = [result.modes[r] for r in ROLES]
+            narrow[key] = {"narrow_wall": [m.n_eff for m in modes_of]
+                           + [m.alpha_y for m in modes_of] + [m.alpha_z for m in modes_of]
+                           + [result.overlap_1, result.overlap_2, result.gamma]}
 json.dump({"designs": designs, "scans": scans, "searches": searches, "modes": modes,
-           "sweeps": sweeps, "polings": polings}, sys.stdout)
+           "sweeps": sweeps, "polings": polings, "narrow": narrow}, sys.stdout)
 """
 
 
@@ -231,7 +251,7 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
     ok = True
     largest = {name: 0.0 for name in tolerances}
     changed_gains = errors = 0
-    for group in ("designs", "scans", "searches", "modes"):
+    for group in ("designs", "scans", "searches", "modes", "narrow"):
         for key, before in parent[group].items():
             after = changed[group][key]
             if "error" in before or "error" in after:
@@ -262,8 +282,9 @@ def compare(parent: dict, changed: dict, tolerances: dict) -> bool:
                 rows += 1
                 print(f"changed sweep row  {key}\n  before: {row}\n  after:  {after}")
     print(f"{len(parent['designs'])} designs, {len(parent['scans'])} dispersive scans, "
-          f"{len(parent['searches'])} searches, {len(parent['modes'])} config waves and "
-          f"{len(parent['polings'])} poling patterns compared; {errors} requests fail")
+          f"{len(parent['searches'])} searches, {len(parent['modes'])} config waves, "
+          f"{len(parent['narrow'])} narrow-wall designs and {len(parent['polings'])} poling "
+          f"patterns compared; {errors} requests fail")
     for name, value in largest.items():
         flag = "" if value <= tolerances[name] else f"  ABOVE {tolerances[name]:g}"
         ok = ok and not flag
