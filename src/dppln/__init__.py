@@ -66,7 +66,6 @@ from .spdc import (
     degree_of_entanglement,
     estimate_fwhm_nm,
     idler_wavelength,
-    make_process,
     phase_mismatch,
     poling_fourier_coefficient,
     qpm_period,

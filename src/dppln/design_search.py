@@ -27,7 +27,6 @@ from .spdc import (
     degree_of_entanglement,
     estimate_fwhm_nm,
     idler_wavelength,
-    make_process,
     spectrum_scan,
     state_weights_and_entropy,
 )
@@ -190,15 +189,16 @@ def solve_modes(request: DesignRequest,
 
 def phase_match(request: DesignRequest, modes: Mapping[str, ModeSolution]) -> DualPolingDesign:
     """`design` from the `solve_modes` modes, without the design spectra and so
-    without their length limit; a failure names its process."""
+    without their length limit: each `SpdcProcess` derives its idler and period
+    from the n_eff of its three waves, and a failure names its process."""
     pols = request.scheme.polarizations()
     processes, overlaps, amplitudes = [], [], []
     for tag, s_role, i_role in PAIRS:
         signal_nm = modes[s_role].wavelength_nm
         try:
-            process = make_process(request.pump_nm, signal_nm, pols["pump"], pols[s_role],
-                                   pols[i_role], modes["pump"].n_eff, modes[s_role].n_eff,
-                                   modes[i_role].n_eff)
+            process = SpdcProcess(request.pump_nm, signal_nm, pols["pump"], pols[s_role],
+                                  pols[i_role], modes["pump"].n_eff, modes[s_role].n_eff,
+                                  modes[i_role].n_eff)
         except PhysicsError as error:
             raise _tagged(error, tag, signal_nm) from error
         processes.append(process)

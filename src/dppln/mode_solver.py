@@ -38,6 +38,7 @@ direct quadrature, is its oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -475,10 +476,10 @@ def _nelder_mead_steps(simplex, *, xatol, fatol, maxiter, maxfev):
 class ModeSolution:
     """Fundamental-mode solution at one wavelength and polarization.
 
-    `y_norm`/`z_norm` are the L2 norms of the un-normalised trial factors on
-    the truncated domain, so `field` integrates to unit power there.  The
-    alphas must lie in [ALPHA_MIN, ALPHA_MAX] and the other numbers be finite
-    and positive, or a ConfigurationError names the field.
+    The alphas must lie in [ALPHA_MIN, ALPHA_MAX] and n_eff and the wavelength
+    be finite and positive, or a ConfigurationError names the field.  `_norms`
+    derives `y_norm`/`z_norm` (also under `dataclasses.replace`), the L2 norms
+    of the trial factors on the truncated domain, so `field` has unit power.
     """
 
     n_eff: float
@@ -487,14 +488,16 @@ class ModeSolution:
     wavelength_nm: float
     polarization: Polarization
     profile: IndexProfile
-    y_norm: float
-    z_norm: float
+    y_norm: float = dataclasses.field(init=False)
+    z_norm: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         for name in ("alpha_y", "alpha_z"):
             require_within(name, getattr(self, name), (ALPHA_MIN, ALPHA_MAX))
-        require_positive(n_eff=self.n_eff, wavelength_nm=self.wavelength_nm,
-                         y_norm=self.y_norm, z_norm=self.z_norm)
+        require_positive(n_eff=self.n_eff, wavelength_nm=self.wavelength_nm)
+        for name, norm in zip(("y_norm", "z_norm"),
+                              _norms(self.profile.geometry, self.alpha_y, self.alpha_z)):
+            object.__setattr__(self, name, norm)
 
     def y_factor(self, y):
         w = self.profile.geometry.width_um
@@ -617,8 +620,7 @@ def solve_lanes(jobs) -> list:
     optima = _nelder_mead_optima(starts)
     for i, start, (ay, az), done in zip(live, starts, optima, _finished(starts, optima)):
         outcomes[i] = done if isinstance(done, PhysicsError) else ModeSolution(
-            float(np.sqrt(done[0])), ay, az, start.wavelength_nm, jobs[i][2], start.profile,
-            *_norms(start.profile.geometry, ay, az))
+            float(np.sqrt(done[0])), ay, az, start.wavelength_nm, jobs[i][2], start.profile)
     return outcomes
 
 

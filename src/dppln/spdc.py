@@ -11,7 +11,7 @@ and is set to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     SpanTooNarrowError,
     real,
     require_finite,
+    require_integer,
     require_positive,
     require_within,
 )
@@ -93,48 +94,28 @@ def qpm_period(n_p, n_s, n_i, pump_nm, signal_nm, idler_nm) -> float:
 
 @dataclass(frozen=True)
 class SpdcProcess:
-    """One pump -> (signal, idler) conversion with its grating period."""
+    """One pump -> (signal, idler) conversion at its design-point indices.  The
+    idler (`idler_wavelength`) and grating period (`qpm_period`) are derived,
+    also under `dataclasses.replace`; the signal must be the shorter of the pair."""
 
     pump_nm: float
     signal_nm: float
-    idler_nm: float
+    idler_nm: float = field(init=False)
     pump_pol: Polarization
     signal_pol: Polarization
     idler_pol: Polarization
-    qpm_period_um: float
+    qpm_period_um: float = field(init=False)
     n_pump: float
     n_signal: float
     n_idler: float
 
     def __post_init__(self):
-        require_positive(pump_nm=self.pump_nm, signal_nm=self.signal_nm, idler_nm=self.idler_nm,
-                         qpm_period_um=self.qpm_period_um, n_pump=self.n_pump,
-                         n_signal=self.n_signal, n_idler=self.n_idler)
-        residual = 1.0 / self.pump_nm - 1.0 / self.signal_nm - 1.0 / self.idler_nm
-        if abs(residual) * self.pump_nm > 1e-9:
-            raise ConfigurationError(
-                f"energy conservation violated by {residual:.3e} 1/nm"
-            )
-        if not self.signal_nm < self.idler_nm:
+        idler_nm = idler_wavelength(self.pump_nm, self.signal_nm)
+        object.__setattr__(self, "idler_nm", idler_nm)
+        object.__setattr__(self, "qpm_period_um", qpm_period(
+            self.n_pump, self.n_signal, self.n_idler, self.pump_nm, self.signal_nm, idler_nm))
+        if not self.signal_nm < idler_nm:
             raise ConfigurationError("signal must be the shorter wavelength of the pair")
-
-
-def make_process(pump_nm, signal_nm, pump_pol, signal_pol, idler_pol, n_pump, n_signal, n_idler):
-    """Build an SpdcProcess, deriving the idler and the phase-matched period."""
-    idler_nm = idler_wavelength(pump_nm, signal_nm)
-    period = qpm_period(n_pump, n_signal, n_idler, pump_nm, signal_nm, idler_nm)
-    return SpdcProcess(
-        pump_nm=pump_nm,
-        signal_nm=signal_nm,
-        idler_nm=idler_nm,
-        pump_pol=pump_pol,
-        signal_pol=signal_pol,
-        idler_pol=idler_pol,
-        qpm_period_um=period,
-        n_pump=n_pump,
-        n_signal=n_signal,
-        n_idler=n_idler,
-    )
 
 
 def phase_mismatch(process: SpdcProcess, signal_nm, index_provider=None):
@@ -303,10 +284,7 @@ def spectrum_scan(process: SpdcProcess, axis: str, span_nm: float, samples: int,
     `EffectiveIndexSolver.index`.  A span reaching the pump is a configuration error.
     """
     center = _center(process, axis)
-    low, high = SCAN_SAMPLES
-    if not (isinstance(samples, (int, np.integer)) and low <= samples <= high):
-        raise ConfigurationError(f"a spectrum scan needs an integer number of samples in "
-                                 f"[{low}, {high}], got {samples!r}", "samples")
+    require_integer("samples", samples, *SCAN_SAMPLES)
     if index_model not in ("design-point", "dispersive"):
         raise ConfigurationError(f"unknown index model '{index_model}'", "index_model")
     if index_model == "dispersive" and index_provider is None:

@@ -14,11 +14,11 @@ from dppln import (
     IDEAL_HARMONIC_AMPLITUDE,
     Polarization,
     Scheme,
+    SpdcProcess,
     coupling_amplitude,
     degree_of_entanglement,
     field_overlap,
     idler_wavelength,
-    make_process,
     poling_fourier_coefficient,
     rayleigh_quotient,
     sinc,
@@ -207,7 +207,7 @@ def test_criterion_7_property_suites(type0_designs, type2_designs):
     checks = []
 
     def amplitude_of(magnitude):
-        process = make_process(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20)
+        process = SpdcProcess(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20)
         unit = coupling_amplitude(process, 1.0, 0.0, 1.0)
         return coupling_amplitude(process, magnitude / unit.magnitude, 0.0, 1.0)
 

@@ -233,7 +233,7 @@ def test_sweep_with_failing_rows_leaves_no_garbage(monkeypatch):
     errors = []
     for patched in (False, True):
         if patched:
-            monkeypatch.setattr(design_search, "make_process", failing)
+            monkeypatch.setattr(design_search, "SpdcProcess", failing)
         gc.collect()
         gc.disable()
         try:

@@ -21,6 +21,7 @@ from dppln import (
     ConsistencyError,
     EffectiveIndexSolver,
     IndexProfile,
+    ModeSolution,
     NoGuidedModeError,
     Polarization,
     QuadratureConvergenceError,
@@ -31,10 +32,13 @@ from dppln import (
     idler_wavelength,
     rayleigh_quotient,
     solve_mode,
+    solve_modes,
 )
+from dppln.config import load_config
 from conftest import PUMP_NM, SIGNAL1_NM, SIGNAL2_NM, request_for
 
 E = Polarization.EXTRAORDINARY
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
 
 def dense_rq_oracle(profile, wavelength_nm, alpha_y, alpha_z, n=2001):
@@ -860,6 +864,28 @@ def test_mode_norms_are_the_direct_quadrature_moments():
             y_norm, z_norm = mode_solver._norms(geometry, ay, az)
             assert y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0), ay
             assert z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0), az
+
+
+def test_a_replaced_mode_derives_its_norms():
+    # before, the norms were arguments: replacing an alpha kept the old norms
+    mode = solve_mode(IndexProfile(WaveguideGeometry(10.0, 8.0, 1.0), 2.1778, 0.003), 780.0, E)
+    wider = replace(mode.profile, geometry=WaveguideGeometry(12.0, 8.0, 1.0))
+    for changes in (dict(alpha_y=1.5), dict(alpha_z=2.5), dict(profile=wider)):
+        moved = replace(mode, **changes)
+        norms = mode_solver._norms(moved.profile.geometry, moved.alpha_y, moved.alpha_z)
+        assert (moved.y_norm, moved.z_norm) == norms != (mode.y_norm, mode.z_norm)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(mode, y_norm=1.0)
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_a_solved_mode_is_rebuilt_from_its_six_fields(config):
+    loaded = load_config(str(config))
+    modes = solve_modes(loaded.request(), loaded.material)
+    assert len(modes) == 5
+    for mode in modes.values():
+        assert ModeSolution(mode.n_eff, mode.alpha_y, mode.alpha_z, mode.wavelength_nm,
+                            mode.polarization, mode.profile) == mode
 
 
 def test_quadrature_is_shared_per_shape_read_only_and_bounded():

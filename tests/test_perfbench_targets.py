@@ -4,11 +4,15 @@
 duration of a traced request, and the workloads call the CLI and the library
 with fixed flags and keywords; a rename or deletion in `src/` would break the
 benchmark without failing any other test.  This loads the benchmark's modules
-by file path, as the benchmark does, and checks each of its targets.
+by file path, as the benchmark does, and checks each of its targets.  The
+correctness gate's invariants and reference fingerprints are checked on a
+few of its requests too, so a result attribute renamed away or a gated
+number that moved fails here rather than only in a benchmark run.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,38 @@ def test_the_library_takes_the_benchmark_keywords(function, keywords):
     for keyword in keywords:
         assert parameters[keyword].kind in (inspect.Parameter.KEYWORD_ONLY,
                                             inspect.Parameter.POSITIONAL_OR_KEYWORD), keyword
+
+
+@pytest.fixture(scope="module")
+def gate():
+    """`perfbench/gate.py`, with `perfbench/` on the path for its `inputs` and
+    `paths` imports; both are dropped from `sys.modules` afterwards."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        yield _load("gate")
+    for name in ("inputs", "paths"):
+        sys.modules.pop(name, None)
+
+
+def test_the_gate_finds_no_problem_and_no_difference_from_its_reference(gate):
+    programs = gate.Programs()
+    reference = gate.load_reference()
+    problems = []
+    designs = {}
+    for scheme in gate.inputs.SCHEMES:
+        designs[scheme] = programs.ds.design(programs.request(scheme, 10.0, 10.0))
+        problems += gate.design_invariants(designs[scheme], programs.ms, programs.sp)
+        problems += gate.compare(gate.design_fingerprint(designs[scheme]),
+                                 reference["designs"][f"table {scheme} 10"], scheme)
+    swept = programs.ds.sweep(programs.request("type0_eee", 10.0, 10.0),
+                              gate.REFERENCE_SWEEP_UM, gate.REFERENCE_SWEEP_UM)
+    for row in swept.rows:
+        problems += gate.sweep_row_problems(row)
+    problems += gate.compare(gate.sweep_fingerprint(swept), reference["sweeps"]["type0_eee"],
+                             "sweep")
+    scan = programs.dispersive_scan(designs["type0_eee"], "signal")
+    problems += gate.dispersive_problems(scan)
+    problems += gate.compare(gate.spectrum_fingerprint(scan),
+                             reference["dispersive"][gate.dispersive_key("type0_eee", "signal")],
+                             "dispersive")
+    assert problems == []

@@ -18,12 +18,12 @@ from dppln import (
     PhaseMatchingError,
     Polarization,
     SpanTooNarrowError,
+    SpdcProcess,
     coupling_amplitude,
     degree_of_entanglement,
     design,
     estimate_fwhm_nm,
     idler_wavelength,
-    make_process,
     phase_mismatch,
     qpm_period,
     sinc,
@@ -47,7 +47,7 @@ WEIGHT2_AT_GAMMA_9817 = 0.49076629177780714
 
 
 def synthetic_process(overlap_scale=1.0):
-    return make_process(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20)
+    return SpdcProcess(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20)
 
 
 def synthetic_amplitude(magnitude):
@@ -134,13 +134,23 @@ def test_qpm_period_scale():
 
 
 def test_process_validation():
-    from dppln import SpdcProcess
-
-    with pytest.raises(ConfigurationError, match="energy conservation"):
-        SpdcProcess(500.0, 900.0, 1200.0, E, E, E, 7.0, 2.3, 2.25, 2.2)
     # signal must be the shorter wavelength of the pair
     with pytest.raises(ConfigurationError, match="shorter"):
-        SpdcProcess(500.0, 1800.0, idler_wavelength(500.0, 1800.0), E, E, E, 7.0, 2.3, 2.25, 2.2)
+        SpdcProcess(500.0, 1800.0, E, E, E, 2.3, 2.25, 2.2)
+
+
+def test_a_replaced_process_derives_its_idler_and_period():
+    # before, the idler and period were arguments: replacing the signal kept
+    # the old idler and failed the energy-conservation check
+    process = synthetic_process()
+    moved = dataclasses.replace(process, signal_nm=880.0)
+    fresh = SpdcProcess(500.0, 880.0, E, E, E, 2.30, 2.25, 2.20)
+    assert (moved.idler_nm, moved.qpm_period_um) == (fresh.idler_nm, fresh.qpm_period_um)
+    assert moved.idler_nm == idler_wavelength(500.0, 880.0)
+    assert moved.qpm_period_um == qpm_period(2.30, 2.25, 2.20, 500.0, 880.0, moved.idler_nm)
+    assert moved == fresh != process
+    with pytest.raises(TypeError):
+        SpdcProcess(500.0, 880.0, E, E, E, 2.30, 2.25, 2.20, idler_nm=moved.idler_nm)
 
 
 def test_phase_mismatch_zero_at_design_point(design_type0_10):
@@ -182,8 +192,8 @@ def test_coupling_amplitude_sinc_behaviour():
 
 def test_coupling_amplitude_frequency_scaling():
     # halving both pair wavelengths quadruples the frequency product
-    slow = make_process(500.0, 900.0, E, E, E, 2.3, 2.25, 2.2)
-    fast = make_process(250.0, 450.0, E, E, E, 2.3, 2.25, 2.2)
+    slow = SpdcProcess(500.0, 900.0, E, E, E, 2.3, 2.25, 2.2)
+    fast = SpdcProcess(250.0, 450.0, E, E, E, 2.3, 2.25, 2.2)
     a_slow = coupling_amplitude(slow, 0.05, 0.0, 1.0)
     a_fast = coupling_amplitude(fast, 0.05, 0.0, 1.0)
     assert a_fast.magnitude == pytest.approx(2.0 * a_slow.magnitude, rel=1e-12)
@@ -348,7 +358,7 @@ def test_spectrum_span_suggestion_stays_clear_of_the_pump(delta_n, capped):
     # a 1000 nm signal of a 519 nm pump: spans must stay below 962 nm.  The
     # estimated FWHM is 89 nm or 403 nm, so 3 x FWHM fits or must be capped
     e = Polarization.EXTRAORDINARY
-    process = make_process(519.0, 1000.0, e, e, e, 2.22, 2.16, 2.16 - delta_n)
+    process = SpdcProcess(519.0, 1000.0, e, e, e, 2.22, 2.16, 2.16 - delta_n)
     with pytest.raises(SpanTooNarrowError) as info:
         spectrum_scan(process, "signal", 1.0, 1001, 1.0)
     suggestion = info.value.suggested_span_nm
@@ -361,7 +371,7 @@ def test_spectrum_span_suggestion_stays_clear_of_the_pump(delta_n, capped):
 
 def test_spectrum_too_wide_for_any_span_clear_of_the_pump_suggests_none():
     e = Polarization.EXTRAORDINARY
-    process = make_process(519.0, 1000.0, e, e, e, 2.22, 2.16, 2.16 - 5e-5)
+    process = SpdcProcess(519.0, 1000.0, e, e, e, 2.22, 2.16, 2.16 - 5e-5)
     assert estimate_fwhm_nm(process, "signal", 1.0) > 962.0
     with pytest.raises(SpanTooNarrowError, match="no span clear of the pump") as info:
         spectrum_scan(process, "signal", 10.0, 1001, 1.0)
@@ -528,8 +538,8 @@ def test_entanglement_metrics_reject_a_bad_magnitude_and_scale_exactly(design_ty
                                  p.idler_nm)),
     ("pump_nm", lambda p: qpm_period(p.n_pump, p.n_signal, p.n_idler, 0.0, p.signal_nm,
                                      p.idler_nm)),
-    ("n_i", lambda p: make_process(p.pump_nm, p.signal_nm, E, E, E, p.n_pump, p.n_signal,
-                                   math.nan)),
+    ("n_i", lambda p: SpdcProcess(p.pump_nm, p.signal_nm, E, E, E, p.n_pump, p.n_signal,
+                                  math.nan)),
     ("overlap_per_um", lambda p: coupling_amplitude(p, math.nan, 0.0, 1.0)),
     ("delta_k_rad_per_m", lambda p: coupling_amplitude(p, 0.1, math.inf, 1.0)),
     ("length_cm", lambda p: synthesize_poling(6.8, 6.9, 1e300)),
