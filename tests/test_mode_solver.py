@@ -866,16 +866,28 @@ def test_mode_norms_are_the_direct_quadrature_moments():
             assert z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0), az
 
 
-def test_a_replaced_mode_derives_its_norms():
+def _solved_780_mode():
+    return solve_mode(IndexProfile(WaveguideGeometry(10.0, 8.0, 1.0), 2.1778, 0.003), 780.0, E)
+
+
+@pytest.mark.parametrize("change", ["alpha_y", "alpha_z", "profile"])
+def test_a_replaced_mode_derives_its_norms(change):
     # before, the norms were arguments: replacing an alpha kept the old norms
-    mode = solve_mode(IndexProfile(WaveguideGeometry(10.0, 8.0, 1.0), 2.1778, 0.003), 780.0, E)
+    mode = _solved_780_mode()
     wider = replace(mode.profile, geometry=WaveguideGeometry(12.0, 8.0, 1.0))
-    for changes in (dict(alpha_y=1.5), dict(alpha_z=2.5), dict(profile=wider)):
-        moved = replace(mode, **changes)
-        norms = mode_solver._norms(moved.profile.geometry, moved.alpha_y, moved.alpha_z)
-        assert (moved.y_norm, moved.z_norm) == norms != (mode.y_norm, mode.z_norm)
-    with pytest.raises(ValueError, match="init=False"):
-        replace(mode, y_norm=1.0)
+    moved = replace(mode, **{change: dict(alpha_y=1.5, alpha_z=2.5, profile=wider)[change]})
+    norms = mode_solver._norms(moved.profile.geometry, moved.alpha_y, moved.alpha_z)
+    assert (moved.y_norm, moved.z_norm) == norms != (mode.y_norm, mode.z_norm)
+
+
+def test_a_mode_takes_no_norms():
+    mode = _solved_780_mode()
+    for name in ("y_norm", "z_norm"):
+        with pytest.raises(TypeError, match=name):
+            ModeSolution(mode.n_eff, mode.alpha_y, mode.alpha_z, mode.wavelength_nm,
+                         mode.polarization, mode.profile, **{name: 1.0})
+        with pytest.raises(ValueError, match="init=False"):
+            replace(mode, **{name: 1.0})
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.name)

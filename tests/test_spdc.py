@@ -139,18 +139,33 @@ def test_process_validation():
         SpdcProcess(500.0, 1800.0, E, E, E, 2.3, 2.25, 2.2)
 
 
-def test_a_replaced_process_derives_its_idler_and_period():
-    # before, the idler and period were arguments: replacing the signal kept
-    # the old idler and failed the energy-conservation check
+@pytest.mark.parametrize("changes", [dict(signal_nm=880.0), dict(pump_nm=510.0),
+                                     dict(n_pump=2.31), dict(n_signal=2.26), dict(n_idler=2.19)],
+                         ids=lambda changes: next(iter(changes)))
+def test_a_replaced_process_derives_its_idler_and_period(changes):
+    # before, the idler and period were arguments: replacing a wavelength kept
+    # the old idler and failed the energy-conservation check, and replacing
+    # an index kept the old period
     process = synthetic_process()
-    moved = dataclasses.replace(process, signal_nm=880.0)
-    fresh = SpdcProcess(500.0, 880.0, E, E, E, 2.30, 2.25, 2.20)
+    moved = dataclasses.replace(process, **changes)
+    fresh = SpdcProcess(**{**dict(pump_nm=500.0, signal_nm=900.0, pump_pol=E, signal_pol=E,
+                                  idler_pol=E, n_pump=2.30, n_signal=2.25, n_idler=2.20),
+                           **changes})
     assert (moved.idler_nm, moved.qpm_period_um) == (fresh.idler_nm, fresh.qpm_period_um)
-    assert moved.idler_nm == idler_wavelength(500.0, 880.0)
-    assert moved.qpm_period_um == qpm_period(2.30, 2.25, 2.20, 500.0, 880.0, moved.idler_nm)
+    assert moved.idler_nm == idler_wavelength(moved.pump_nm, moved.signal_nm)
+    assert moved.qpm_period_um == qpm_period(moved.n_pump, moved.n_signal, moved.n_idler,
+                                             moved.pump_nm, moved.signal_nm, moved.idler_nm)
+    assert moved.qpm_period_um != process.qpm_period_um
     assert moved == fresh != process
-    with pytest.raises(TypeError):
-        SpdcProcess(500.0, 880.0, E, E, E, 2.30, 2.25, 2.20, idler_nm=moved.idler_nm)
+
+
+def test_a_process_takes_no_idler_or_period():
+    process = synthetic_process()
+    for name, value in (("idler_nm", process.idler_nm), ("qpm_period_um", process.qpm_period_um)):
+        with pytest.raises(TypeError, match=name):
+            SpdcProcess(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20, **{name: value})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(process, **{name: value})
 
 
 def test_phase_mismatch_zero_at_design_point(design_type0_10):
