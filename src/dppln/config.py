@@ -3,8 +3,9 @@ scan / sweep blocks.
 
 The config says what to compute; how to run it is the command line's.
 Wavelengths are nm, transverse sizes um, interaction lengths cm, indices
-dimensionless.  Only the blocks a subcommand needs must be present; missing
-blocks are reported by name, unknown fields as such.
+dimensionless.  The geometry and process blocks are required, the scan and
+sweep blocks only by the subcommand that reads each; missing blocks are
+reported by name, unknown fields as such.
 """
 
 from __future__ import annotations
@@ -36,42 +37,30 @@ _SELLMEIER_SETS = tuple(sorted(SELLMEIER_MODELS))
 class ScanConfig:
     axis: str
     span_nm: float
-    samples: int = 1001
-    index_model: str = "design-point"
+    samples: int
+    index_model: str
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     depths_um: tuple[float, ...]
     widths_um: tuple[float, ...]
-    pairing: str = "product"
+    pairing: str
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    material: Material = DEFAULT_MATERIAL
-    geometry: WaveguideGeometry | None = None
-    scheme: Scheme | None = None
-    pump_nm: float | None = None
-    signal1_nm: float | None = None
-    signal2_nm: float | None = None
-    scan: ScanConfig | None = None
-    sweep: SweepConfig | None = None
+    """Material, the DesignRequest of the geometry and process blocks, built
+    and checked at load, and the scan and sweep blocks or None."""
+
+    material: Material
+    _request: DesignRequest
+    scan: ScanConfig | None
+    sweep: SweepConfig | None
 
     def request(self) -> DesignRequest:
-        """DesignRequest from the geometry and process blocks."""
-        if self.geometry is None:
-            raise ConfigurationError("geometry: missing required block")
-        if self.scheme is None:
-            raise ConfigurationError("process: missing required block")
-        return _field_error(
-            "process", DesignRequest,
-            scheme=self.scheme,
-            pump_nm=self.pump_nm,
-            signal1_nm=self.signal1_nm,
-            signal2_nm=self.signal2_nm,
-            geometry=self.geometry,
-        )
+        """The DesignRequest that `parse_config` built and checked."""
+        return self._request
 
     def require_scan(self) -> ScanConfig:
         if self.scan is None:
@@ -234,36 +223,35 @@ def _sweep(data) -> SweepConfig:
     )
 
 
+def _required(data, name):
+    if name not in data:
+        raise ConfigurationError(f"{name}: missing required block")
+    return data[name]
+
+
 def parse_config(data: dict) -> RunConfig:
-    """Validate a parsed YAML mapping into a RunConfig."""
+    """Validate a parsed YAML mapping into a RunConfig; the required geometry
+    and process blocks become its request, built and checked here."""
     data = _block(data, "config", ("material", "geometry", "process", "scan", "sweep"))
-
     material = _material(data["material"]) if "material" in data else DEFAULT_MATERIAL
-    geometry = _geometry(data["geometry"]) if "geometry" in data else None
-
-    scheme = pump = s1 = s2 = None
-    if "process" in data:
-        block = _block(data["process"], "process",
-                       ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
-        scheme = Scheme(_choice("process", block, "scheme", tuple(s.value for s in Scheme), None))
-        pump = _number("process", block, "pump_nm", minimum=0.0)
-        s1 = _number("process", block, "signal1_nm", minimum=0.0)
-        s2 = _number("process", block, "signal2_nm", minimum=0.0)
-
-    return RunConfig(
-        material=material,
-        geometry=geometry,
-        scheme=scheme,
-        pump_nm=pump,
-        signal1_nm=s1,
-        signal2_nm=s2,
-        scan=_scan(data["scan"]) if "scan" in data else None,
-        sweep=_sweep(data["sweep"]) if "sweep" in data else None,
+    geometry = _geometry(_required(data, "geometry"))
+    block = _block(_required(data, "process"), "process",
+                   ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
+    request = _field_error(
+        "process", DesignRequest, geometry=geometry,
+        scheme=Scheme(_choice("process", block, "scheme", tuple(s.value for s in Scheme), None)),
+        pump_nm=_number("process", block, "pump_nm", minimum=0.0),
+        signal1_nm=_number("process", block, "signal1_nm", minimum=0.0),
+        signal2_nm=_number("process", block, "signal2_nm", minimum=0.0),
     )
+    return RunConfig(material, request,
+                     _scan(data["scan"]) if "scan" in data else None,
+                     _sweep(data["sweep"]) if "sweep" in data else None)
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and validate a YAML config file; parse errors carry line/column."""
+    """Read and validate a YAML config file, its request built and checked at
+    load; parse errors carry line/column."""
     try:
         with open(path, "rb") as handle:
             data = yaml.safe_load(handle.read().decode("utf-8"))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dispersion import DEFAULT_MATERIAL, Material, Polarization
 from .errors import (ConfigurationError, NoFeasibleDesignError, PhysicsError, ToolkitError,
-                     real, require_integer, require_positive)
+                     raised, real, require_integer, require_positive)
 from .mode_solver import (MAX_LENGTH_CM, SIZE_RANGE_UM, IndexProfile, ModeSolution,
                           WaveguideGeometry, effective_index, field_overlap, solve_lanes,
                           solve_mode)
@@ -181,10 +181,7 @@ def solve_modes(request: DesignRequest,
     period, overlap or spectrum is formed, so the interaction length plays
     no part.
     """
-    outcomes = _solve_requests([request], material)
-    if isinstance(outcomes[0], PhysicsError):
-        raise outcomes.pop()  # held by no frame, so the traceback makes no cycle
-    return outcomes[0]
+    return raised(_solve_requests([request], material))
 
 
 def phase_match(request: DesignRequest, modes: Mapping[str, ModeSolution]) -> DualPolingDesign:

@@ -90,6 +90,15 @@ class PhysicsError(ToolkitError):
     """A computation failed for physical or numerical reasons."""
 
 
+def raised(outcomes):
+    """The one outcome in `outcomes`, a value or an unraised PhysicsError, with
+    the error raised: popped first, so that no frame holds it and its
+    traceback makes no reference cycle."""
+    if isinstance(outcomes[0], PhysicsError):
+        raise outcomes.pop()
+    return outcomes[0]
+
+
 class WavelengthRangeError(PhysicsError):
     """Wavelength outside the validity range of a dispersion model."""
 

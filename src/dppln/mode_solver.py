@@ -53,6 +53,7 @@ from .errors import (
     ConsistencyError,
     NoGuidedModeError,
     PhysicsError,
+    raised,
     real,
     require_positive,
     require_within,
@@ -569,14 +570,6 @@ def _norms(geometry, ay, az):
         z2 - 4.0 * math.exp(-64.0 * c) / c))
 
 
-def _raised(outcomes):
-    """The one outcome in `outcomes`, raised if it is a PhysicsError: popped
-    first, so that no frame holds it and its traceback makes no cycle."""
-    if isinstance(outcomes[0], PhysicsError):
-        raise outcomes.pop()
-    return outcomes[0]
-
-
 def _nelder_mead_optima(starts):
     """The Nelder-Mead optimum (a_y, a_z) of each start, from its grid point,
     on `_rq_rows` at GRID_ORDER.  The runs advance in lock step: one
@@ -632,7 +625,7 @@ def effective_index(profile: IndexProfile, wavelength_nm: float) -> float:
     start = _grid_start(profile, wavelength_nm)
     scaled = _scaled(profile.lateral_scale, profile.depth_scale, GRID_ORDER)
     ay, az = _newton(profile, start.k0, scaled, start.ay, start.az)
-    return math.sqrt(_raised(_finished([start], [(ay, az)]))[0])
+    return math.sqrt(raised(_finished([start], [(ay, az)]))[0])
 
 
 def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polarization) -> ModeSolution:
@@ -642,7 +635,7 @@ def solve_mode(profile: IndexProfile, wavelength_nm: float, polarization: Polari
     Raises NoGuidedModeError when the profile cannot confine a mode and
     BoundaryOptimumError when the optimum sticks to the search-box edge.
     """
-    return _raised(solve_lanes([(profile, wavelength_nm, polarization)]))
+    return raised(solve_lanes([(profile, wavelength_nm, polarization)]))
 
 
 def field_overlap(a: ModeSolution, b: ModeSolution, c: ModeSolution) -> float:

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureConvergenceError
+from .errors import QuadratureConvergenceError, raised
 
 START_ORDER = 48
 MAX_ORDER = 3072
@@ -71,7 +71,4 @@ def refine(evaluate):
 
 def refine_scalar(evaluate):
     """`refine`, raised: its (value, converged_order), or its error raised."""
-    outcome = refine(evaluate)
-    if isinstance(outcome, QuadratureConvergenceError):
-        raise outcome
-    return outcome
+    return raised([refine(evaluate)])

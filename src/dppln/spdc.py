@@ -149,7 +149,6 @@ class CouplingAmplitude:
 
     magnitude: float
     base_magnitude: float
-    overlap_per_um: float
     sinc_factor: float
     delta_k_rad_per_m: float
     length_cm: float
@@ -173,7 +172,6 @@ def coupling_amplitude(process: SpdcProcess, overlap_per_um: float,
     return CouplingAmplitude(
         magnitude=base * abs(s),
         base_magnitude=base,
-        overlap_per_um=overlap_per_um,
         sinc_factor=s,
         delta_k_rad_per_m=delta_k_rad_per_m,
         length_cm=length_cm,

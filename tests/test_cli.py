@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -10,7 +11,10 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dppln.cli import main
+from dppln import DesignRequest, Scheme, WaveguideGeometry
+from dppln.cli import main, text_sweep
+from dppln.config import RunConfig, load_config
+from dppln.errors import ConfigurationError
 
 BASE_CONFIG = {
     "material": {"sellmeier": "zelmon1997"},
@@ -62,6 +66,35 @@ def test_missing_geometry_block_is_config_error(tmp_path, capsys):
     code, out, err = run(["design", "--config", config], capsys)
     assert code == 2
     assert "geometry" in err
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [({"process": None}, "process: missing required block"),
+     ({"process": {**BASE_CONFIG["process"], "signal1_nm": 1200.0}},
+      "process.signal1_nm: signal_1 at 1200 nm does not down-convert")],
+    ids=["process-missing", "signal-beyond-twice-pump"],
+)
+def test_load_config_builds_and_checks_the_request(tmp_path, overrides, message):
+    # before, such a config loaded and only its request() raised
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+        load_config(write_config(tmp_path, **overrides))
+
+
+def test_a_loaded_config_holds_its_request(tmp_path):
+    assert [field.name for field in dataclasses.fields(RunConfig)] == [
+        "material", "_request", "scan", "sweep"]
+    loaded = load_config(write_config(tmp_path))
+    assert loaded.request() is loaded.request() == DesignRequest(
+        Scheme.TYPE0_EEE, 519.0, 780.0, 775.0, WaveguideGeometry(10.0, 10.0, 1.0))
+
+
+def test_text_sweep_keeps_six_fields_in_a_failed_row():
+    payload = {"rows": [{"depth_um": 1.0, "width_um": 2.5,
+                         "status": "idler_1 (1551.03 nm): a, b, c"}]}
+    header, row = text_sweep(payload).splitlines()
+    assert row == "1,2.5,,,,idler_1 (1551.03 nm): a; b; c"
+    assert len(row.split(",")) == len(header.split(",")) == 6
 
 
 def test_yaml_parse_error_reports_location(tmp_path, capsys):
@@ -366,6 +399,10 @@ CUSTOM_SELLMEIER = {
          "sweep.depths_um, sweep.widths_um: zip pairing needs equally long lists"),
         ({"scan": None, "geometry": {"width_um": 1.0, "depth_um": 1.0, "length_cm": 1.0}},
          "scan: missing required block"),
+        # the process block is checked at load, before the command reads its scan block
+        ({"scan": None, "process": None}, "process: missing required block"),
+        ({"process": None}, "process: missing required block"),
+        ({"sweep": None}, "sweep: missing required block"),
         ({"scan": {"axis": "signal_1", "span_nm": 2000.0, "samples": 201}},
          "scan.span_nm: span_nm 2000 nm reaches the pump"),
     ],
@@ -380,7 +417,8 @@ CUSTOM_SELLMEIER = {
          "increment-wavelength-bool", "sellmeier-negative-square", "width-out-of-range",
          "depth-out-of-range", "length-out-of-range", "increment-out-of-range",
          "length-too-short", "sweep-depth-out-of-range", "sweep-width-out-of-range",
-         "sweep-zip-lengths", "scan-missing-before-design", "scan-span-reaches-pump"],
+         "sweep-zip-lengths", "scan-missing-before-design", "process-missing-before-scan",
+         "process-missing", "sweep-missing", "scan-span-reaches-pump"],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, **overrides)

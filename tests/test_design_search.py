@@ -15,6 +15,7 @@ from dppln import (
     DesignRequest,
     EffectiveIndexSolver,
     IndexProfile,
+    NoFeasibleDesignError,
     NoGuidedModeError,
     PhaseMatchingError,
     PhysicsError,
@@ -577,6 +578,19 @@ def test_sweep_pool_size_is_capped_by_rows_and_cpus(monkeypatch, max_workers, cp
     assert [(r.depth_um, r.width_um) for r in result.rows] == [
         (8.0, 8.0), (8.0, 10.0), (10.0, 8.0), (10.0, 10.0)
     ]
+
+
+@pytest.mark.parametrize("peak", [0.1, 0.9], ids=["near-lower-bound", "near-upper-bound"])
+def test_golden_section_finds_a_peak_near_either_bound(peak):
+    found = design_search._golden_section(lambda x: -(x - peak) ** 2, 0.0, 1.0, 1e-6)
+    assert found == pytest.approx(peak, abs=1e-6)
+
+
+def test_find_best_geometry_with_no_feasible_candidate_raises():
+    # a 1 um channel guides no wave of the request, and with lo == hi every
+    # grid candidate is that channel
+    with pytest.raises(NoFeasibleDesignError, match="no geometry in the search grid"):
+        find_best_geometry(request_for(Scheme.TYPE0_EEE, 10.0), (1.0, 1.0))
 
 
 def test_find_best_geometry_degenerate_bounds(design_type0_10):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import math
 import re
 import sys
@@ -23,6 +24,7 @@ from dppln import (
     IndexProfile,
     ModeSolution,
     NoGuidedModeError,
+    PhysicsError,
     Polarization,
     QuadratureConvergenceError,
     Scheme,
@@ -305,6 +307,28 @@ def test_solve_mode_tiny_increment_is_no_guided_mode():
     profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 5e-6)
     with pytest.raises(NoGuidedModeError):
         solve_mode(profile, 1551.03, E)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda profile: rayleigh_quotient(profile, 780.0, 1e300, 1.0),
+     lambda profile: solve_mode(profile, 1551.03, E),
+     lambda profile: mode_solver.effective_index(profile, 1551.03),
+     lambda profile: solve_modes(request_for(Scheme.TYPE0_EEE, 1.0))],
+    ids=["rayleigh_quotient", "solve_mode", "effective_index", "solve_modes"],
+)
+def test_a_failed_solve_leaves_no_garbage(call):
+    # each raises its PhysicsError from a frame that no longer holds it, so no
+    # frame <-> error cycle is left; before, a failing refine_scalar left one
+    profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 5e-6)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(PhysicsError):
+            call(profile)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solve_mode_unguided_geometry_hits_search_boundary():
@@ -1097,7 +1121,7 @@ def test_narrow_channel_wall_optimum_is_newtons_at_order_768():
     assert solved > 300
 
 
-def test_solvers_reject_wavelengths_outside_the_supported_range_and_stop_on_nan(monkeypatch):
+def test_solvers_reject_wavelengths_outside_the_supported_range_and_stop_on_nan():
     # before, 1e300 and 1e-300 nm overflowed in the grid start or the
     # objective, and alpha_y=1e300 ran NaN estimates up to order 3072
     profile = IndexProfile(WaveguideGeometry(10.0, 10.0, 1.0), 2.2, 0.003)

@@ -12,6 +12,8 @@ number that moved fails here rather than only in a benchmark run.
 
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,6 +64,25 @@ def test_the_library_takes_the_benchmark_keywords(function, keywords):
     for keyword in keywords:
         assert parameters[keyword].kind in (inspect.Parameter.KEYWORD_ONLY,
                                             inspect.Parameter.POSITIONAL_OR_KEYWORD), keyword
+
+
+def test_import_and_one_design_load_no_config_layer_pool_or_scipy():
+    # `import dppln` and one design() in a fresh interpreter are what the
+    # benchmark's setup_s pays for; the config layer, the sweep's process pool
+    # and the test-only scipy stay off that path
+    probe = (
+        "import sys, dppln\n"
+        "unwanted = ('yaml', 'dppln.config', 'dppln.cli', 'concurrent.futures', 'scipy')\n"
+        "loaded = lambda: [name for name in unwanted if name in sys.modules]\n"
+        "imported = loaded()\n"
+        "dppln.design(dppln.DesignRequest(dppln.Scheme.TYPE0_EEE, 519.0, 780.0, 775.0,\n"
+        "                                 dppln.WaveguideGeometry(10.0, 10.0, 1.0)))\n"
+        "print(imported, loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[] []\n"), done.stderr
 
 
 @pytest.fixture(scope="module")

@@ -46,7 +46,7 @@ ENTROPY_AT_GAMMA_9817 = 0.9997539737102910
 WEIGHT2_AT_GAMMA_9817 = 0.49076629177780714
 
 
-def synthetic_process(overlap_scale=1.0):
+def synthetic_process():
     return SpdcProcess(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20)
 
 
@@ -346,6 +346,14 @@ def test_fwhm_estimate_slope_matches_finite_difference(request, fixture, axis):
         slope = (dk[0] - 8.0 * dk[1] + 8.0 * dk[2] - dk[3]) / (12.0 * h)
         expected = 4.0 * HALF_MAX_ARG / (1e-2 * abs(slope))
         assert estimate_fwhm_nm(process, axis, 1.0) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("axis", ["signal", "idler"])
+def test_fwhm_estimate_of_a_flat_mismatch_is_a_phase_matching_error(axis):
+    # with n_signal == n_idler the frozen-index mismatch has no slope on either axis
+    process = SpdcProcess(500.0, 900.0, E, E, E, 2.30, 2.25, 2.25)
+    with pytest.raises(PhaseMatchingError, match="flat mismatch"):
+        estimate_fwhm_nm(process, axis, 1.0)
 
 
 def test_spectrum_first_null_placement(design_type0_10):
