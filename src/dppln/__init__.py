@@ -62,7 +62,6 @@ from .spdc import (
     PolingPattern,
     SpdcProcess,
     Spectrum,
-    coupling_amplitude,
     degree_of_entanglement,
     estimate_fwhm_nm,
     idler_wavelength,

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, required
 from .design_search import ROLES, EffectiveIndexSolver, design, phase_match, solve_modes, sweep
 from .errors import ConfigurationError, PhysicsError, require_integer
 from .spdc import spectrum_scan, synthesize_poling
@@ -124,7 +124,7 @@ _SWEEP_FIELDS = {"depths_um": "sweep.depths_um", "widths_um": "sweep.widths_um",
 
 def cmd_sweep(config: RunConfig, args) -> dict:
     template = config.request()
-    block = config.require_sweep()
+    block = required("sweep", config.sweep)
     workers = None if args.parallel is None else require_integer("--parallel", args.parallel, 1)
     try:
         result = sweep(template, block.depths_um, block.widths_um, material=config.material,
@@ -162,7 +162,7 @@ def text_sweep(payload) -> str:
 
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
-    scan = config.require_scan()
+    scan = required("scan", config.scan)
     request = config.request()
     result = phase_match(request, solve_modes(request, config.material))
     process = result.process_1 if scan.axis.endswith("_1") else result.process_2

@@ -62,15 +62,13 @@ class RunConfig:
         """The DesignRequest that `parse_config` built and checked."""
         return self._request
 
-    def require_scan(self) -> ScanConfig:
-        if self.scan is None:
-            raise ConfigurationError("scan: missing required block")
-        return self.scan
 
-    def require_sweep(self) -> SweepConfig:
-        if self.sweep is None:
-            raise ConfigurationError("sweep: missing required block")
-        return self.sweep
+def required(name, block):
+    """`block`, the config's block `name`; None, a block the config does not
+    give, is a ConfigurationError."""
+    if block is None:
+        raise ConfigurationError(f"{name}: missing required block")
+    return block
 
 
 def _block(data, name, known):
@@ -223,19 +221,13 @@ def _sweep(data) -> SweepConfig:
     )
 
 
-def _required(data, name):
-    if name not in data:
-        raise ConfigurationError(f"{name}: missing required block")
-    return data[name]
-
-
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed YAML mapping into a RunConfig; the required geometry
     and process blocks become its request, built and checked here."""
     data = _block(data, "config", ("material", "geometry", "process", "scan", "sweep"))
     material = _material(data["material"]) if "material" in data else DEFAULT_MATERIAL
-    geometry = _geometry(_required(data, "geometry"))
-    block = _block(_required(data, "process"), "process",
+    geometry = _geometry(required("geometry", data.get("geometry")))
+    block = _block(required("process", data.get("process")), "process",
                    ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
     request = _field_error(
         "process", DesignRequest, geometry=geometry,

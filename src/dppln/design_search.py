@@ -23,7 +23,6 @@ from .spdc import (
     CouplingAmplitude,
     Spectrum,
     SpdcProcess,
-    coupling_amplitude,
     degree_of_entanglement,
     estimate_fwhm_nm,
     idler_wavelength,
@@ -187,7 +186,8 @@ def solve_modes(request: DesignRequest,
 def phase_match(request: DesignRequest, modes: Mapping[str, ModeSolution]) -> DualPolingDesign:
     """`design` from the `solve_modes` modes, without the design spectra and so
     without their length limit: each `SpdcProcess` derives its idler and period
-    from the n_eff of its three waves, and a failure names its process."""
+    from the n_eff of its three waves, and a failure names its process; each
+    `CouplingAmplitude` derives its magnitude from its process and overlap."""
     pols = request.scheme.polarizations()
     processes, overlaps, amplitudes = [], [], []
     for tag, s_role, i_role in PAIRS:
@@ -201,8 +201,8 @@ def phase_match(request: DesignRequest, modes: Mapping[str, ModeSolution]) -> Du
         processes.append(process)
         overlaps.append(field_overlap(modes["pump"], modes[s_role], modes[i_role]))
         # Both processes are exactly phase matched at their own design point.
-        amplitudes.append(coupling_amplitude(process, overlaps[-1], 0.0,
-                                             request.geometry.length_cm))
+        amplitudes.append(CouplingAmplitude(process, overlaps[-1], 0.0,
+                                            request.geometry.length_cm))
     weights, entropy = state_weights_and_entropy(*amplitudes)
     return DualPolingDesign(request, modes, *processes, *overlaps, *amplitudes,
                             gamma=degree_of_entanglement(*amplitudes),

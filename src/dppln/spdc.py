@@ -11,6 +11,7 @@ and is set to one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,16 @@ def idler_wavelength(pump_nm: float, signal_nm):
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
+def _per_um(name, n, wavelength_nm) -> float:
+    """n / lambda in 1/um; a wavelength so short that this overflows, or that
+    is zero in um, is a ConfigurationError naming `name`."""
+    wavelength_um = wavelength_nm * 1e-3
+    if wavelength_um == 0.0 or n / wavelength_um == math.inf:
+        raise ConfigurationError(f"{name} {wavelength_nm:g} nm is too short: n/lambda overflows",
+                                 name)
+    return n / wavelength_um
+
+
 def qpm_period(n_p, n_s, n_i, pump_nm, signal_nm, idler_nm) -> float:
     """First-order quasi-phase-matching period in um.
 
@@ -81,9 +92,8 @@ def qpm_period(n_p, n_s, n_i, pump_nm, signal_nm, idler_nm) -> float:
     """
     require_positive(n_p=n_p, n_s=n_s, n_i=n_i, pump_nm=pump_nm, signal_nm=signal_nm,
                      idler_nm=idler_nm)
-    denominator = (
-        n_p / (pump_nm * 1e-3) - n_s / (signal_nm * 1e-3) - n_i / (idler_nm * 1e-3)
-    )
+    denominator = (_per_um("pump_nm", n_p, pump_nm) - _per_um("signal_nm", n_s, signal_nm)
+                   - _per_um("idler_nm", n_i, idler_nm))
     if denominator <= 0.0:
         raise PhaseMatchingError(
             "no first-order grating: n_p/lp - n_s/ls - n_i/li = "
@@ -145,13 +155,30 @@ def phase_mismatch(process: SpdcProcess, signal_nm, index_provider=None):
 
 @dataclass(frozen=True)
 class CouplingAmplitude:
-    """Relative coupling amplitude of one process (common prefactor dropped)."""
+    """One process's relative amplitude |I| sqrt(ws wi) / (ns ni) |sinc(dk L/2)|, derived
+    from its checked inputs, also under `dataclasses.replace`, and always finite."""
 
-    magnitude: float
-    base_magnitude: float
-    sinc_factor: float
+    process: SpdcProcess
+    overlap_per_um: float
     delta_k_rad_per_m: float
     length_cm: float
+    base_magnitude: float = field(init=False)
+    sinc_factor: float = field(init=False)
+    magnitude: float = field(init=False)
+
+    def __post_init__(self):
+        require_finite(overlap_per_um=self.overlap_per_um,
+                       delta_k_rad_per_m=self.delta_k_rad_per_m)
+        require_positive(length_cm=self.length_cm)
+        ws = angular_frequency(self.process.signal_nm)
+        wi = angular_frequency(self.process.idler_nm)
+        n_product = self.process.n_signal * self.process.n_idler
+        base = abs(self.overlap_per_um) * math.sqrt(ws * wi) / n_product if n_product else math.inf
+        require_finite(base_magnitude=base)
+        s = float(sinc(0.5 * self.delta_k_rad_per_m * self.length_cm * 1e-2))
+        object.__setattr__(self, "base_magnitude", base)
+        object.__setattr__(self, "sinc_factor", s)
+        object.__setattr__(self, "magnitude", base * abs(s))
 
     def complex_value(self):
         """-|base| sinc(dk L/2) exp(-i dk L/2); phase rebuilt on demand."""
@@ -159,33 +186,9 @@ class CouplingAmplitude:
         return -self.base_magnitude * self.sinc_factor * np.exp(-1j * half_phase)
 
 
-def coupling_amplitude(process: SpdcProcess, overlap_per_um: float,
-                       delta_k_rad_per_m: float, length_cm: float) -> CouplingAmplitude:
-    """Relative amplitude |I| sqrt(ws wi) / (ns ni) * |sinc(dk L/2)|."""
-    require_finite(overlap_per_um=overlap_per_um, delta_k_rad_per_m=delta_k_rad_per_m)
-    require_positive(length_cm=length_cm)
-    ws = angular_frequency(process.signal_nm)
-    wi = angular_frequency(process.idler_nm)
-    base = abs(overlap_per_um) * math.sqrt(ws * wi) / (process.n_signal * process.n_idler)
-    x = 0.5 * delta_k_rad_per_m * length_cm * 1e-2
-    s = float(sinc(x))
-    return CouplingAmplitude(
-        magnitude=base * abs(s),
-        base_magnitude=base,
-        sinc_factor=s,
-        delta_k_rad_per_m=delta_k_rad_per_m,
-        length_cm=length_cm,
-    )
-
-
 def _magnitudes(a1: CouplingAmplitude, a2: CouplingAmplitude):
-    """|C1| and |C2| scaled by one power of two, so exactly, to at most 1;
-    a magnitude that is not finite and non-negative is a ConfigurationError
-    naming its amplitude, and two vanishing ones an AmplitudeUndefinedError."""
-    for name, m in (("a1", a1.magnitude), ("a2", a2.magnitude)):
-        if not (math.isfinite(real(m)) and m >= 0.0):
-            raise ConfigurationError(f"{name}.magnitude must be finite and non-negative, "
-                                     f"got {m!r}", name)
+    """|C1| and |C2|, finite as every CouplingAmplitude's, scaled exactly, by one
+    power of two, to at most 1; two vanishing ones are an AmplitudeUndefinedError."""
     if a1.magnitude == 0.0 and a2.magnitude == 0.0:
         raise AmplitudeUndefinedError("both coupling amplitudes vanish")
     exponent = math.frexp(max(a1.magnitude, a2.magnitude))[1]
@@ -244,12 +247,17 @@ def estimate_fwhm_nm(process: SpdcProcess, axis: str, length_cm: float) -> float
     """
     center = _center(process, axis)
     require_positive(length_cm=length_cm)
-    # rad/m per nm, with the wavelength in um
-    slope = 2.0 * np.pi * (process.n_idler - process.n_signal) / (center * 1e-3) ** 2 * 1e3
-    if slope == 0.0:
-        raise PhaseMatchingError("flat mismatch: cannot estimate a bandwidth")
-    # full width: the half-maximum offsets sit at dk = +-2*HALF_MAX_ARG/L
-    return 4.0 * HALF_MAX_ARG / (length_cm * 1e-2 * abs(slope))
+    try:
+        # rad/m per nm, with the wavelength in um
+        slope = 2.0 * np.pi * (process.n_idler - process.n_signal) / (center * 1e-3) ** 2 * 1e3
+        # full width: the half-maximum offsets sit at dk = +-2*HALF_MAX_ARG/L
+        fwhm = 4.0 * HALF_MAX_ARG / (length_cm * 1e-2 * abs(slope))
+    except (OverflowError, ZeroDivisionError):  # a centre or slope L out of float range
+        fwhm = math.nan
+    if not 0.0 < fwhm < math.inf:
+        raise PhaseMatchingError(f"flat mismatch, or one out of float range, over {length_cm:g} "
+                                 f"cm at {center:g} nm: cannot estimate a bandwidth")
+    return fwhm
 
 
 def _half_crossings(wavelengths, gain, center_index):
@@ -409,7 +417,7 @@ def poling_fourier_coefficient(pattern: PolingPattern, k_rad_per_um: float) -> f
     require_finite(k_rad_per_um=k_rad_per_um)
     edges = pattern.segment_edges()
     signs = pattern.segment_signs()
-    if k_rad_per_um == 0.0:
+    if abs(k_rad_per_um) < sys.float_info.min:  # 0, or subnormal: 1/K overflows
         return float(abs(np.sum(signs * np.diff(edges))) / pattern.length_um)
     phases = np.exp(-1j * k_rad_per_um * edges)
     total = np.sum(signs * (phases[1:] - phases[:-1])) / (-1j * k_rad_per_um)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from dppln import (
+    CouplingAmplitude,
     IDEAL_HARMONIC_AMPLITUDE,
     Polarization,
     Scheme,
     SpdcProcess,
-    coupling_amplitude,
     degree_of_entanglement,
     field_overlap,
     idler_wavelength,
@@ -208,8 +208,8 @@ def test_criterion_7_property_suites(type0_designs, type2_designs):
 
     def amplitude_of(magnitude):
         process = SpdcProcess(500.0, 900.0, E, E, E, 2.30, 2.25, 2.20)
-        unit = coupling_amplitude(process, 1.0, 0.0, 1.0)
-        return coupling_amplitude(process, magnitude / unit.magnitude, 0.0, 1.0)
+        unit = CouplingAmplitude(process, 1.0, 0.0, 1.0)
+        return CouplingAmplitude(process, magnitude / unit.magnitude, 0.0, 1.0)
 
     rng = np.random.default_rng(2024)
     magnitudes = rng.uniform(1e-6, 10.0, (1000, 2))

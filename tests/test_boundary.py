@@ -2,9 +2,10 @@
 functions of `dppln`, of the classes that carry their inputs, of the ranges,
 terms and support points of the dispersion tables and of the wavelength
 methods of those tables and `EffectiveIndexSolver`, set in turn to nan,
-+-inf, 0, -1, 1e300, 1e-300 or an integer too large for a float (+-10**400),
-gives a finite result or a ToolkitError, and no quadrature refinement
-evaluates an order above 384."""
++-inf, 0, -1, 1e300, 1e-300, the subnormals 1e-310 and 5e-324 or an integer
+too large for a float (+-10**400), gives a finite result or a ToolkitError,
+and no quadrature refinement evaluates an order above 384.  So do the calls
+that read a process whose wavelengths are extreme but valid."""
 
 import dataclasses
 import math
@@ -17,17 +18,18 @@ from hypothesis import strategies as st
 
 from conftest import request_for
 from dppln import (DEFAULT_INCREMENTS, DEFAULT_MATERIAL, ZELMON_1997, ConfigurationError,
-                   DesignRequest, EffectiveIndexSolver, IndexIncrementTable, IndexProfile,
-                   Material, ModeSolution, Polarization, Scheme, SellmeierModel, SpdcProcess,
-                   ToolkitError, WaveguideGeometry,
-                   coupling_amplitude, degree_of_entanglement, design, estimate_fwhm_nm,
+                   CouplingAmplitude, DesignRequest, EffectiveIndexSolver, IndexIncrementTable,
+                   IndexProfile, Material, ModeSolution, Polarization, Scheme, SellmeierModel,
+                   SpdcProcess, ToolkitError, WaveguideGeometry,
+                   degree_of_entanglement, design, estimate_fwhm_nm,
                    field_overlap, find_best_geometry,
                    idler_wavelength, phase_mismatch, poling_fourier_coefficient,
                    qpm_period, rayleigh_quotient, sinc, solve_mode, spectrum_scan,
                    state_weights_and_entropy, sweep, synthesize_poling)
 from dppln import mode_solver, quadrature
 
-BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400, -10**400)
+BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 1e-310, 5e-324, 10**400,
+       -10**400)
 # The highest Gauss order a refinement may evaluate on any of these inputs.
 MAX_REFINED_ORDER = 384
 
@@ -55,8 +57,8 @@ def _calls():
     mode = _init_fields(signal)
 
     def amplitudes(metric):
-        return lambda m1, m2: metric(dataclasses.replace(a1, magnitude=m1),
-                                     dataclasses.replace(a2, magnitude=m2))
+        return lambda o1, o2: metric(dataclasses.replace(a1, overlap_per_um=o1),
+                                     dataclasses.replace(a2, overlap_per_um=o2))
 
     return {
         "WaveguideGeometry": (WaveguideGeometry, dict(width_um=10.0, depth_um=8.0,
@@ -93,13 +95,13 @@ def _calls():
                                         signal_nm=process.signal_nm,
                                         idler_nm=process.idler_nm)),
         "phase_mismatch": (partial(phase_mismatch, process), dict(signal_nm=781.0)),
-        "coupling_amplitude": (partial(coupling_amplitude, process),
-                               dict(overlap_per_um=matched.overlap_1, delta_k_rad_per_m=0.0,
-                                    length_cm=1.0)),
+        "CouplingAmplitude": (partial(CouplingAmplitude, process),
+                              dict(overlap_per_um=matched.overlap_1, delta_k_rad_per_m=0.0,
+                                   length_cm=1.0)),
         "degree_of_entanglement": (amplitudes(degree_of_entanglement),
-                                   dict(m1=a1.magnitude, m2=a2.magnitude)),
+                                   dict(o1=a1.overlap_per_um, o2=a2.overlap_per_um)),
         "state_weights_and_entropy": (amplitudes(state_weights_and_entropy),
-                                      dict(m1=a1.magnitude, m2=a2.magnitude)),
+                                      dict(o1=a1.overlap_per_um, o2=a2.overlap_per_um)),
         "estimate_fwhm_nm": (partial(estimate_fwhm_nm, process, "signal"),
                              dict(length_cm=1.0)),
         "spectrum_scan": (partial(spectrum_scan, process, "signal"),
@@ -191,8 +193,27 @@ def test_a_mode_solution_names_its_bad_number_or_gives_a_finite_overlap(bad):
             assert math.isfinite(overlap), (name, overlap)
 
 
+@pytest.mark.parametrize("pump_nm, signal_nm", [(1e200, 1.5e200), (1e-300, 1.5e-300)])
+def test_a_process_of_extreme_wavelengths_gives_a_finite_result_or_a_toolkit_error(pump_nm,
+                                                                                  signal_nm):
+    # before, the FWHM estimate and the spectrum scan squared the 1e200 nm
+    # centre into an OverflowError
+    process = SpdcProcess(pump_nm, signal_nm, E, E, E, 2.2, 2.1, 2.0)
+    span = 1e-3 * signal_nm
+    calls = [partial(phase_mismatch, process, signal_nm * (1.0 + 1e-7)),
+             partial(CouplingAmplitude, process, 0.1, 0.0, 1.0)]
+    calls += [partial(call, process, axis, *args) for axis in ("signal", "idler")
+              for call, args in ((estimate_fwhm_nm, (1.0,)), (spectrum_scan, (span, 101, 1.0)))]
+    for call in calls:
+        try:
+            result = call()
+        except ToolkitError:
+            continue
+        assert _finite(result), (call, result)
+
+
 def test_the_bad_numbers_reach_every_slot_and_the_refinements_are_counted():
-    # Hypothesis exhausts the nine values, and the counter sees the orders
+    # Hypothesis exhausts the eleven values, and the counter sees the orders
     # of a solve: its one refinement, the final n_eff^2, settling at 96
     seen = set()
 

@@ -81,6 +81,27 @@ def test_load_config_builds_and_checks_the_request(tmp_path, overrides, message)
         load_config(write_config(tmp_path, **overrides))
 
 
+@pytest.mark.parametrize("command, overrides, message", [
+    ("design", {"geometry": {"depth_um": 10.0, "length_cm": 1.0}},
+     "geometry: missing required field 'width_um'"),
+    ("design", {"material": {"index_increments": {}}},
+     "material.index_increments: no polarization tables given"),
+    ("design", {"material": {"sellmeier": {"extraordinary": [[2.9804, 0.02047]]}}},
+     "material.sellmeier: missing 'ordinary' terms"),
+    ("sweep", {"sweep": {"widths_um": [10.0]}}, "sweep: missing required field 'depths_um'"),
+    ("design", None, "config file is empty"),
+], ids=["geometry-width", "increments-no-table", "sellmeier-no-ordinary", "sweep-depths",
+        "empty-file"])
+def test_a_missing_field_table_or_file_is_named_exactly(tmp_path, capsys, command, overrides,
+                                                        message):
+    config = tmp_path / "empty.yaml"
+    config.write_text("")
+    if overrides is not None:
+        config = write_config(tmp_path, **overrides)
+    code, out, err = run([command, "--config", str(config)], capsys)
+    assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
 def test_a_loaded_config_holds_its_request(tmp_path):
     assert [field.name for field in dataclasses.fields(RunConfig)] == [
         "material", "_request", "scan", "sweep"]
@@ -556,6 +577,17 @@ def test_valid_request_exits_0_or_3_and_reruns_identically(scheme, width, depth,
         assert re.match(rf"physics error: ({'|'.join(WAVES_AND_PROCESSES)}) \(", err), err
     else:
         assert code == 0 and json.loads(out)["gamma"] > 0.0
+
+
+@pytest.mark.parametrize("length_cm", [5.0e-324, 1.0e-310])
+def test_a_spectrum_at_a_subnormal_length_is_an_error_without_a_traceback(tmp_path, capsys,
+                                                                          length_cm):
+    # before, 5e-324 cm raised ZeroDivisionError from the FWHM estimate and
+    # 1e-310 cm reported that the estimated FWHM is inf nm
+    config = write_config(tmp_path, geometry={**BASE_CONFIG["geometry"], "length_cm": length_cm})
+    code, _, err = run(["spectrum", "--config", config], capsys)
+    assert code in (2, 3), err
+    assert "Traceback" not in err and "inf nm" not in err
 
 
 @pytest.mark.parametrize("profile", [{"depth_scale": 1.0e-300}, {"lateral_scale": 1e-310}],

@@ -13,13 +13,13 @@ from dppln import (
     AmplitudeUndefinedError,
     ConfigurationError,
     ConsistencyError,
+    CouplingAmplitude,
     DownConversionError,
     EffectiveIndexSolver,
     PhaseMatchingError,
     Polarization,
     SpanTooNarrowError,
     SpdcProcess,
-    coupling_amplitude,
     degree_of_entanglement,
     design,
     estimate_fwhm_nm,
@@ -53,9 +53,9 @@ def synthetic_process():
 def synthetic_amplitude(magnitude):
     """CouplingAmplitude with a prescribed phase-matched magnitude."""
     process = synthetic_process()
-    base = coupling_amplitude(process, 1.0, 0.0, 1.0)
+    base = CouplingAmplitude(process, 1.0, 0.0, 1.0)
     scale = magnitude / base.magnitude if base.magnitude else 0.0
-    return coupling_amplitude(process, scale, 0.0, 1.0)
+    return CouplingAmplitude(process, scale, 0.0, 1.0)
 
 
 def test_sinc_values():
@@ -195,12 +195,12 @@ def test_phase_mismatch_matches_finite_difference_oracle(design_type0_10):
 
 def test_coupling_amplitude_sinc_behaviour():
     process = synthetic_process()
-    matched = coupling_amplitude(process, 0.05, 0.0, 1.0)
+    matched = CouplingAmplitude(process, 0.05, 0.0, 1.0)
     assert matched.sinc_factor == 1.0
     assert matched.magnitude == matched.base_magnitude
 
     first_null_dk = 2.0 * np.pi / 0.01  # dk L / 2 = pi at L = 1 cm
-    null = coupling_amplitude(process, 0.05, first_null_dk, 1.0)
+    null = CouplingAmplitude(process, 0.05, first_null_dk, 1.0)
     assert abs(null.sinc_factor) < 1e-12
     assert null.magnitude < 1e-12
 
@@ -209,18 +209,46 @@ def test_coupling_amplitude_frequency_scaling():
     # halving both pair wavelengths quadruples the frequency product
     slow = SpdcProcess(500.0, 900.0, E, E, E, 2.3, 2.25, 2.2)
     fast = SpdcProcess(250.0, 450.0, E, E, E, 2.3, 2.25, 2.2)
-    a_slow = coupling_amplitude(slow, 0.05, 0.0, 1.0)
-    a_fast = coupling_amplitude(fast, 0.05, 0.0, 1.0)
+    a_slow = CouplingAmplitude(slow, 0.05, 0.0, 1.0)
+    a_fast = CouplingAmplitude(fast, 0.05, 0.0, 1.0)
     assert a_fast.magnitude == pytest.approx(2.0 * a_slow.magnitude, rel=1e-12)
 
 
 def test_coupling_amplitude_phase_reconstruction():
     process = synthetic_process()
     dk = 100.0
-    amp = coupling_amplitude(process, 0.05, dk, 1.0)
+    amp = CouplingAmplitude(process, 0.05, dk, 1.0)
     value = amp.complex_value()
     assert abs(value) == pytest.approx(amp.magnitude, rel=1e-12)
     assert np.angle(-value) == pytest.approx(-0.5 * dk * 1e-2, rel=1e-9)
+
+
+@pytest.mark.parametrize("changes", [dict(process=SpdcProcess(250.0, 450.0, E, E, E, 2.3, 2.25,
+                                                                 2.2)),
+                                     dict(overlap_per_um=-0.07), dict(delta_k_rad_per_m=250.0),
+                                     dict(length_cm=2.5)],
+                         ids=lambda changes: next(iter(changes)))
+def test_a_replaced_amplitude_derives_its_magnitudes(changes):
+    # before, the magnitudes were arguments: replacing an input kept the old
+    # magnitudes, and replacing a magnitude took any number
+    amplitude = CouplingAmplitude(synthetic_process(), 0.05, 100.0, 1.0)
+    moved = dataclasses.replace(amplitude, **changes)
+    fresh = CouplingAmplitude(**{**dict(process=synthetic_process(), overlap_per_um=0.05,
+                                        delta_k_rad_per_m=100.0, length_cm=1.0), **changes})
+    derived = ("base_magnitude", "sinc_factor", "magnitude")
+    assert [getattr(moved, name) for name in derived] == [getattr(fresh, name) for name in derived]
+    assert moved.magnitude == moved.base_magnitude * abs(moved.sinc_factor)
+    assert moved.magnitude != amplitude.magnitude
+    assert moved == fresh != amplitude
+
+
+def test_an_amplitude_takes_no_magnitudes():
+    amplitude = CouplingAmplitude(synthetic_process(), 0.05, 0.0, 1.0)
+    for name in ("base_magnitude", "sinc_factor", "magnitude"):
+        with pytest.raises(TypeError, match=name):
+            CouplingAmplitude(synthetic_process(), 0.05, 0.0, 1.0, **{name: 1.0})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(amplitude, **{name: 1.0})
 
 
 def test_degree_of_entanglement_limits():
@@ -297,8 +325,8 @@ def test_weights_entropy_and_gamma_are_those_of_the_two_pair_state(design_type0_
     rng = np.random.default_rng(4747)
     process = synthetic_process()
     for overlap_1, overlap_2, dk_1, dk_2 in rng.uniform(-1.0, 1.0, size=(20, 4)).tolist():
-        pairs.append((coupling_amplitude(process, overlap_1, 300.0 * dk_1, 1.0),
-                      coupling_amplitude(process, overlap_2, 300.0 * dk_2, 1.0)))
+        pairs.append((CouplingAmplitude(process, overlap_1, 300.0 * dk_1, 1.0),
+                      CouplingAmplitude(process, overlap_2, 300.0 * dk_2, 1.0)))
     cases = [(a1, a2, state_weights_and_entropy(a1, a2)[1], degree_of_entanglement(a1, a2))
              for a1, a2 in pairs]
     cases += [(d.amplitude_1, d.amplitude_2, d.entropy_bits, d.gamma)
@@ -537,23 +565,18 @@ def test_scan_and_bandwidth_argument_errors_name_their_field(design_type0_10, ca
     assert raised.value.field == field
 
 
-def test_entanglement_metrics_reject_a_bad_magnitude_and_scale_exactly(design_type0_10):
-    # before, a NaN magnitude gave gamma = 1 and weights (nan, nan) with zero
-    # entropy, and magnitudes of 1e300 overflowed the weights to nan
+def test_entanglement_metrics_scale_exactly(design_type0_10):
+    # before, magnitudes of 1e300 overflowed the weights to nan; scaling both
+    # overlaps by a power of two scales both magnitudes and changes no bit
     a1, a2 = design_type0_10.amplitude_1, design_type0_10.amplitude_2
-    for bad in (math.nan, math.inf, -1.0):
-        for metric in (degree_of_entanglement, state_weights_and_entropy):
-            with pytest.raises(ConfigurationError, match="^a2.magnitude must be finite") as raised:
-                metric(a1, dataclasses.replace(a2, magnitude=bad))
-            assert raised.value.field == "a2"
-    # scaling both magnitudes by a power of two changes no bit
     for scale in (2.0**-1000, 2.0**1000):
-        scaled = [dataclasses.replace(a, magnitude=a.magnitude * scale) for a in (a1, a2)]
+        scaled = [dataclasses.replace(a, overlap_per_um=a.overlap_per_um * scale) for a in (a1, a2)]
+        assert [a.magnitude for a in scaled] == [a1.magnitude * scale, a2.magnitude * scale]
         assert degree_of_entanglement(*scaled) == degree_of_entanglement(a1, a2)
         assert state_weights_and_entropy(*scaled) == state_weights_and_entropy(a1, a2)
     with pytest.raises(AmplitudeUndefinedError):
-        state_weights_and_entropy(dataclasses.replace(a1, magnitude=0.0),
-                                  dataclasses.replace(a2, magnitude=0.0))
+        state_weights_and_entropy(dataclasses.replace(a1, overlap_per_um=0.0),
+                                  dataclasses.replace(a2, overlap_per_um=0.0))
 
 
 @pytest.mark.parametrize("field, call", [
@@ -563,14 +586,24 @@ def test_entanglement_metrics_reject_a_bad_magnitude_and_scale_exactly(design_ty
                                      p.idler_nm)),
     ("n_i", lambda p: SpdcProcess(p.pump_nm, p.signal_nm, E, E, E, p.n_pump, p.n_signal,
                                   math.nan)),
-    ("overlap_per_um", lambda p: coupling_amplitude(p, math.nan, 0.0, 1.0)),
-    ("delta_k_rad_per_m", lambda p: coupling_amplitude(p, 0.1, math.inf, 1.0)),
+    ("overlap_per_um", lambda p: CouplingAmplitude(p, math.nan, 0.0, 1.0)),
+    ("delta_k_rad_per_m", lambda p: CouplingAmplitude(p, 0.1, math.inf, 1.0)),
     ("length_cm", lambda p: synthesize_poling(6.8, 6.9, 1e300)),
     ("period1_um", lambda p: synthesize_poling(1e-300, 6.9, 1.0)),
+    pytest.param("length_cm", lambda p: CouplingAmplitude(p, 0.1, 0.0, 0.0),
+                 id="amplitude-length_cm"),
+    # n_s n_i underflows to zero, and to a subnormal that the overlap overflows
+    pytest.param("base_magnitude", lambda p: CouplingAmplitude(
+        dataclasses.replace(p, n_signal=1e-300, n_idler=1e-300), 0.1, 0.0, 1.0),
+                 id="base_magnitude-n-product-zero"),
+    pytest.param("base_magnitude", lambda p: CouplingAmplitude(
+        dataclasses.replace(p, n_signal=1e-160, n_idler=1e-160), 0.1, 0.0, 1.0),
+                 id="base_magnitude-overflow"),
 ])
 def test_periods_and_amplitudes_reject_a_bad_number_by_name(design_type0_10, field, call):
-    # before, these returned nan, raised ZeroDivisionError, built an
-    # SpdcProcess with a nan period or reached np.arange with 1e304 cells
+    # before, these returned nan, raised ZeroDivisionError (also for an n_s n_i
+    # that underflows), built an SpdcProcess with a nan period, reached
+    # np.arange with 1e304 cells or built an amplitude of infinite magnitude
     with pytest.raises(ConfigurationError) as raised:
         call(design_type0_10.process_1)
     assert raised.value.field == field

@@ -4,7 +4,11 @@
 
 Each tree runs in one child interpreter with its own `src` on the path.  The
 child designs the 13x13 `geomspace(2, 20)` um grid for both schemes (338
-requests at the paper's 519 -> 780/775 nm, 1 cm) and the four 101-sample
+requests at the paper's 519 -> 780/775 nm, 1 cm), recording of each design
+its n_eff, alpha, norms, periods, overlaps, gamma, FWHM and spectrum gains,
+and as `amplitude` both amplitudes' base magnitude, sinc factor and
+magnitude with the state weights and entropy, so a rescaling shared by both
+magnitudes, which gamma cannot show, is caught; and it runs the four 101-sample
 dispersive scans (the two shipped geometries, process 1, signal and idler
 axes, 3 x the estimated FWHM, recording every n_eff they request from
 `EffectiveIndexSolver.index` as `effective_index`), then runs
@@ -62,6 +66,7 @@ TOLERANCES = {
     "z_norm": 0.0,
     "overlap": 0.0,
     "gamma": 0.0,
+    "amplitude": 0.0,
     "scan_fwhm": 0.0,
     "scan_gain": 0.0,
     "design_gain": 0.0,
@@ -113,6 +118,9 @@ for scheme in Scheme:
                 "period": [result.period1_um, result.period2_um],
                 "overlap": [result.overlap_1, result.overlap_2],
                 "gamma": [result.gamma],
+                "amplitude": [getattr(a, name) for a in (result.amplitude_1, result.amplitude_2)
+                              for name in ("base_magnitude", "sinc_factor", "magnitude")]
+                + list(result.state_weights) + [result.entropy_bits],
                 "fwhm": [s.fwhm_nm for s in result.spectra.values()],
                 "design_gain": [base64.b64encode(s.gain.tobytes()).decode()
                                 for s in result.spectra.values()],
