@@ -236,9 +236,11 @@ def parse_config(data: dict) -> RunConfig:
         signal1_nm=_number("process", block, "signal1_nm", minimum=0.0),
         signal2_nm=_number("process", block, "signal2_nm", minimum=0.0),
     )
+    # an empty scan: or sweep: key is an absent block, which only the command
+    # that reads it rejects, through `required`
     return RunConfig(material, request,
-                     _scan(data["scan"]) if "scan" in data else None,
-                     _sweep(data["sweep"]) if "sweep" in data else None)
+                     None if data.get("scan") is None else _scan(data["scan"]),
+                     None if data.get("sweep") is None else _sweep(data["sweep"]))
 
 
 def load_config(path: str) -> RunConfig:

@@ -179,7 +179,8 @@ class Material:
 
     sellmeier: SellmeierModel = ZELMON_1997
     increments: IndexIncrementTable = DEFAULT_INCREMENTS
-    # Shape constants of the diffused-index profile, overridable in config:
+    # Shape constants of the diffused-index profile, overridable in config and
+    # the defaults of mode_solver.IndexProfile:
     # lateral erf scale w_d = lateral_scale * width, depth 1/e scale
     # depth_scale * depth.
     lateral_scale: float = 0.5

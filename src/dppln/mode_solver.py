@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dispersion import Polarization
+from .dispersion import Material, Polarization
 from .errors import (
     BoundaryOptimumError,
     ConfigurationError,
@@ -132,8 +132,8 @@ class IndexProfile:
     geometry: WaveguideGeometry
     bulk_index: float
     increment: float
-    lateral_scale: float = 0.5
-    depth_scale: float = 2.0
+    lateral_scale: float = Material.lateral_scale
+    depth_scale: float = Material.depth_scale
 
     def __post_init__(self):
         if not (math.isfinite(real(self.bulk_index)) and self.bulk_index >= 1.0):
@@ -169,30 +169,21 @@ def _z_edges(h):
     return (0.0, h, 3.0 * h, 8.0 * h)
 
 
-class _Quadrature:
-    """Panel nodes, weights and profile samples of one geometry and diffusion
-    scales at one Gauss order: what `_rq_rows` reads, shared via `_quadrature`."""
-
-    def __init__(self, geometry, lateral_scale, depth_scale, order):
-        self.w, self.h = geometry.width_um, geometry.depth_um
-        self.y, self.wy = panel_nodes(_y_edges(self.w), order)
-        self.y2 = self.y**2
-        self.g = _channel(self.y, self.w, lateral_scale)
-        z, self.wz = panel_nodes(_z_edges(self.h), order)
-        self.z2 = z**2
-        self.zh2 = (z / self.h) ** 2
-        self.f = _decay(z, self.h, depth_scale)
-        for array in (self.y2, self.g, self.z2, self.zh2, self.f):
-            array.flags.writeable = False
+def _shape(profile):
+    """What the node rows of a profile depend on: its sizes and diffusion scales."""
+    geometry = profile.geometry
+    return geometry.width_um, geometry.depth_um, profile.lateral_scale, profile.depth_scale
 
 
-# (geometry, lateral_scale, depth_scale, order) -> _Quadrature
-_quadrature = lru_cache(maxsize=8)(_Quadrature)
-
-
-def _quadrature_of(profile, order):
-    """The `_quadrature` of a profile's shape: its indices do not enter."""
-    return _quadrature(profile.geometry, profile.lateral_scale, profile.depth_scale, order)
+def _node_rows(w, h, lateral_scale, depth_scale, order):
+    """What `_rq_rows` reads of one shape at one Gauss order: the first half
+    of the y nodes with y^2 and g(y) there, the y weights, and z^2, (z/h)^2,
+    f(z) and the z weights."""
+    y, wy = panel_nodes(_y_edges(w), order)
+    z, wz = panel_nodes(_z_edges(h), order)
+    y = y[:y.size // 2]
+    return (y, y**2, _channel(y, w, lateral_scale), wy,
+            z**2, (z / h) ** 2, _decay(z, h, depth_scale), wz)
 
 
 class _Scaled:
@@ -262,19 +253,19 @@ def _ratios(sy, y_moments, sz, z_moments):
 
 def _rq_rows(lanes):
     """The Nelder-Mead objective by direct quadrature for lanes (profile, k0,
-    _Quadrature) of one Gauss order: [(a_y, a_z) per lane] -> [n_eff^2 per
+    `_node_rows`) of one Gauss order: [(a_y, a_z) per lane] -> [n_eff^2 per
     lane].  The lanes are rows of stacked arrays, and lane i's arithmetic is
     the same bit for bit whatever the stack (elementwise ufuncs, one ddot per
     row).  The y nodes, weights and g(y) are exact mirror images, so the y
     integrands are computed on the first half of the nodes and mirrored into
     full rows; one scale s = -2 a^2 per axis serves the exponent and,
     squared, the derivative factor.  The scratch arrays are the function's own."""
-    half = len(lanes[0][2].y) // 2
     y, y2, g, wy, z2, zh2, f, wz = (np.array(arrays) for arrays in zip(*(
-        (q.y[:half], q.y2[:half], q.g[:half], q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
+        node_rows for *_, node_rows in lanes)))
+    sizes = zip(*((p.geometry.width_um, p.geometry.depth_um) for p, *_ in lanes))
     # full rows of w^2 and h^2, which divide faster than broadcast columns
-    w2, h2 = (np.repeat([getattr(q, axis)**2 for *_, q in lanes],
-                        rows.shape[-1]).reshape(rows.shape) for axis, rows in (("w", y), ("h", z2)))
+    w2, h2 = (np.repeat([size**2 for size in axis], rows.shape[-1]).reshape(rows.shape)
+              for axis, rows in zip(sizes, (y, z2)))
     nb2, c, k02 = (np.array(values) for values in zip(*(
         (p.bulk_index**2, 2.0 * p.bulk_index * p.increment, k0**2) for p, k0, _ in lanes)))
     # the integrands Y^2, g Y^2, (dY/dy)^2 and Z^2, f Z^2, (dZ/dz)^2, dotted at once
@@ -300,11 +291,6 @@ def _rq_rows(lanes):
         return (nb2 + c * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k02).tolist()
 
     return rq
-
-
-def _quotient(profile, k0, quad, alpha_y, alpha_z):
-    """`_rq_rows` for one lane, a one-row stack, at one point."""
-    return _rq_rows([(profile, k0, quad)])([(alpha_y, alpha_z)])[0]
 
 
 def _rq_taylor(profile, k0, scaled, sy, sz):
@@ -364,15 +350,16 @@ def _wavenumber(wavelength_nm, **alphas):
 def rayleigh_quotient(profile, wavelength_nm, alpha_y, alpha_z):
     """Scalar-wave variational estimate of n_eff^2 for one trial field.
 
-    The quadrature order doubles until the estimate stabilises.  An alpha so
-    large that its square overflows or the trial field vanishes on every node
+    `_rq_rows` of its one lane, whose node rows are built at each order the
+    quadrature doubles to until the estimate stabilises.  An alpha so large
+    that its square overflows or the trial field vanishes on every node
     gives a NaN estimate, which ends the refinement with a
     QuadratureConvergenceError and no numpy warning.
     """
     k0 = _wavenumber(wavelength_nm, alpha_y=alpha_y, alpha_z=alpha_z)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, _ = refine_scalar(lambda n: _quotient(profile, k0, _quadrature_of(profile, n),
-                                                     alpha_y, alpha_z))
+        value, _ = refine_scalar(lambda order: _rq_rows(
+            [(profile, k0, _node_rows(*_shape(profile), order))])([(alpha_y, alpha_z)])[0])
     return value
 
 
@@ -381,8 +368,9 @@ NelderMeadResult = namedtuple("NelderMeadResult", "x nfev nit")
 
 
 def _ordered(*vertices):
-    """The three vertices (x, y, f) in np.argsort order of f.  Distinct
-    values have one order, found by comparisons; ties and NaN take numpy's."""
+    """The three vertices (x, y, f) in ascending order of f, NaN last.
+    Distinct values have one order, found by comparisons; ties and NaN take
+    a stable sort's, which keeps tied vertices in their given order."""
     a, b, c = vertices
     if b[2] < a[2]:
         a, b = b, a
@@ -394,7 +382,7 @@ def _ordered(*vertices):
             return c, a, b
         if fa < fc < fb:
             return a, c, b
-    return tuple(vertices[i] for i in np.argsort([v[2] for v in vertices]).tolist())
+    return tuple(sorted(vertices, key=lambda v: (math.isnan(v[2]), v[2])))
 
 
 def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev):
@@ -572,28 +560,29 @@ def _norms(geometry, ay, az):
 
 def _nelder_mead_optima(starts):
     """The Nelder-Mead optimum (a_y, a_z) of each start, from its grid point,
-    on `_rq_rows` at GRID_ORDER.  The runs advance in lock step: one
-    `_rq_rows` of the live runs per round, restacked once half its rows have
-    ended; a vertex below `_ALPHA_FLOOR` scores 1e6."""
-    optima = [None] * len(starts)
-    lanes = [(s.profile, s.k0, _quadrature_of(s.profile, GRID_ORDER)) for s in starts]
-    runs = {i: _nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
-                                  xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
-            for i, s in enumerate(starts)}
-    pending, stacked = {i: next(run) for i, run in runs.items()}, []
-    while runs:
-        if 2 * len(runs) <= len(stacked) or not stacked:
-            stacked = list(runs)
+    on `_rq_rows` at GRID_ORDER, with the node rows of each distinct shape
+    built once.  The runs advance in lock step: one `_rq_rows` of the live
+    runs per round, restacked once half its rows have ended; a vertex below
+    `_ALPHA_FLOOR` scores 1e6."""
+    rows = {shape: _node_rows(*shape, GRID_ORDER) for shape in {_shape(s.profile) for s in starts}}
+    lanes = [(s.profile, s.k0, rows[_shape(s.profile)]) for s in starts]
+    runs = [_nelder_mead_steps([[s.ay, s.az], [s.ay * 1.02, s.az], [s.ay, s.az * 1.02]],
+                               xatol=1e-7, fatol=1e-13, maxiter=1000, maxfev=2000)
+            for s in starts]
+    pending, optima = [next(run) for run in runs], [None] * len(starts)
+    live, stacked = len(starts), []
+    while live:
+        if 2 * live <= len(stacked) or not stacked:
+            stacked = [i for i, optimum in enumerate(optima) if optimum is None]
             rq = _rq_rows([lanes[i] for i in stacked])
         xs = [pending[i] for i in stacked]  # an ended run repeats its last vertex
         for i, x, value in zip(stacked, xs, rq(xs)):
-            if i in runs:
+            if optima[i] is None:
                 try:
                     pending[i] = runs[i].send(
                         1e6 if x[0] <= _ALPHA_FLOOR or x[1] <= _ALPHA_FLOOR else -value)
                 except StopIteration as done:
-                    del runs[i]
-                    optima[i] = tuple(done.value.x.tolist())
+                    optima[i], live = tuple(done.value.x.tolist()), live - 1
     return optima
 
 

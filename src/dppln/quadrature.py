@@ -24,10 +24,10 @@ def _leggauss(order):
     return leggauss(order)
 
 
-# Two axes for each of the 8 (shape, order) entries of mode_solver._quadrature, which
-# the Nelder-Mead objective reads at GRID_ORDER only and rayleigh_quotient at every
-# order it doubles to: a hit is a shape's nodes read again, for other diffusion scales
-# or after an eviction.
+# Two axes per (shape, order): a Nelder-Mead batch reads each of its shapes once at
+# GRID_ORDER, rayleigh_quotient once per order it doubles to, and the scaled moment
+# rows the unit box at each order they are built for; a hit is a shape's nodes read
+# again, by a later batch or for other diffusion scales.
 @lru_cache(maxsize=16)
 def panel_nodes(edges, order):
     """Concatenated Gauss-Legendre nodes/weights for each panel of `edges`.

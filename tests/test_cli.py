@@ -102,6 +102,22 @@ def test_a_missing_field_table_or_file_is_named_exactly(tmp_path, capsys, comman
     assert (code, out, err) == (2, "", f"configuration error: {message}\n")
 
 
+@pytest.mark.parametrize("block, reader, other", [("scan", "spectrum", "design"),
+                                                  ("sweep", "sweep", "index")])
+def test_an_empty_scan_or_sweep_block_fails_only_the_command_that_reads_it(
+        tmp_path, capsys, block, reader, other):
+    # before, `scan:` with nothing under it failed every command with "scan:
+    # expected a mapping, got NoneType"
+    config = tmp_path / "empty-block.yaml"
+    config.write_text(yaml.safe_dump({key: value for key, value in BASE_CONFIG.items()
+                                      if key != block}) + f"{block}:\n")
+    assert yaml.safe_load(config.read_text())[block] is None
+    code, out, err = run([reader, "--config", str(config)], capsys)
+    assert (code, out, err) == (2, "", f"configuration error: {block}: missing required block\n")
+    code, out, err = run([other, "--config", str(config)], capsys)
+    assert (code, err) == (0, "") and out
+
+
 def test_a_loaded_config_holds_its_request(tmp_path):
     assert [field.name for field in dataclasses.fields(RunConfig)] == [
         "material", "_request", "scan", "sweep"]

@@ -463,19 +463,77 @@ def test_effective_index_runs_no_nelder_mead(monkeypatch):
 
 
 def test_lock_step_batch_builds_no_one_lane_objective_or_refine_scalar(monkeypatch):
-    # a batch solves its lanes without the one-lane Nelder-Mead objective or
-    # refine_scalar, which only rayleigh_quotient calls
+    # a batch solves its lanes without rayleigh_quotient's one-lane objective
+    # or refine_scalar, and builds the node rows of its one shape once, at
+    # GRID_ORDER
     request = request_for(Scheme.TYPE2_CROSS, 9.0)
     solver, nm = EffectiveIndexSolver(DEFAULT_MATERIAL, request.geometry), _wavelengths(request)
     jobs = [(solver.profile(nm[role], pol), nm[role], pol)
             for role, pol in request.scheme.polarizations().items()]
     expected = [solve_mode(*job) for job in jobs]
-    calls = []
-    monkeypatch.setattr(mode_solver, "_quotient", lambda *args: calls.append("_quotient"))
+    calls, node_rows = [], mode_solver._node_rows
+    monkeypatch.setattr(mode_solver, "rayleigh_quotient",
+                        lambda *args: calls.append("rayleigh_quotient"))
     monkeypatch.setattr(mode_solver, "refine_scalar",
                         lambda *args, **options: calls.append("refine_scalar"))
+    monkeypatch.setattr(mode_solver, "_node_rows",
+                        lambda *key: calls.append(key) or node_rows(*key))
     assert mode_solver.solve_lanes(jobs) == expected
-    assert calls == []
+    assert calls == [(9.0, 9.0, DEFAULT_MATERIAL.lateral_scale, DEFAULT_MATERIAL.depth_scale,
+                      mode_solver.GRID_ORDER)]
+
+
+def _batch_traffic(monkeypatch):
+    """Per Nelder-Mead batch, its starts' shapes, its `panel_nodes` calls and
+    its number of stacked objectives, recorded as the batches run."""
+    batches = []
+    optima, rq_rows, panel_nodes = (mode_solver._nelder_mead_optima, mode_solver._rq_rows,
+                                    mode_solver.panel_nodes)
+
+    def recorded(starts):
+        batches.append({"shapes": {mode_solver._shape(s.profile) for s in starts},
+                        "reads": [], "objectives": 0})
+        return optima(starts)
+
+    def stacked(lanes):
+        batches[-1]["objectives"] += 1
+        return rq_rows(lanes)
+
+    def read(edges, order):
+        batches[-1]["reads"].append((edges, order))
+        return panel_nodes(edges, order)
+
+    monkeypatch.setattr(mode_solver, "_nelder_mead_optima", recorded)
+    monkeypatch.setattr(mode_solver, "_rq_rows", stacked)
+    monkeypatch.setattr(mode_solver, "panel_nodes", read)
+    return batches
+
+
+def test_a_batch_reads_the_panel_nodes_of_each_shape_twice_however_often_it_restacks(
+        monkeypatch):
+    # one design: its five lanes share one shape, whose y and z nodes it reads
+    # once each, though its batch restacks; a sweep batch reads two node sets
+    # for each row shape, all at GRID_ORDER
+    request = request_for(Scheme.TYPE0_EEE, 10.0)
+    expected = design(request)  # builds the scaled rows, which read unit-box nodes
+    batches = _batch_traffic(monkeypatch)
+    assert design(request).modes == expected.modes
+    (batch,) = batches
+    geometry = request.geometry
+    assert len(batch["shapes"]) == 1 and batch["objectives"] >= 2
+    assert batch["reads"] == [
+        (mode_solver._y_edges(geometry.width_um), mode_solver.GRID_ORDER),
+        (mode_solver._z_edges(geometry.depth_um), mode_solver.GRID_ORDER)]
+
+    batches.clear()
+    sizes = np.geomspace(2.0, 18.0, 4).tolist()
+    rows = sweep(request, sizes, sizes).rows
+    assert sum(row.error is None for row in rows) >= 8 and len(batches) >= 2
+    for batch in batches:
+        assert sorted(batch["reads"]) == sorted(
+            (edges, mode_solver.GRID_ORDER) for w, h, *_ in batch["shapes"]
+            for edges in (mode_solver._y_edges(w), mode_solver._z_edges(h)))
+    assert max(batch["objectives"] for batch in batches) >= 2
 
 
 def test_a_profile_error_of_a_later_wave_waits_for_the_earlier_waves():
@@ -519,27 +577,28 @@ def test_sweep_solves_its_rows_in_bounded_contiguous_batches(monkeypatch):
     assert [(row.depth_um, row.width_um) for row in rows] == pairs
 
 
-def test_a_sweep_builds_scaled_rows_once_and_quadratures_only_at_grid_order(monkeypatch):
-    # a 16x16 sweep builds the scaled rows once per (scales, order) and one
-    # per-geometry _Quadrature per geometry that a Nelder-Mead run reads, at
+def test_a_sweep_builds_scaled_rows_once_and_node_rows_only_at_grid_order(monkeypatch):
+    # a 16x16 sweep builds the scaled rows once per (scales, order) and the
+    # node rows of each row shape that a Nelder-Mead run reads once, at
     # GRID_ORDER: none for the grid or the final n_eff
-    keys, read = [], set()
-    scaled, quadrature, rq_rows = mode_solver._scaled, mode_solver._quadrature, mode_solver._rq_rows
+    keys, built = [], []
+    scaled, node_rows = mode_solver._scaled, mode_solver._node_rows
     scaled.cache_clear()
-    quadrature.cache_clear()
     monkeypatch.setattr(mode_solver, "_scaled", lambda *key: keys.append(key) or scaled(*key))
-    monkeypatch.setattr(mode_solver, "_rq_rows", lambda lanes: read.update(
-        (p.geometry, q.wy.size // 4) for p, _, q in lanes) or rq_rows(lanes))
+    monkeypatch.setattr(mode_solver, "_node_rows",
+                        lambda *key: built.append(key) or node_rows(*key))
     sizes = np.geomspace(2.0, 18.0, 16).tolist()
     rows = sweep(request_for(Scheme.TYPE2_CROSS, 10.0), sizes, sizes).rows
     assert len(rows) == 256 and sum(row.error is None for row in rows) > 100
     assert scaled.cache_info().misses == len(set(keys)) <= 5
-    assert {order for _, order in read} == {mode_solver.GRID_ORDER}
-    assert quadrature.cache_info().misses == len(read) <= 256
-    # the n_eff path of dispersive scans builds no per-geometry quadrature at all
-    quadrature.cache_clear()
+    assert {key[-1] for key in built} == {mode_solver.GRID_ORDER}
+    assert len(built) == len(set(built)) <= 256
+    assert {(row.width_um, row.depth_um) for row in rows if row.error is None} <= {
+        (w, h) for w, h, *_ in built}
+    # the n_eff path of dispersive scans builds no node rows at all
+    built.clear()
     EffectiveIndexSolver(DEFAULT_MATERIAL, WaveguideGeometry(9.0, 7.0, 1.0)).index(780.0, E)
-    assert quadrature.cache_info().misses == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(

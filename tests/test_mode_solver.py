@@ -1,5 +1,6 @@
 import ast
 import gc
+import itertools
 import math
 import re
 import sys
@@ -63,6 +64,23 @@ def dense_rq_oracle(profile, wavelength_nm, alpha_y, alpha_z, n=2001):
     numerator = np.trapezoid(np.trapezoid(k0**2 * n_sq * E2 - grad2, z, axis=1), y)
     denominator = k0**2 * np.trapezoid(np.trapezoid(E2, z, axis=1), y)
     return numerator / denominator
+
+
+def full_nodes(profile, order):
+    """The direct quadrature of a profile on every node at one Gauss order:
+    y, y^2, g(y), y weights, z^2, (z/h)^2, f(z), z weights."""
+    w, h = profile.geometry.width_um, profile.geometry.depth_um
+    y, wy = quadrature.panel_nodes(mode_solver._y_edges(w), order)
+    z, wz = quadrature.panel_nodes(mode_solver._z_edges(h), order)
+    return (y, y**2, profile.lateral_shape(y), wy, z**2, (z / h) ** 2, profile.depth_shape(z),
+            wz)
+
+
+def one_lane_rq(profile, k0, order):
+    """The Nelder-Mead objective of one lane at one order, a one-row stack, as
+    `rayleigh_quotient` evaluates it: (a_y, a_z) -> n_eff^2."""
+    rows = mode_solver._node_rows(*mode_solver._shape(profile), order)
+    return lambda ay, az: mode_solver._rq_rows([(profile, k0, rows)])([(ay, az)])[0]
 
 
 def adaptive_overlap_oracle(a, b, c):
@@ -233,8 +251,8 @@ def test_solvers_reject_bad_arguments_before_any_quadrature(monkeypatch, bad):
     def no_quadrature(*args):
         raise AssertionError("a quadrature was built")
 
-    monkeypatch.setattr(mode_solver, "_quadrature", no_quadrature)
-    monkeypatch.setattr(mode_solver, "_scaled", no_quadrature)
+    for name in ("panel_nodes", "_node_rows", "_scaled"):
+        monkeypatch.setattr(mode_solver, name, no_quadrature)
     calls = {"wavelength_nm": [lambda: solve_mode(profile, bad, E),
                                lambda: mode_solver.effective_index(profile, bad),
                                lambda: rayleigh_quotient(profile, bad, 1.0, 1.0)],
@@ -500,8 +518,8 @@ def nan_half_plane(x):
 
 @pytest.mark.parametrize("fun", [plateau, penalty_wall, nan_half_plane])
 def test_minimize_matches_scipy_on_ties_and_nan(fun):
-    # minimize orders distinct values itself and leaves ties and NaN to
-    # np.argsort; scipy's oracle pins both orders
+    # minimize orders distinct values itself and ties and NaN by a stable
+    # sort, NaN last; scipy's oracle pins both orders
     values = []
 
     def recorded(x):
@@ -658,6 +676,18 @@ def test_nelder_mead_step_matches_nd_reference_on_ties_and_nan(fun):
                                  maxfev=maxfev)
 
 
+def test_ordered_matches_argsort_on_every_triple_of_ties_zeros_infinities_and_nan():
+    # the comparisons and the stable-sort fallback against np.argsort, stable
+    # and default (the order the N-D reference and scipy take), on all 512
+    # triples over these values
+    values = [-math.inf, -1.0, -0.0, 0.0, 1.0, 1e6, math.inf, math.nan]
+    for triple in itertools.product(values, repeat=3):
+        vertices = [(float(k), 0.0, f) for k, f in enumerate(triple)]
+        order = [int(x) for x, _, _ in mode_solver._ordered(*vertices)]
+        assert order == np.argsort(triple, kind="stable").tolist(), triple
+        assert order == np.argsort(triple).tolist(), triple
+
+
 def test_nelder_mead_step_matches_nd_reference_on_rosenbrock_at_every_limit():
     x0 = np.array([-1.2, 1.0])
     simplex = np.array([x0, x0 + [2.0, 0.0], x0 + [0.0, 2.0]])
@@ -686,17 +716,17 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
     corners = [(lo, lo), (lo, hi), (hi, lo), (hi, hi)]
     for profile in random_profiles(3):
         k0 = 2.0 * np.pi / (float(rng.uniform(600.0, 1600.0)) * 1e-3)
-        quad = mode_solver._quadrature_of(profile, order)
+        _, y2, _, wy, z2, zh2, _, wz = full_nodes(profile, order)
+        rq = one_lane_rq(profile, k0, order)
         scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, order)
         w, h = profile.geometry.width_um, profile.geometry.depth_um
         points = corners + rng.uniform(lo, hi, size=(100, 2)).tolist()
         for ay, az in points:
             moment = mode_solver._rq_taylor(profile, k0, scaled, ay * ay, az * az)[0]
-            scalar = mode_solver._quotient(profile, k0, quad, ay, az)
-            assert scalar == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
+            assert rq(ay, az) == pytest.approx(moment, rel=1e-14, abs=0.0), (ay, az)
             y_moments, z_moments = scaled.moments(ay * ay, az * az)
-            direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
-            direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
+            direct_y = np.exp(-2.0 * ay**2 * y2 / w**2) @ wy
+            direct_z = (zh2 * np.exp(-2.0 * az**2 * z2 / h**2)) @ wz
             assert w * y_moments[0] == pytest.approx(direct_y, rel=1e-14, abs=0.0), ay
             assert h * z_moments[1] == pytest.approx(direct_z, rel=1e-14, abs=0.0), az
 
@@ -708,22 +738,24 @@ def test_rayleigh_quotient_forms_agree_with_moment_rows(order):
         assert np.allclose(grid, moment, rtol=1e-14, atol=0.0)
 
 
-def matmul_rq_oracle(profile, k0, quad, alpha_y, alpha_z):
-    """The Nelder-Mead objective as written with `@` and fresh arrays: the
-    same IEEE operations in the same order, the reference for bit identity."""
-    w2, h2 = quad.w**2, quad.h**2
+def matmul_rq_oracle(profile, k0, order, alpha_y, alpha_z):
+    """The Nelder-Mead objective as written with `@` and fresh arrays on every
+    node: the same IEEE operations in the same order, the reference for bit
+    identity."""
+    y, y2, g, wy, z2, zh2, f, wz = full_nodes(profile, order)
+    w2, h2 = profile.geometry.width_um**2, profile.geometry.depth_um**2
     a2 = alpha_y * alpha_y
-    Y2 = np.exp(-2.0 * a2 * quad.y2 / w2)
-    Ay = Y2 @ quad.wy
-    Gy = (Y2 * quad.g) @ quad.wy
-    Dy = (Y2 * (2.0 * a2 * quad.y / w2) ** 2) @ quad.wy
+    Y2 = np.exp(-2.0 * a2 * y2 / w2)
+    Ay = Y2 @ wy
+    Gy = (Y2 * g) @ wy
+    Dy = (Y2 * (2.0 * a2 * y / w2) ** 2) @ wy
     a2 = alpha_z * alpha_z
-    t = 2.0 * a2 * quad.z2 / h2
+    t = 2.0 * a2 * z2 / h2
     envelope = np.exp(-t)
-    Z2 = quad.zh2 * envelope
-    Az = Z2 @ quad.wz
-    Fz = (Z2 * quad.f) @ quad.wz
-    Dz = (envelope * (1.0 - t) ** 2 / h2) @ quad.wz
+    Z2 = zh2 * envelope
+    Az = Z2 @ wz
+    Fz = (Z2 * f) @ wz
+    Dz = (envelope * (1.0 - t) ** 2 / h2) @ wz
     nb, dn = profile.bulk_index, profile.increment
     return float(nb**2 + 2.0 * nb * dn * ((Gy / Ay) * (Fz / Az)) - (Dy / Ay + Dz / Az) / k0**2)
 
@@ -732,38 +764,44 @@ def matmul_rq_oracle(profile, k0, quad, alpha_y, alpha_z):
 def test_nelder_mead_objective_is_bit_identical_to_matmul_oracle(order):
     # one stacked objective over four lanes of different shapes and
     # wavelengths, reused across many points as the lock-step rounds use it,
-    # and the one-lane quotient
+    # and the one-lane quotient of rayleigh_quotient
     rng = np.random.default_rng(5150 + order)
-    lanes = [(profile, 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3),
-              mode_solver._quadrature_of(profile, order))
+    lanes = [(profile, 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3))
              for profile in random_profiles(4, seed=31 + order)]
-    rq = mode_solver._rq_rows(lanes)
+    rq = mode_solver._rq_rows([(profile, k0, mode_solver._node_rows(
+        *mode_solver._shape(profile), order)) for profile, k0 in lanes])
+    one_lane = [one_lane_rq(*lane, order) for lane in lanes]
     for points in rng.uniform(0.05, 6.0, size=(250, len(lanes), 2)).tolist():
-        for lane, value, (ay, az) in zip(lanes, rq(points), points):
-            expected = matmul_rq_oracle(*lane, ay, az)
+        for lane, single, value, (ay, az) in zip(lanes, one_lane, rq(points), points):
+            expected = matmul_rq_oracle(*lane, order, ay, az)
             assert value == expected, (ay, az)
-            assert mode_solver._quotient(*lane, ay, az) == expected, (ay, az)
+            assert single(ay, az) == expected, (ay, az)
 
 
 def test_y_nodes_weights_and_channel_are_exact_mirror_images():
     # the premise of the mirrored y half in `_rq_rows`: y[i] == -y[n-1-i],
-    # and wy and g(y) are even, bit for bit, at every order refine can reach
+    # and wy and g(y) are even, bit for bit, at every order refine can reach;
+    # `_node_rows` holds the first half of y, y^2 and g(y)
     low, high = mode_solver.SIZE_RANGE_UM
     for width in np.geomspace(low, high, 5).tolist():
         for scale in (0.02, 0.1, 0.5, 2.0):
-            geometry = WaveguideGeometry(width, 10.0, 1.0)
+            profile = IndexProfile(WaveguideGeometry(width, 10.0, 1.0), 2.2, 0.003, scale)
             for order in (48, 96, 192, 384, 768, 1536, 3072):
-                quad = mode_solver._Quadrature(geometry, scale, 2.0, order)
-                assert np.array_equal(quad.y, -quad.y[::-1]), (width, scale, order)
-                assert np.array_equal(quad.wy, quad.wy[::-1]), (width, scale, order)
-                assert np.array_equal(quad.g, quad.g[::-1]), (width, scale, order)
+                y, y2, g, wy, *_ = full_nodes(profile, order)
+                assert np.array_equal(y, -y[::-1]), (width, scale, order)
+                assert np.array_equal(wy, wy[::-1]), (width, scale, order)
+                assert np.array_equal(g, g[::-1]), (width, scale, order)
+                rows = mode_solver._node_rows(*mode_solver._shape(profile), order)
+                half = y.size // 2
+                for row, full in zip(rows[:4], (y[:half], y2[:half], g[:half], wy)):
+                    assert np.array_equal(row, full), (width, scale, order)
 
 
 def full_node_rq_rows(lanes):
-    """The reference for `_rq_rows`' mirrored y half: every integrand on
-    every node, (lanes, 1) columns of w^2 and h^2, positive scales and
-    t = 2 a_z^2 z^2 / h^2 with exp(-t) and (1 - t)^2, in the same IEEE
-    operations per node."""
+    """The reference for `_rq_rows`' mirrored y half, for lanes (profile, k0,
+    order): every integrand on every node, (lanes, 1) columns of w^2 and h^2,
+    positive scales and t = 2 a_z^2 z^2 / h^2 with exp(-t) and (1 - t)^2, in
+    the same IEEE operations per node."""
     one = len(lanes) == 1
 
     def lanewise(values, shape=(-1,)):
@@ -771,8 +809,9 @@ def full_node_rq_rows(lanes):
 
     y, y2, g, wy, z2, zh2, f, wz = (
         lanewise(arrays, (len(lanes), -1)) for arrays in
-        zip(*((q.y, q.y2, q.g, q.wy, q.z2, q.zh2, q.f, q.wz) for *_, q in lanes)))
-    w2, h2 = (lanewise([getattr(q, axis)**2 for *_, q in lanes], (-1, 1)) for axis in "wh")
+        zip(*(full_nodes(profile, order) for profile, _, order in lanes)))
+    w2, h2 = (lanewise([size**2 for size in sizes], (-1, 1)) for sizes in zip(*(
+        (p.geometry.width_um, p.geometry.depth_um) for p, *_ in lanes)))
     nb2, c, k02 = (lanewise(values) for values in zip(*(
         (p.bulk_index**2, 2.0 * p.bulk_index * p.increment, k0**2) for p, k0, _ in lanes)))
 
@@ -808,9 +847,10 @@ def test_mirrored_objective_is_bit_identical_to_the_full_node_kernel(count):
                                    float(rng.uniform(1e-4, 0.01)), float(rng.uniform(0.02, 2.0)),
                                    float(rng.uniform(0.5, 3.0)))
             k0 = 2.0 * np.pi / (float(rng.uniform(500.0, 1700.0)) * 1e-3)
-            lanes.append((profile, k0, mode_solver._Quadrature(
-                profile.geometry, profile.lateral_scale, profile.depth_scale, order)))
-        mirrored, full = mode_solver._rq_rows(lanes), full_node_rq_rows(lanes)
+            lanes.append((profile, k0, order))
+        mirrored = mode_solver._rq_rows([(profile, k0, mode_solver._node_rows(
+            *mode_solver._shape(profile), order)) for profile, k0, _ in lanes])
+        full = full_node_rq_rows(lanes)
         for _ in range(12):
             alphas = rng.uniform(0.01, 6.0, size=(count, 2))
             alphas[rng.random(size=(count, 2)) < 0.3] = rng.choice(special)
@@ -819,8 +859,9 @@ def test_mirrored_objective_is_bit_identical_to_the_full_node_kernel(count):
 
 
 def test_solve_mode_threads_sharing_a_quadrature_match_serial():
-    # profiles of one shape share every cached _Quadrature; each solve must
-    # still own its scratch arrays, so interleaved solves change nothing
+    # profiles of one shape share the cached panel nodes and scaled rows; each
+    # batch owns its node rows and scratch arrays, so interleaved solves change
+    # nothing
     geometry = WaveguideGeometry(9.0, 11.0, 1.0)
     jobs = [[(IndexProfile(geometry, 2.1778 + 0.01 * k, 0.0030), 780.0 + 40.0 * k, E)
              for k in range(4)],
@@ -868,9 +909,9 @@ def test_mode_norms_are_the_direct_quadrature_moments():
         ((_, final),) = mode_solver._finished([start], [(ay, az)])
         w, h = profile.geometry.width_um, profile.geometry.depth_um
         for order in (mode_solver.GRID_ORDER, final, 768):
-            quad = mode_solver._quadrature_of(profile, order)
-            direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
-            direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
+            _, y2, _, wy, z2, zh2, _, wz = full_nodes(profile, order)
+            direct_y = np.exp(-2.0 * ay**2 * y2 / w**2) @ wy
+            direct_z = (zh2 * np.exp(-2.0 * az**2 * z2 / h**2)) @ wz
             assert mode.y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0)
             assert mode.z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0)
     assert solved >= 2
@@ -880,11 +921,11 @@ def test_mode_norms_are_the_direct_quadrature_moments():
     lo, hi = mode_solver.ALPHA_MIN, mode_solver.ALPHA_MAX
     for profile in random_profiles(3, seed=768):
         geometry = profile.geometry
-        quad = mode_solver._quadrature_of(profile, 96)
+        _, y2, _, wy, z2, zh2, _, wz = full_nodes(profile, 96)
         w, h = geometry.width_um, geometry.depth_um
         for ay, az in [(lo, lo), (hi, hi)] + rng.uniform(lo, hi, size=(50, 2)).tolist():
-            direct_y = np.exp(-2.0 * ay**2 * quad.y2 / w**2) @ quad.wy
-            direct_z = (quad.zh2 * np.exp(-2.0 * az**2 * quad.z2 / h**2)) @ quad.wz
+            direct_y = np.exp(-2.0 * ay**2 * y2 / w**2) @ wy
+            direct_z = (zh2 * np.exp(-2.0 * az**2 * z2 / h**2)) @ wz
             y_norm, z_norm = mode_solver._norms(geometry, ay, az)
             assert y_norm == pytest.approx(math.sqrt(direct_y), rel=1e-14, abs=0.0), ay
             assert z_norm == pytest.approx(math.sqrt(direct_z), rel=1e-14, abs=0.0), az
@@ -925,27 +966,28 @@ def test_a_solved_mode_is_rebuilt_from_its_six_fields(config):
 
 
 def test_quadrature_is_shared_per_shape_read_only_and_bounded():
+    # the panel nodes of a shape are cached and shared; a batch builds its own
+    # node rows from them, so a solve on another profile of the same shape
+    # reads the nodes again and builds none
     geometry = WaveguideGeometry(10.0, 10.0, 1.0)
-    cached = mode_solver._quadrature
-    cached.cache_clear()
+    quadrature.panel_nodes.cache_clear()
     solve_mode(IndexProfile(geometry, 2.1778, 0.0030), 780.0, E)
-    built = cached.cache_info().misses
+    built = quadrature.panel_nodes.cache_info().misses
     solve_mode(IndexProfile(geometry, 2.2111, 0.0024), 1551.03, Polarization.ORDINARY)
-    assert cached.cache_info().misses == built  # other indices, same quadratures
+    assert quadrature.panel_nodes.cache_info().misses == built  # other indices, same nodes
 
-    quad = cached(geometry, 0.5, 2.0, mode_solver.GRID_ORDER)
+    nodes = [array for edges in (mode_solver._y_edges(10.0), mode_solver._z_edges(10.0))
+             for array in quadrature.panel_nodes(edges, mode_solver.GRID_ORDER)]
     scaled = mode_solver._scaled(0.5, 2.0, mode_solver.GRID_ORDER)
-    for array in (quad.y, quad.wy, quad.y2, quad.g, quad.wz, quad.z2, quad.zh2, quad.f,
-                  scaled.y_exponent, scaled.z_exponent, scaled.y_rows, scaled.z_rows,
+    for array in (*nodes, scaled.y_exponent, scaled.z_exponent, scaled.y_rows, scaled.z_rows,
                   *scaled.grid_terms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
     for size in (7.0, 8.0, 9.0, 11.0, 12.0):
         solve_mode(IndexProfile(WaveguideGeometry(size, size, 1.0), 2.1778, 0.003), 780.0, E)
-    for info in (cached.cache_info(), mode_solver._scaled.cache_info()):
+    for info in (quadrature.panel_nodes.cache_info(), mode_solver._scaled.cache_info()):
         assert info.maxsize <= 16 and info.currsize <= info.maxsize
-    assert cached.cache_info().maxsize <= 8
 
 
 def test_runtime_modules_import_no_scipy():
@@ -970,15 +1012,14 @@ def test_newton_derivatives_match_central_differences():
     for profile in random_profiles(4):
         start = mode_solver._grid_start(profile, float(rng.uniform(600.0, 1600.0)))
         k0, ay, az = start.k0, start.ay, start.az
-        quad = mode_solver._quadrature_of(profile, order)
+        objective = one_lane_rq(profile, k0, order)
         scaled = mode_solver._scaled(profile.lateral_scale, profile.depth_scale, order)
         for x in [(math.log(ay), math.log(az))] + rng.uniform(-1.0, 1.0, size=(3, 2)).tolist():
             value, gy, gz, hyy, hyz, hzz = mode_solver._rq_taylor(
                 profile, k0, scaled, math.exp(2.0 * x[0]), math.exp(2.0 * x[1]))
 
             def rq(dy, dz):
-                return mode_solver._quotient(profile, k0, quad, math.exp(x[0] + dy),
-                                             math.exp(x[1] + dz))
+                return objective(math.exp(x[0] + dy), math.exp(x[1] + dz))
 
             assert value == pytest.approx(rq(0.0, 0.0), rel=1e-15, abs=0.0)
             e = 1e-5
@@ -1031,16 +1072,16 @@ def test_effective_index_matches_solve_mode(scheme):
 def direct_grid_start(profile, k0):
     """The grid start by order-GRID_ORDER direct quadrature on the profile's
     own nodes: the quotient at every grid point, then its argmax."""
-    quad = mode_solver._quadrature_of(profile, mode_solver.GRID_ORDER)
+    y, y2, g, wy, z2, zh2, f, wz = full_nodes(profile, mode_solver.GRID_ORDER)
     w, h = profile.geometry.width_um, profile.geometry.depth_um
     s = mode_solver.GRID_ALPHAS**2
-    Y2 = np.exp(-2.0 * np.multiply.outer(s, quad.y2) / w**2)
-    dY2 = Y2 * (2.0 * np.multiply.outer(s, quad.y) / w**2) ** 2
-    t = 2.0 * np.multiply.outer(s, quad.z2) / h**2
+    Y2 = np.exp(-2.0 * np.multiply.outer(s, y2) / w**2)
+    dY2 = Y2 * (2.0 * np.multiply.outer(s, y) / w**2) ** 2
+    t = 2.0 * np.multiply.outer(s, z2) / h**2
     envelope = np.exp(-t)
-    Z2 = quad.zh2 * envelope
-    Ay, Gy, Dy = Y2 @ quad.wy, (Y2 * quad.g) @ quad.wy, dY2 @ quad.wy
-    Az, Fz, Dz = Z2 @ quad.wz, (Z2 * quad.f) @ quad.wz, (envelope * (1.0 - t) ** 2 / h**2) @ quad.wz
+    Z2 = zh2 * envelope
+    Ay, Gy, Dy = Y2 @ wy, (Y2 * g) @ wy, dY2 @ wy
+    Az, Fz, Dz = Z2 @ wz, (Z2 * f) @ wz, (envelope * (1.0 - t) ** 2 / h**2) @ wz
     nb, dn = profile.bulk_index, profile.increment
     grid = (nb**2 + 2.0 * nb * dn * np.outer(Gy / Ay, Fz / Az)
             - np.add.outer(Dy / Ay, Dz / Az) / k0**2)

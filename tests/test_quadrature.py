@@ -20,12 +20,23 @@ def test_panel_nodes_cached_and_readonly():
         a[0][0] = 1.0
 
 
-def test_panel_nodes_cache_holds_only_the_shared_quadratures():
-    # nodes of earlier geometries are not kept: two axes per _quadrature entry
-    for width in np.linspace(6.0, 11.0, 10):
-        design(DesignRequest(Scheme.TYPE0_EEE, 519.0, 780.0, 775.0,
-                             WaveguideGeometry(width, 10.0, 1.0)))
-    assert panel_nodes.cache_info().currsize <= 2 * mode_solver._quadrature.cache_info().maxsize
+def test_panel_nodes_cache_is_bounded_and_each_design_reads_two_node_sets():
+    # nodes of earlier geometries are not kept beyond 16 node sets, two axes
+    # for each of 8 shapes, and no other cache holds nodes: with the scaled
+    # rows built, a design of a new width builds its y nodes and reads its
+    # depth's z nodes, one set each
+    def request(width):
+        return DesignRequest(Scheme.TYPE0_EEE, 519.0, 780.0, 775.0,
+                             WaveguideGeometry(width, 10.0, 1.0))
+
+    design(request(6.0))
+    for width in np.linspace(6.0, 11.0, 10)[1:].tolist():
+        before = panel_nodes.cache_info()
+        design(request(width))
+        after = panel_nodes.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), width
+    info = panel_nodes.cache_info()
+    assert info.currsize <= info.maxsize == 16
 
 
 def test_refine_scalar_converges():
