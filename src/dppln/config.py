@@ -4,20 +4,21 @@ scan / sweep blocks.
 The config says what to compute; how to run it is the command line's.
 Wavelengths are nm, transverse sizes um, interaction lengths cm, indices
 dimensionless.  The geometry and process blocks are required, the scan and
-sweep blocks only by the subcommand that reads each; missing blocks are
-reported by name, unknown fields as such.
+sweep blocks only by the subcommand that reads each.  Every field is read
+by `_field`: a key with nothing under it is a key left out, which takes its
+default or, with none, is a missing field named by its block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import yaml
 
 from .design_search import DesignRequest, Scheme
 from .dispersion import (
-    DEFAULT_INCREMENTS,
     DEFAULT_MATERIAL,
     SELLMEIER_MODELS,
     IndexIncrementTable,
@@ -30,7 +31,9 @@ from .mode_solver import WaveguideGeometry
 from .spdc import SCAN_SAMPLES
 
 _SCAN_AXES = ("signal_1", "idler_1", "signal_2", "idler_2")
+_SCHEMES = tuple(s.value for s in Scheme)
 _SELLMEIER_SETS = tuple(sorted(SELLMEIER_MODELS))
+_REQUIRED = object()  # the default of a field that has none
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,20 @@ def required(name, block):
     return block
 
 
-def _block(data, name, known):
+def _field(mapping, name, read, default=_REQUIRED):
+    """`read(name, value)` of the field `name`, "<block>.<key>", in its
+    block's `mapping`.  An absent key and an empty (null) one are the same:
+    the field takes `default`, or is missing when it has none."""
+    block, _, key = name.rpartition(".")
+    value = mapping.get(key)
+    if value is not None:
+        return read(name, value)
+    if default is _REQUIRED:
+        raise ConfigurationError(f"{block}: missing required field '{key}'")
+    return default
+
+
+def _block(name, data, known):
     """A mapping whose keys are all in `known`."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{name}: expected a mapping, got {type(data).__name__}")
@@ -86,43 +102,33 @@ def _finite(value):
             and math.isfinite(real(value)))
 
 
-def _number(block, mapping, key, minimum=None, default=None):
-    """A finite number, greater than `minimum` when given; a missing field
-    takes `default`, or is an error when there is none."""
-    if key not in mapping:
-        if default is None:
-            raise ConfigurationError(f"{block}: missing required field '{key}'")
-        return default
-    value = mapping[key]
-    if not _finite(value):
-        raise ConfigurationError(f"{block}.{key}: expected a finite number, got {value!r}")
-    if minimum is not None and value <= minimum:
-        raise ConfigurationError(f"{block}.{key}: must be greater than {minimum}")
+def _positive(name, value):
+    """A finite positive number as a float."""
+    if not (_finite(value) and value > 0):
+        raise ConfigurationError(f"{name}: expected a finite positive number, got {value!r}")
     return float(value)
 
 
-def _numbers(field, values):
+def _numbers(name, values):
     """A non-empty list of finite numbers as a tuple of floats."""
     if not (isinstance(values, list) and values and all(map(_finite, values))):
-        raise ConfigurationError(
-            f"{field}: expected a non-empty list of finite numbers, got {values!r}"
-        )
+        raise ConfigurationError(f"{name}: expected a non-empty list of finite numbers, "
+                                 f"got {values!r}")
     return tuple(float(v) for v in values)
 
 
-def _choice(block, mapping, key, allowed, default):
-    value = mapping.get(key, default)
+def _choice(allowed, name, value):
     if value not in allowed:
-        raise ConfigurationError(f"{block}.{key}: expected one of {allowed}, got {value!r}")
+        raise ConfigurationError(f"{name}: expected one of {allowed}, got {value!r}")
     return value
 
 
-def _pairs(field, rows, layout):
+def _pairs(layout, name, rows):
     """A list of two-number rows as a tuple of float pairs; `layout` names the
     expected row shape in the error."""
     if not (isinstance(rows, list)
             and all(isinstance(r, list) and len(r) == 2 and all(map(_finite, r)) for r in rows)):
-        raise ConfigurationError(f"{field}: expected {layout}")
+        raise ConfigurationError(f"{name}: expected {layout}")
     return tuple((float(a), float(b)) for a, b in rows)
 
 
@@ -135,112 +141,95 @@ def _field_error(prefix, build, **values):
         raise ConfigurationError(f"{prefix}.{error.field}: {error}") from None
 
 
-def _increment_table(data) -> IndexIncrementTable:
-    data = _block(data, "material.index_increments", ("extraordinary", "ordinary"))
-    entries = {}
-    for key, pol in (("extraordinary", Polarization.EXTRAORDINARY),
-                     ("ordinary", Polarization.ORDINARY)):
-        if key not in data:
-            continue
-        entries[pol] = _pairs(f"material.index_increments.{key}", data[key],
-                              "[[wavelength_nm, delta_n], ...]")
+def _increments(name, data) -> IndexIncrementTable:
+    data = _block(name, data, ("extraordinary", "ordinary"))
+    rows = partial(_pairs, "[[wavelength_nm, delta_n], ...]")
+    tables = {pol: _field(data, f"{name}.{pol}", rows, None)
+              for pol in (Polarization.EXTRAORDINARY, Polarization.ORDINARY)}
+    entries = {pol: table for pol, table in tables.items() if table is not None}
     if not entries:
-        raise ConfigurationError("material.index_increments: no polarization tables given")
-    return _field_error("material.index_increments", IndexIncrementTable, entries=entries)
+        raise ConfigurationError(f"{name}: no polarization tables given")
+    return _field_error(name, IndexIncrementTable, entries=entries)
 
 
-def _sellmeier(material) -> SellmeierModel:
-    """The named or custom Sellmeier set of the material block."""
-    if not isinstance(material.get("sellmeier"), dict):
-        return SELLMEIER_MODELS[
-            _choice("material", material, "sellmeier", _SELLMEIER_SETS, "zelmon1997")
-        ]
-    mapping = _block(material["sellmeier"], "material.sellmeier",
-                     ("name", "ordinary", "extraordinary", "valid_range_nm"))
-    terms = {}
-    for key, pol in (("ordinary", Polarization.ORDINARY),
-                     ("extraordinary", Polarization.EXTRAORDINARY)):
-        if key not in mapping:
-            raise ConfigurationError(f"material.sellmeier: missing '{key}' terms")
-        terms[pol] = _pairs(f"material.sellmeier.{key}", mapping[key], "[[B, C_um2], ...]")
+def _sellmeier(name, value) -> SellmeierModel:
+    """A named Sellmeier set, or a custom one given as a mapping."""
+    if not isinstance(value, dict):
+        return SELLMEIER_MODELS[_choice(_SELLMEIER_SETS, name, value)]
+    data = _block(name, value, ("name", "ordinary", "extraordinary", "valid_range_nm"))
+    terms = partial(_pairs, "[[B, C_um2], ...]")
     return _field_error(
-        "material.sellmeier", SellmeierModel,
-        name=str(mapping.get("name", "material.sellmeier")),
-        valid_range_nm=_numbers("material.sellmeier.valid_range_nm",
-                                mapping.get("valid_range_nm", [400.0, 5000.0])),
-        terms=terms,
+        name, SellmeierModel,
+        terms={pol: _field(data, f"{name}.{pol}", terms)
+               for pol in (Polarization.ORDINARY, Polarization.EXTRAORDINARY)},
+        name=_field(data, f"{name}.name", lambda _, given: str(given), name),
+        valid_range_nm=_field(data, f"{name}.valid_range_nm", _numbers, (400.0, 5000.0)),
     )
 
 
-def _material(data) -> Material:
-    data = _block(data, "material", ("sellmeier", "index_increments", "profile"))
-    increments = DEFAULT_INCREMENTS
-    if "index_increments" in data:
-        increments = _increment_table(data["index_increments"])
-    profile = _block(data.get("profile", {}), "material.profile", ("lateral_scale", "depth_scale"))
+def _material(name, data) -> Material:
+    data = _block(name, data, ("sellmeier", "index_increments", "profile"))
+    scales = ("lateral_scale", "depth_scale")
+    profile = _field(data, f"{name}.profile", partial(_block, known=scales), {})
     return Material(
-        sellmeier=_sellmeier(data),
-        increments=increments,
-        lateral_scale=_number("material.profile", profile, "lateral_scale", minimum=0.0,
-                              default=DEFAULT_MATERIAL.lateral_scale),
-        depth_scale=_number("material.profile", profile, "depth_scale", minimum=0.0,
-                            default=DEFAULT_MATERIAL.depth_scale),
+        sellmeier=_field(data, f"{name}.sellmeier", _sellmeier, DEFAULT_MATERIAL.sellmeier),
+        increments=_field(data, f"{name}.index_increments", _increments,
+                          DEFAULT_MATERIAL.increments),
+        **{key: _field(profile, f"{name}.profile.{key}", _positive, getattr(DEFAULT_MATERIAL, key))
+           for key in scales},
     )
 
 
-def _geometry(data) -> WaveguideGeometry:
-    data = _block(data, "geometry", ("width_um", "depth_um", "length_cm"))
+def _geometry(name, data) -> WaveguideGeometry:
+    keys = ("width_um", "depth_um", "length_cm")
+    data = _block(name, data, keys)
+    return _field_error(name, WaveguideGeometry,
+                        **{key: _field(data, f"{name}.{key}", _positive) for key in keys})
+
+
+def _request(geometry, name, data) -> DesignRequest:
+    """The DesignRequest of the process block `data` on `geometry`."""
+    wavelengths = ("pump_nm", "signal1_nm", "signal2_nm")
+    data = _block(name, data, ("scheme", *wavelengths))
     return _field_error(
-        "geometry", WaveguideGeometry,
-        width_um=_number("geometry", data, "width_um", minimum=0.0),
-        depth_um=_number("geometry", data, "depth_um", minimum=0.0),
-        length_cm=_number("geometry", data, "length_cm", minimum=0.0),
+        name, DesignRequest, geometry=geometry,
+        scheme=Scheme(_field(data, f"{name}.scheme", partial(_choice, _SCHEMES))),
+        **{key: _field(data, f"{name}.{key}", _positive) for key in wavelengths},
     )
 
 
-def _scan(data) -> ScanConfig:
-    data = _block(data, "scan", ("axis", "span_nm", "samples", "index_model"))
+def _scan(name, data) -> ScanConfig:
+    data = _block(name, data, ("axis", "span_nm", "samples", "index_model"))
     return ScanConfig(
-        axis=_choice("scan", data, "axis", _SCAN_AXES, None),
-        span_nm=_number("scan", data, "span_nm", minimum=0.0),
-        samples=require_integer("scan.samples", data.get("samples", 1001), *SCAN_SAMPLES),
-        index_model=_choice("scan", data, "index_model", ("design-point", "dispersive"),
-                            "design-point"),
+        axis=_field(data, f"{name}.axis", partial(_choice, _SCAN_AXES)),
+        span_nm=_field(data, f"{name}.span_nm", _positive),
+        samples=_field(data, f"{name}.samples",
+                       lambda name, value: require_integer(name, value, *SCAN_SAMPLES), 1001),
+        index_model=_field(data, f"{name}.index_model",
+                           partial(_choice, ("design-point", "dispersive")), "design-point"),
     )
 
 
-def _sweep(data) -> SweepConfig:
-    data = _block(data, "sweep", ("depths_um", "widths_um", "pairing"))
-    for key in ("depths_um", "widths_um"):
-        if key not in data:
-            raise ConfigurationError(f"sweep: missing required field '{key}'")
+def _sweep(name, data) -> SweepConfig:
+    data = _block(name, data, ("depths_um", "widths_um", "pairing"))
     return SweepConfig(
-        depths_um=_numbers("sweep.depths_um", data["depths_um"]),
-        widths_um=_numbers("sweep.widths_um", data["widths_um"]),
-        pairing=_choice("sweep", data, "pairing", ("product", "zip"), "product"),
+        depths_um=_field(data, f"{name}.depths_um", _numbers),
+        widths_um=_field(data, f"{name}.widths_um", _numbers),
+        pairing=_field(data, f"{name}.pairing", partial(_choice, ("product", "zip")), "product"),
     )
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed YAML mapping into a RunConfig; the required geometry
-    and process blocks become its request, built and checked here."""
-    data = _block(data, "config", ("material", "geometry", "process", "scan", "sweep"))
-    material = _material(data["material"]) if "material" in data else DEFAULT_MATERIAL
-    geometry = _geometry(required("geometry", data.get("geometry")))
-    block = _block(required("process", data.get("process")), "process",
-                   ("scheme", "pump_nm", "signal1_nm", "signal2_nm"))
-    request = _field_error(
-        "process", DesignRequest, geometry=geometry,
-        scheme=Scheme(_choice("process", block, "scheme", tuple(s.value for s in Scheme), None)),
-        pump_nm=_number("process", block, "pump_nm", minimum=0.0),
-        signal1_nm=_number("process", block, "signal1_nm", minimum=0.0),
-        signal2_nm=_number("process", block, "signal2_nm", minimum=0.0),
-    )
-    # an empty scan: or sweep: key is an absent block, which only the command
-    # that reads it rejects, through `required`
-    return RunConfig(material, request,
-                     None if data.get("scan") is None else _scan(data["scan"]),
-                     None if data.get("sweep") is None else _sweep(data["sweep"]))
+    and process blocks become its request, built and checked here.  The scan
+    and sweep blocks are None when absent; only the command that reads one
+    requires it."""
+    data = _block("config", data, ("material", "geometry", "process", "scan", "sweep"))
+    material = _field(data, "material", _material, DEFAULT_MATERIAL)
+    geometry = required("geometry", _field(data, "geometry", _geometry, None))
+    request = required("process", _field(data, "process", partial(_request, geometry), None))
+    return RunConfig(material, request, _field(data, "scan", _scan, None),
+                     _field(data, "sweep", _sweep, None))
 
 
 def load_config(path: str) -> RunConfig:

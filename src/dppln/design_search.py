@@ -269,17 +269,30 @@ class SweepResult:
 # Rows per `solve_lanes` batch.  A batch holds about 45 KB per lane and the
 # quadratures of its rows, so this bounds the memory of a long sweep or search.
 SWEEP_BATCH_ROWS = 8
+# Most rows of one sweep: a row holds about 0.6 KB of request and result
+# until the sweep returns, so a sweep stays near 60 MB, and at about 5 ms per
+# row (one core of a 2-vCPU Xeon) it solves for some 8 minutes.
+MAX_SWEEP_ROWS = 100_000
 
 
-def _phase_matched(template, material, pairs):
-    """Per (depth, width) pair, in order, its `phase_match` design or its
-    PhysicsError; the modes are solved in contiguous, balanced `solve_lanes`
-    batches of at most SWEEP_BATCH_ROWS rows."""
-    count = -(-len(pairs) // SWEEP_BATCH_ROWS)
+def _requests(template, pairs) -> list[DesignRequest]:
+    """The request of each (depth, width) pair; a size out of range names its list."""
+    try:
+        return [replace(template, geometry=replace(template.geometry, depth_um=d, width_um=w))
+                for d, w in pairs]
+    except ConfigurationError as error:
+        field = {"depth_um": "depths_um", "width_um": "widths_um"}[error.field]
+        raise ConfigurationError(str(error), field) from None
+
+
+def _phase_matched(material, requests):
+    """Per request, in order, its `phase_match` design or its PhysicsError;
+    the modes are solved in contiguous, balanced `solve_lanes` batches of at
+    most SWEEP_BATCH_ROWS rows."""
+    count = -(-len(requests) // SWEEP_BATCH_ROWS)
     for k in range(count):
-        requests = [replace(template, geometry=replace(template.geometry, width_um=w, depth_um=d))
-                    for d, w in pairs[len(pairs) * k // count:len(pairs) * (k + 1) // count]]
-        for request, modes in zip(requests, _solve_requests(requests, material)):
+        batch = requests[len(requests) * k // count:len(requests) * (k + 1) // count]
+        for request, modes in zip(batch, _solve_requests(batch, material)):
             try:
                 matched = modes if isinstance(modes, PhysicsError) else phase_match(request, modes)
             except PhysicsError as error:
@@ -288,12 +301,14 @@ def _phase_matched(template, material, pairs):
                 yield matched
 
 
-def _sweep_rows(template, material, pairs) -> list[SweepRow]:
-    """The rows of (depth, width) `pairs`."""
-    return [SweepRow(depth, width, None, None, None, error=str(outcome))
+def _sweep_rows(material, requests) -> list[SweepRow]:
+    """The rows of `requests`."""
+    return [SweepRow(r.geometry.depth_um, r.geometry.width_um, None, None, None,
+                     error=str(outcome))
             if isinstance(outcome, PhysicsError) else
-            SweepRow(depth, width, outcome.gamma, outcome.period1_um, outcome.period2_um)
-            for (depth, width), outcome in zip(pairs, _phase_matched(template, material, pairs))]
+            SweepRow(r.geometry.depth_um, r.geometry.width_um, outcome.gamma,
+                     outcome.period1_um, outcome.period2_um)
+            for r, outcome in zip(requests, _phase_matched(material, requests))]
 
 
 def sweep(template: DesignRequest, depths_um, widths_um, *,
@@ -302,42 +317,38 @@ def sweep(template: DesignRequest, depths_um, widths_um, *,
     """One `phase_match` per geometry; row failures are recorded, not raised.
 
     `pairing` "product" crosses the two lists (row-major: depth outer);
-    "zip" pairs them element-wise.  A bad list or pairing, or a `max_workers`
-    that is not an integer of at least 1, raises a `ConfigurationError` that
-    names its parameter in `field`.  Rows are returned in input order; with
-    `max_workers` > 1 they are computed in parallel processes, at most one
-    per row and per CPU.  The rows' modes are solved in contiguous
-    batches of at most SWEEP_BATCH_ROWS rows; a row's numbers do not depend
-    on its batch, so the rows do not depend on `max_workers`.
+    "zip" pairs them element-wise.  A bad list, pairing or row count (more
+    than MAX_SWEEP_ROWS), or a `max_workers` that is not an integer of at
+    least 1, raises a `ConfigurationError` that names its parameter in
+    `field`.  Rows are returned in input order; with `max_workers` > 1 they
+    are computed in parallel processes, at most one per row and per CPU.
+    Modes are solved in contiguous batches of at most SWEEP_BATCH_ROWS
+    rows; a row's numbers depend on neither its batch nor `max_workers`.
     """
     if max_workers is not None:
         require_integer("max_workers", max_workers, 1)
-    depths = list(depths_um)
-    widths = list(widths_um)
+    depths, widths = list(depths_um), list(widths_um)
     if not depths or not widths:
         raise ConfigurationError("depth and width lists must be non-empty",
                                  "depths_um" if not depths else "widths_um")
-    if pairing == "product":
-        pairs = [(d, w) for d in depths for w in widths]
-    elif pairing == "zip":
-        if len(depths) != len(widths):
-            raise ConfigurationError(f"zip pairing needs equally long lists, got {len(depths)} "
-                                     f"depths and {len(widths)} widths", "pairing")
-        pairs = list(zip(depths, widths))
-    else:
+    if pairing not in ("product", "zip"):
         raise ConfigurationError(f"unknown pairing '{pairing}'", "pairing")
-    try:  # every geometry is in range before any row is solved
-        for depth, width in pairs:
-            replace(template.geometry, depth_um=depth, width_um=width)
-    except ConfigurationError as error:
-        field = {"depth_um": "depths_um", "width_um": "widths_um"}[error.field]
-        raise ConfigurationError(str(error), field) from None
+    if pairing == "zip" and len(depths) != len(widths):
+        raise ConfigurationError(f"zip pairing needs equally long lists, got {len(depths)} "
+                                 f"depths and {len(widths)} widths", "pairing")
+    count = len(depths) * len(widths) if pairing == "product" else len(depths)
+    if count > MAX_SWEEP_ROWS:  # checked before any row is listed
+        raise ConfigurationError(f"{pairing} pairing makes {count} rows, more than the "
+                                 f"supported {MAX_SWEEP_ROWS}", "pairing")
+    # every geometry is in range before any row is solved
+    requests = _requests(template, ((d, w) for d in depths for w in widths)
+                         if pairing == "product" else zip(depths, widths))
 
     # the pool starts all its processes at once, so never more than can be used
-    workers = min(max_workers or 1, len(pairs), os.cpu_count() or 1)
-    shares = [pairs[len(pairs) * k // workers:len(pairs) * (k + 1) // workers]
+    workers = min(max_workers or 1, count, os.cpu_count() or 1)
+    shares = [requests[count * k // workers:count * (k + 1) // workers]
               for k in range(workers)]  # contiguous, one per process
-    rows_of = partial(_sweep_rows, template, material)
+    rows_of = partial(_sweep_rows, material)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -393,7 +404,7 @@ def find_best_geometry(template: DesignRequest, bounds_um: tuple[float, float], 
         """Phase-match the points not yet scored as one call; the first one's gamma."""
         keys = [(round(depth, 6), round(width, 6)) for depth, width in points]
         new = [key for key in dict.fromkeys(keys) if key not in scored]
-        for key, outcome in zip(new, _phase_matched(template, material, new)):
+        for key, outcome in zip(new, _phase_matched(material, _requests(template, new))):
             failed = isinstance(outcome, PhysicsError)
             scored[key] = (-np.inf, None) if failed else (outcome.gamma, outcome)
         return scored[keys[0]][0]

@@ -415,8 +415,7 @@ def _nelder_mead_steps(simplex, *, xatol, fatol, maxiter, maxfev):
             break
         nfev += 1
         vertices[k] = x, y, float((yield x, y))
-    # sorted twice, as scipy does, so that tied values order the same way
-    (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = _ordered(*_ordered(*vertices))
+    (x0, y0, f0), (x1, y1, f1), (x2, y2, f2) = _ordered(*vertices)
 
     nit = 1
     while nfev < maxfev and nit < maxiter:

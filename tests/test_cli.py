@@ -82,16 +82,10 @@ def test_load_config_builds_and_checks_the_request(tmp_path, overrides, message)
 
 
 @pytest.mark.parametrize("command, overrides, message", [
-    ("design", {"geometry": {"depth_um": 10.0, "length_cm": 1.0}},
-     "geometry: missing required field 'width_um'"),
     ("design", {"material": {"index_increments": {}}},
      "material.index_increments: no polarization tables given"),
-    ("design", {"material": {"sellmeier": {"extraordinary": [[2.9804, 0.02047]]}}},
-     "material.sellmeier: missing 'ordinary' terms"),
-    ("sweep", {"sweep": {"widths_um": [10.0]}}, "sweep: missing required field 'depths_um'"),
     ("design", None, "config file is empty"),
-], ids=["geometry-width", "increments-no-table", "sellmeier-no-ordinary", "sweep-depths",
-        "empty-file"])
+], ids=["increments-no-table", "empty-file"])
 def test_a_missing_field_table_or_file_is_named_exactly(tmp_path, capsys, command, overrides,
                                                         message):
     config = tmp_path / "empty.yaml"
@@ -102,20 +96,82 @@ def test_a_missing_field_table_or_file_is_named_exactly(tmp_path, capsys, comman
     assert (code, out, err) == (2, "", f"configuration error: {message}\n")
 
 
-@pytest.mark.parametrize("block, reader, other", [("scan", "spectrum", "design"),
-                                                  ("sweep", "sweep", "index")])
-def test_an_empty_scan_or_sweep_block_fails_only_the_command_that_reads_it(
-        tmp_path, capsys, block, reader, other):
-    # before, `scan:` with nothing under it failed every command with "scan:
-    # expected a mapping, got NoneType"
-    config = tmp_path / "empty-block.yaml"
-    config.write_text(yaml.safe_dump({key: value for key, value in BASE_CONFIG.items()
-                                      if key != block}) + f"{block}:\n")
-    assert yaml.safe_load(config.read_text())[block] is None
-    code, out, err = run([reader, "--config", str(config)], capsys)
-    assert (code, out, err) == (2, "", f"configuration error: {block}: missing required block\n")
-    code, out, err = run([other, "--config", str(config)], capsys)
-    assert (code, err) == (0, "") and out
+def write_config_without(tmp_path, path, empty, data=BASE_CONFIG):
+    """`data` with the key at `path` left out or, when `empty`, written with
+    nothing under it, as a config file."""
+    data = json.loads(json.dumps(data))
+    parent = data
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    parent.pop(path[-1], None)
+    if empty:
+        parent[path[-1]] = None
+    config = tmp_path / ("empty.yaml" if empty else "absent.yaml")
+    config.write_text(yaml.safe_dump(data).replace(": null\n", ":\n"))
+    return str(config)
+
+
+# (key path, command that reads it, that command's exit code with the key left out)
+OPTIONAL_KEYS = [
+    (("material",), "index", 0),
+    (("material", "profile"), "index", 0),
+    (("material", "index_increments"), "index", 0),
+    (("material", "sellmeier"), "index", 0),
+    (("material", "profile", "lateral_scale"), "index", 0),
+    (("material", "profile", "depth_scale"), "index", 0),
+    (("scan", "samples"), "spectrum", 0),
+    (("scan", "index_model"), "spectrum", 0),
+    (("sweep", "pairing"), "sweep", 0),
+    # an optional block is required only by the command that reads it
+    (("scan",), "spectrum", 2),
+    (("scan",), "design", 0),
+    (("sweep",), "sweep", 2),
+    (("sweep",), "index", 0),
+]
+
+
+@pytest.mark.parametrize("path, command, code", OPTIONAL_KEYS,
+                         ids=[f"{'.'.join(path)}-{command}" for path, command, _ in OPTIONAL_KEYS])
+def test_an_empty_optional_key_runs_as_the_key_left_out(tmp_path, capsys, path, command, code):
+    # before, an empty `material:`, `profile:`, `index_increments:` or
+    # `sellmeier:` key exited 2 with "expected a mapping, got NoneType" (the
+    # sellmeier key with "expected one of ('zelmon1997',), got None")
+    runs = []
+    for empty in (False, True):
+        config = write_config_without(tmp_path, path, empty)
+        node = yaml.safe_load(Path(config).read_text())
+        for key in path[:-1]:
+            node = node[key]
+        assert (path[-1] in node, node.get(path[-1])) == (empty, None)
+        runs.append(run([command, "--config", config, "--format", "records"], capsys))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code, runs[0][2]
+
+
+# (key path, command that reads it); a custom Sellmeier mapping needs both terms
+REQUIRED_FIELDS = [
+    *((("geometry", key), "design") for key in ("width_um", "depth_um", "length_cm")),
+    *((("process", key), "design") for key in ("scheme", "pump_nm", "signal1_nm", "signal2_nm")),
+    (("scan", "axis"), "spectrum"),
+    (("scan", "span_nm"), "spectrum"),
+    (("sweep", "depths_um"), "sweep"),
+    (("sweep", "widths_um"), "sweep"),
+    (("material", "sellmeier", "ordinary"), "design"),
+    (("material", "sellmeier", "extraordinary"), "design"),
+]
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["absent", "empty"])
+@pytest.mark.parametrize("path, command", REQUIRED_FIELDS,
+                         ids=[".".join(path) for path, _ in REQUIRED_FIELDS])
+def test_a_missing_required_field_is_named(tmp_path, capsys, path, command, empty):
+    # before, a missing scheme or axis read "expected one of ..., got None" and
+    # a missing Sellmeier term list "missing 'ordinary' terms"
+    data = dict(BASE_CONFIG, material={"sellmeier": CUSTOM_SELLMEIER})
+    config = write_config_without(tmp_path, path, empty, data)
+    block, key = ".".join(path[:-1]), path[-1]
+    assert run([command, "--config", config], capsys) == (
+        2, "", f"configuration error: {block}: missing required field '{key}'\n")
 
 
 def test_a_loaded_config_holds_its_request(tmp_path):
@@ -406,7 +462,7 @@ CUSTOM_SELLMEIER = {
          "material: unknown field 'temperature_c'"),
         ({"output": {"format": "records"}}, "config: unknown field 'output'"),
         ({"geometry": {"width_um": 10**400, "depth_um": 10.0, "length_cm": 1.0}},
-         "geometry.width_um: expected a finite number"),
+         "geometry.width_um: expected a finite positive number"),
         ({"sweep": {"depths_um": [10.0, -10**400], "widths_um": [10.0]}}, "sweep.depths_um"),
         ({"material": {"index_increments": {"extraordinary": [[519.0, 10**400]]}}},
          "material.index_increments.extraordinary"),

@@ -629,8 +629,9 @@ def test_sweep_pool_size_is_capped_by_rows_and_cpus(monkeypatch, max_workers, cp
     monkeypatch.setattr(design_search, "ProcessPoolExecutor", RecordingPool, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(design_search, "_sweep_rows",
-                        lambda template, material, pairs: [SweepRow(d, w, 1.0, 2.0, 3.0)
-                                                           for d, w in pairs])
+                        lambda material, requests: [
+                            SweepRow(r.geometry.depth_um, r.geometry.width_um, 1.0, 2.0, 3.0)
+                            for r in requests])
     template = request_for(Scheme.TYPE0_EEE, 10.0)
     result = sweep(template, [8.0, 10.0], [8.0, 10.0], max_workers=max_workers)
     assert sizes == pools
@@ -712,8 +713,12 @@ def test_find_best_geometry_tracks_table_trend(type0_designs):
 
 @pytest.mark.parametrize("depths, widths, pairing, field", [
     ([], [8.0], "product", "depths_um"), ([8.0], [], "zip", "widths_um"),
-    ([8.0], [8.0], "diagonal", "pairing")])
-def test_sweep_argument_errors_name_their_field(depths, widths, pairing, field):
+    ([8.0], [8.0], "diagonal", "pairing"),
+    # 317 x 316 rows, just over MAX_SWEEP_ROWS: rejected before any row is listed
+    ([8.0] * 317, [8.0] * 316, "product", "pairing")])
+def test_sweep_argument_errors_name_their_field(monkeypatch, depths, widths, pairing, field):
+    assert design_search.MAX_SWEEP_ROWS == 100_000
+    monkeypatch.setattr(design_search, "_requests", lambda *args: pytest.fail("rows built"))
     with pytest.raises(ConfigurationError) as raised:
         sweep(request_for(Scheme.TYPE0_EEE, 10.0), depths, widths, pairing=pairing)
     assert raised.value.field == field
